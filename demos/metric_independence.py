@@ -33,7 +33,7 @@ variants = (
 
 for surf in variants:
     result = chern_number(surf, spec)
-    eta = connection_difference(base.field, surf.field, spec.n_u, spec.n_v)
+    eta = connection_difference(reference.sample, result.sample)
     print(surf.name)
     print(f"  raw Chern        {result.raw:+.3e}   (delta {result.raw - reference.raw:+.1e})")
     print(f"  integral of deta {stokes_residual(eta, base.domain):.3e}   "

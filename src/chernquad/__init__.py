@@ -25,6 +25,7 @@ from .errors import (
     DomainMismatchError,
     GeometryError,
     JacobianSingularError,
+    NonFiniteValueError,
     NonpositiveFactorError,
     OrientationMismatchError,
     PeriodicityError,
@@ -68,6 +69,7 @@ from .complex_structure import (
 from .curvature import (
     ConnectionForm,
     CurvatureReport,
+    CurvatureSample,
     OneForm,
     christoffels,
     connection_difference,
@@ -87,7 +89,7 @@ from .quadrature import (
     integrate_scalar,
     reduce_sum,
 )
-from .chern import ChernResult, chern_number, stokes_residual
+from .chern import ChernResult, chern_number, curvature_sample, stokes_residual
 from .zoo import (
     Surface,
     conformal_surface,

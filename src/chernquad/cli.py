@@ -15,8 +15,9 @@ Subcommands:
 ``verify``
     run every invariant suite; one line per suite.
 
-Exit codes: 0 success, 1 usage or config error, 2 numerical
-non-convergence (or a failed verify suite).
+Exit codes: 0 success, 1 usage, config, geometry or expression error
+(such as a metric that is not positive definite or a curvature that
+overflows), 2 numerical non-convergence (or a failed verify suite).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import sys
 
 from . import experiment, verify, zoo
 from .config import CompareSpec, ExperimentConfig, OutputSpec, load_config
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
+from .expressions import ExprError
 
 _RESOLUTION = re.compile(r"^(\d+)[xX](\d+)$")
 
@@ -190,7 +192,7 @@ def main(argv=None) -> int:
             if args.timings:
                 config.timings = True
         report = experiment.run(config)
-    except ConfigError as exc:
+    except (ConfigError, GeometryError, ExprError) as exc:
         print(f"chernquad: error: {exc}", file=sys.stderr)
         return 1
     return _emit(report, config.output)

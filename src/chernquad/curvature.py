@@ -14,7 +14,9 @@ K * sqrt(det g) pointwise; integrating it (or K * sqrt(det g)) against
 the chart quadrature and dividing by 2*pi gives the first Chern number.
 
 Scalar entry points take a Point2; the same kernels run vectorized over
-arrays for the quadrature module.
+arrays for the quadrature module.  ``curvature_report_grid`` is the one
+vectorized pass; it keeps every channel (K, area, two-form, b, max|alpha|)
+that the Chern sums, ``connection_difference`` and the grid dump read.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from . import jets
 from .complex_structure import TangentVector
 from .errors import DomainMismatchError, PeriodicityError
 from .jets import Jet2, partial_jet
-from .metric import MetricField, MetricJet, Point2, RectDomain, eval_metric_grid, eval_metric_jet
+from .metric import (MetricField, MetricJet, ParamDomain, Point2, RectDomain,
+                     eval_metric_grid, eval_metric_jet)
+from .quadrature import QuadratureSpec, build_nodes
 
 # Overall sign of the stored connection coefficients.  Pinned by the
 # calibration test: the unit sphere must give two_form_coeff = +sin(theta)
@@ -59,11 +63,15 @@ class ConnectionForm:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Pointwise curvature data: K, sqrt(det g), and the two-form coefficient."""
+    """Pointwise curvature data: K, sqrt(det g), the two-form coefficient,
+    b_u, b_v, and alpha_max = max(|alpha_u|, |alpha_v|) over the points."""
 
     k: float
     area_coeff: float
     two_form_coeff: float
+    b_u: float
+    b_v: float
+    alpha_max: float
 
     def identity_residual(self) -> float:
         target = self.k * self.area_coeff
@@ -79,6 +87,20 @@ class OneForm:
     eta_u: np.ndarray
     eta_v: np.ndarray
     imag_max: float = 0.0
+
+
+@dataclass(frozen=True)
+class CurvatureSample:
+    """A grid CurvatureReport on ``build_nodes(domain, spec)``: flat arrays
+    in u-major order, with k_area = K * sqrt(det g)."""
+
+    domain: ParamDomain
+    spec: QuadratureSpec
+    us: np.ndarray
+    vs: np.ndarray
+    weights: np.ndarray
+    report: CurvatureReport
+    k_area: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +163,10 @@ def _report_channels(mjet: MetricJet):
     g, det, inv, gamma = _inverse_and_gamma(mjet)
     k = _curvature_k(g, det, gamma)
     area = np.sqrt(det.val)
-    b_u, b_v, _, _ = _connection_coeffs(g, det, inv, gamma)
+    b_u, b_v, alpha_u, alpha_v = _connection_coeffs(g, det, inv, gamma)
     two_form = -(b_v.du - b_u.dv)
-    return k, area, two_form
+    alpha_max = max(float(np.max(np.abs(alpha_u))), float(np.max(np.abs(alpha_v))))
+    return k, area, two_form, b_u.val, b_v.val, alpha_max
 
 
 # ---------------------------------------------------------------------------
@@ -223,52 +246,47 @@ def connection_form(field: MetricField, p: Point2) -> ConnectionForm:
 def curvature_two_form(field: MetricField, p: Point2) -> CurvatureReport:
     """K, sqrt(det g) and the analytic jet curl of the connection form."""
     mjet = eval_metric_jet(field, p)
-    k, area, two_form = _report_channels(mjet)
-    return CurvatureReport(float(k), float(area), float(two_form))
+    return CurvatureReport(*(float(c) for c in _report_channels(mjet)))
 
 
 def curvature_report_grid(field: MetricField, us: np.ndarray,
                           vs: np.ndarray) -> CurvatureReport:
-    """Vectorized CurvatureReport; fields are arrays shaped like the input."""
+    """Vectorized CurvatureReport; array channels shaped like the input."""
     mjet = eval_metric_grid(field, us, vs)
-    k, area, two_form = _report_channels(mjet)
-    return CurvatureReport(k, area, two_form)
+    *channels, alpha_max = _report_channels(mjet)
+    shape = np.broadcast(us, vs).shape
+    return CurvatureReport(*(np.broadcast_to(c, shape) for c in channels), alpha_max)
 
 
-def _periodic_grid(domain: RectDomain, n_u: int, n_v: int):
-    if not domain.fully_periodic:
-        raise PeriodicityError("connection differences need a fully periodic rectangle chart")
-    us = domain.u_min + (domain.u_max - domain.u_min) * np.arange(n_u) / n_u
-    vs = domain.v_min + (domain.v_max - domain.v_min) * np.arange(n_v) / n_v
-    return us, vs
+def _periodic_one_form(domain: ParamDomain, spec: QuadratureSpec, us: np.ndarray,
+                       vs: np.ndarray, eta_u, eta_v, imag_max: float = 0.0) -> OneForm:
+    """A OneForm from flat u-major values on ``build_nodes(domain, spec)``."""
+    if not (isinstance(domain, RectDomain) and domain.fully_periodic
+            and spec == QuadratureSpec.for_domain(domain, spec.n_u, spec.n_v)):
+        raise PeriodicityError("one-forms are sampled on the uniform grid of a fully "
+                               "periodic rectangle chart")
+    shape = (spec.n_u, spec.n_v)
+    return OneForm(us=us.reshape(shape)[:, 0], vs=vs.reshape(shape)[0],
+                   eta_u=np.reshape(eta_u, shape), eta_v=np.reshape(eta_v, shape),
+                   imag_max=imag_max)
 
 
-def connection_difference(field: MetricField, field_prime: MetricField,
-                          n_u: int, n_v: int) -> OneForm:
-    """eta = -i*(omega - omega') sampled on an n_u x n_v periodic grid.
+def connection_difference(sample: CurvatureSample,
+                          sample_prime: CurvatureSample) -> OneForm:
+    """eta = -i*(omega - omega') = b - b' from two samples on the same
+    uniform grid of a fully periodic chart.
 
     Both connection forms are taken in the unitary frames built over the
-    same base direction du, so their difference is a global real 1-form;
-    imag_max reports the measured hermiticity residual max|alpha - alpha'|.
+    same base direction du, so their difference is a global real 1-form.
+    imag_max is max(max|alpha|, max|alpha'|), the larger hermiticity
+    residual of the two fields (not max|alpha - alpha'|).
     """
-    if field.domain != field_prime.domain:
-        raise DomainMismatchError("connection_difference needs fields over the same chart")
-    if not isinstance(field.domain, RectDomain):
-        raise PeriodicityError("connection differences need a rectangle chart")
-    us, vs = _periodic_grid(field.domain, n_u, n_v)
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    eta_u = np.zeros((n_u, n_v))
-    eta_v = np.zeros((n_u, n_v))
-    imag_max = 0.0
-    for sign, fld in ((1.0, field), (-1.0, field_prime)):
-        mjet = eval_metric_grid(fld, uu, vv)
-        g, det, inv, gamma = _inverse_and_gamma(mjet)
-        b_u, b_v, alpha_u, alpha_v = _connection_coeffs(g, det, inv, gamma)
-        eta_u += sign * np.broadcast_to(b_u.val, (n_u, n_v))
-        eta_v += sign * np.broadcast_to(b_v.val, (n_u, n_v))
-        imag_max = max(imag_max,
-                       float(np.max(np.abs(alpha_u))), float(np.max(np.abs(alpha_v))))
-    return OneForm(us=us, vs=vs, eta_u=eta_u, eta_v=eta_v, imag_max=imag_max)
+    if (sample.domain, sample.spec) != (sample_prime.domain, sample_prime.spec):
+        raise DomainMismatchError("connection_difference needs samples on the same nodes")
+    rep, rep_prime = sample.report, sample_prime.report
+    return _periodic_one_form(sample.domain, sample.spec, sample.us, sample.vs,
+                              rep.b_u - rep_prime.b_u, rep.b_v - rep_prime.b_v,
+                              imag_max=max(rep.alpha_max, rep_prime.alpha_max))
 
 
 def fd_curl(form: OneForm, domain: RectDomain) -> np.ndarray:
@@ -284,9 +302,8 @@ def fd_curl(form: OneForm, domain: RectDomain) -> np.ndarray:
 def exact_one_form(domain: RectDomain, potential, n_u: int, n_v: int) -> OneForm:
     """d(potential) sampled on the periodic grid; potential maps jet seeds
     to a jet (use jets.sin and friends)."""
-    us, vs = _periodic_grid(domain, n_u, n_v)
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    p = potential(jets.var_u(uu), jets.var_v(vv))
-    return OneForm(us=us, vs=vs,
-                   eta_u=np.broadcast_to(p.du, uu.shape).copy(),
-                   eta_v=np.broadcast_to(p.dv, uu.shape).copy())
+    spec = QuadratureSpec.for_domain(domain, n_u, n_v)
+    us, vs, _ = build_nodes(domain, spec)
+    p = potential(jets.var_u(us), jets.var_v(vs))
+    return _periodic_one_form(domain, spec, us, vs, np.broadcast_to(p.du, us.shape),
+                              np.broadcast_to(p.dv, us.shape))

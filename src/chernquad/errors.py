@@ -33,5 +33,9 @@ class PeriodicityError(GeometryError):
     """An operation required a fully periodic rectangle domain."""
 
 
+class NonFiniteValueError(GeometryError):
+    """A computed quantity is NaN or infinite at a quadrature node."""
+
+
 class ConfigError(Exception):
     """Invalid CLI usage or experiment configuration."""

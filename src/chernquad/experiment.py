@@ -6,6 +6,10 @@ requested.  Column order is fixed, floats print with 17 significant
 digits, and summation order upstream is deterministic, so the same
 config yields byte-identical CSV or JSON.  ``runtime_ms`` is opt-in
 (``timings``) because wall-clock noise would break that guarantee.
+
+Each metric is evaluated once per node set: the comparison columns and
+the grid dump read the curvature samples that ``chern_number`` keeps in
+its results (see ``chern``).
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import chern_number, stokes_residual
+from .chern import chern_number, curvature_sample, stokes_residual
 from .config import CustomSurfaceSpec, ExperimentConfig
-from .curvature import connection_difference, curvature_report_grid
+from .curvature import CurvatureSample, connection_difference
 from .errors import ConfigError
 from .metric import PolygonDomain, RectDomain
-from .quadrature import QuadratureSpec, build_nodes
+from .quadrature import QuadratureSpec
 from .zoo import (
     Surface,
     conformal_surface,
@@ -131,7 +135,8 @@ def _derived_surface(base: Surface, compare) -> Surface:
 def run(config: ExperimentConfig) -> Report:
     """Execute the experiment described by ``config``.
 
-    Raises :class:`ConfigError` for semantic config problems; numerical
+    Raises :class:`ConfigError` for semantic config problems, and a
+    GeometryError or ExprError met while evaluating; numerical
     non-convergence is reported in the row and via ``flagged``, never
     raised.
     """
@@ -158,7 +163,12 @@ def run(config: ExperimentConfig) -> Report:
             raise ConfigError("[compare] comparison requires a fully periodic domain")
         other = _derived_surface(surface, config.compare)
         result_prime = chern_number(other, spec=spec)
-        eta = connection_difference(surface.field, other.field, spec.n_u, spec.n_v)
+        samples = (result.sample, result_prime.sample)
+        eta_spec = QuadratureSpec.for_domain(domain, spec.n_u, spec.n_v)
+        if spec != eta_spec:  # a Gauss rule on a periodic axis; eta needs the uniform grid
+            samples = (curvature_sample(surface.field, eta_spec),
+                       curvature_sample(other.field, eta_spec))
+        eta = connection_difference(*samples)
         fieldnames = BASE_FIELDS + COMPARE_FIELDS
         row["raw_chern_prime"] = result_prime.raw
         row["delta_raw"] = result_prime.raw - result.raw
@@ -171,21 +181,14 @@ def run(config: ExperimentConfig) -> Report:
         row["runtime_ms"] = (time.perf_counter() - start) * 1000.0
 
     if config.output.grid_path:
-        _write_grid(config.output.grid_path, surface, spec)
+        _write_grid(config.output.grid_path, result.sample)
 
     return Report(fieldnames=fieldnames, row=row, flagged=flagged)
 
 
-def grid_rows(surface: Surface, spec: QuadratureSpec):
-    """Curvature density K * sqrt(det g) on the quadrature nodes."""
-    us, vs, ws = build_nodes(surface.domain, spec)
-    report = curvature_report_grid(surface.field, us, vs)
-    k_area = np.broadcast_to(report.k * report.area_coeff, ws.shape)
-    return us, vs, k_area
-
-
-def _write_grid(path: str, surface: Surface, spec: QuadratureSpec) -> None:
-    us, vs, k_area = grid_rows(surface, spec)
+def _write_grid(path: str, sample: CurvatureSample) -> None:
+    """K * sqrt(det g) on the quadrature nodes of ``sample``."""
+    us, vs, k_area = sample.us, sample.vs, sample.k_area
     if path.endswith(".json"):
         arrays = []
         for name, values in zip(_GRID_FIELDS, (us, vs, k_area)):

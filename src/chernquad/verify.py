@@ -214,7 +214,7 @@ def check_metric_independence(seed: int) -> CheckResult:
     passed = True
     for label, other in others:
         res_p = chern_number(other, spec=spec)
-        eta = connection_difference(base.field, other.field, 128, 128)
+        eta = connection_difference(res.sample, res_p.sample)
         stokes = stokes_residual(eta, base.domain)
         delta = abs(res_p.raw - res.raw)
         ok = (res_p.rounded == res.rounded == 0 and delta < 1e-5
@@ -275,7 +275,7 @@ def check_expressions(seed: int) -> CheckResult:
         u = float(rng.uniform(-1.5, 1.5))
         v = float(rng.uniform(-1.5, 1.5))
         jet = eval_jet(ast, u, v)
-        fd = _fd_jet(lambda uu, vv: eval_jet(ast, uu, vv).val, u, v)
+        fd = _richardson_jet(lambda uu, vv: eval_jet(ast, uu, vv).val, u, v)
         for got, ref in zip(
                 (jet.val, jet.du, jet.dv, jet.duu, jet.duv, jet.dvv), fd):
             worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
@@ -310,6 +310,13 @@ def check_determinism(seed: int) -> CheckResult:
     return CheckResult("determinism", same,
                        "repeated runs render byte-identical CSV and JSON"
                        if same else "renders differ between runs")
+
+
+def _richardson_jet(f: Callable, u: float, v: float, h: float = 1e-3):
+    """Central differences at h and h/2, Richardson-extrapolated to cancel
+    their O(h^2) truncation error (at h = 1e-4 alone it reaches 1e-5)."""
+    coarse, fine = _fd_jet(f, u, v, h), _fd_jet(f, u, v, h / 2.0)
+    return tuple(b + (b - a) / 3.0 for a, b in zip(coarse, fine))
 
 
 def _fd_jet(f: Callable, u: float, v: float, h: float = 1e-4):

@@ -9,6 +9,8 @@ assertions here only demand a pass and, where promised, a time budget.
 import sys
 import time
 
+import pytest
+
 from chernquad import verify
 
 
@@ -60,3 +62,12 @@ def test_expression_jets_match_finite_differences():
 
 def test_reports_are_byte_identical_across_runs():
     _emit(verify.check_determinism(9))
+
+
+@pytest.mark.parametrize("verify_seed", [13, 74])
+def test_expression_check_passes_on_steep_verify_seeds(verify_seed):
+    # `chernquad verify --seed S` runs each suite with seed S + its index;
+    # these seeds draw samples where a plain central difference at
+    # h = 1e-4 has truncation error above the check's 1e-5 tolerance
+    seed = verify_seed + verify.CHECKS.index(verify.check_expressions)
+    _emit(verify.check_expressions(seed))

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import chernquad
 from chernquad import cli, experiment
 from chernquad.config import CompareSpec, ExperimentConfig, OutputSpec, load_config
 from chernquad.errors import ConfigError
@@ -297,3 +303,97 @@ def test_cli_verify_prints_one_line_per_suite(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) >= 10
     assert all(line.startswith("ok") for line in lines)
+
+
+# --- bad inputs and field reuse ---------------------------------------------------
+
+_BAD_METRIC_CFG = """
+[surface]
+kind = custom
+name = bad
+domain = rect
+g11 = "{g11}"
+g12 = "0"
+g22 = "1"
+u_min = 0
+u_max = 1
+v_min = 0
+v_max = 1
+"""
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["report"], _BAD_METRIC_CFG.format(g11="exp(800*u)")),  # overflow: NaN curvature
+    (["report"], _BAD_METRIC_CFG.format(g11="exp(-800*u)")),  # underflow: not SPD
+    (["compare", "--surface", "torus_revolution", "--mode", "conformal",
+      "--factor", "sin(u)"], None),  # nonpositive conformal factor
+    (["compare", "--surface", "torus_revolution", "--mode", "conformal",
+      "--factor", "log(u-10)"], None),  # expression domain error
+    (["chern", "--surface", "torus_revolution", "--param", "R=1e200"], None),  # overflow
+], ids=["metric_overflow", "metric_not_spd", "nonpositive_factor", "factor_domain",
+        "param_overflow"])
+def test_bad_inputs_exit_one_without_traceback(argv, config, tmp_path):
+    if config is not None:
+        argv = argv + ["--config", _write(tmp_path, config)]
+    src = str(Path(chernquad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "chernquad.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("chernquad: error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def _count_metric_grid_calls(monkeypatch):
+    import chernquad.curvature
+
+    calls = []
+    original = chernquad.curvature.eval_metric_grid
+
+    def counting(field, us, vs):
+        calls.append(np.size(us))
+        return original(field, us, vs)
+
+    monkeypatch.setattr(chernquad.curvature, "eval_metric_grid", counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["compare", "--surface", "torus_revolution", "--mode", "conformal",
+      "--factor", "exp(0.6*sin(u))"], 2),
+    (["compare", "--surface", "torus_revolution", "--mode", "twist"], 2),
+    (["chern", "--surface", "torus_revolution"], 1),
+], ids=["compare_conformal", "compare_twist", "chern"])
+def test_grid_out_ops_evaluate_each_metric_once(argv, expected, tmp_path, monkeypatch,
+                                                capsys):
+    calls = _count_metric_grid_calls(monkeypatch)
+    grid = tmp_path / "grid.csv"
+    assert cli.main(argv + ["--resolution", "32x32", "--grid-out", str(grid)]) == 0
+    capsys.readouterr()
+    assert calls == [32 * 32] * expected
+    assert len(grid.read_text().splitlines()) == 1 + 32 * 32
+
+
+def test_gauss_rule_on_periodic_chart_keeps_the_eta_columns(tmp_path):
+    # eta needs the uniform grid; a Gauss spec cannot reuse the Chern
+    # samples, so both fields are sampled once more on the trapezoid nodes
+    text = """
+[surface]
+kind = torus_revolution
+
+[quadrature]
+n_u = 32
+n_v = 32
+{rules}
+[compare]
+mode = conformal
+factor = "exp(0.6*sin(u))"
+"""
+    plain = experiment.run(load_config(_write(tmp_path, text.format(rules=""))))
+    gauss = experiment.run(load_config(_write(
+        tmp_path, text.format(rules="rule_u = gauss\nrule_v = gauss\n"), "gauss.cfg")))
+    assert gauss.row["raw_chern"] != plain.row["raw_chern"]  # the rules did apply
+    for name in ("stokes_residual", "eta_realness_max"):
+        assert gauss.row[name] == plain.row[name]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chernquad import jets
+from chernquad.chern import curvature_sample
 from chernquad.complex_structure import TangentVector
 from chernquad.curvature import (
     christoffels,
@@ -28,6 +29,7 @@ from chernquad.metric import (
     metric_field_from_expressions,
     scalar_field_from_expression,
 )
+from chernquad.quadrature import QuadratureSpec
 from chernquad.zoo import flat_torus, poincare_octagon, sphere, torus_revolution
 
 
@@ -177,16 +179,24 @@ def test_connection_difference_requires_matching_periodic_charts():
     shifted_chart = RectDomain(0.0, math.pi, 0.0, TWO_PI,
                                periodic_u=True, periodic_v=True)
     other = metric_field_from_expressions(shifted_chart, "1", "0", "1")
+    spec = QuadratureSpec(16, 16)
+    torus_sample = curvature_sample(torus.field, spec)
     with pytest.raises(DomainMismatchError):
-        connection_difference(torus.field, other, 16, 16)
+        connection_difference(torus_sample, curvature_sample(other, spec))
+    with pytest.raises(DomainMismatchError):
+        connection_difference(torus_sample, curvature_sample(torus.field, QuadratureSpec(16, 32)))
+    with pytest.raises(PeriodicityError):  # uniform nodes only
+        connection_difference(*[curvature_sample(torus.field, QuadratureSpec(16, 16, "gauss"))] * 2)
     cap = sphere(1.0)
+    cap_sample = curvature_sample(cap.field, QuadratureSpec.for_domain(cap.domain, 16, 16))
     with pytest.raises(PeriodicityError):
-        connection_difference(cap.field, cap.field, 16, 16)
+        connection_difference(cap_sample, cap_sample)
 
 
 def test_connection_difference_of_field_with_itself_vanishes():
     surf = torus_revolution(2.0, 1.0)
-    eta = connection_difference(surf.field, surf.field, 16, 16)
+    sample = curvature_sample(surf.field, QuadratureSpec(16, 16))
+    eta = connection_difference(sample, sample)
     assert np.max(np.abs(eta.eta_u)) == 0.0
     assert np.max(np.abs(eta.eta_v)) == 0.0
     assert eta.imag_max < 1e-12
@@ -198,12 +208,11 @@ def test_curl_of_connection_difference_matches_two_form_change():
     scaled = conformal_scale(surf.field, scalar_field_from_expression("exp(0.3*sin(u))"))
     errs = []
     for n in (64, 128, 256):
-        eta = connection_difference(surf.field, scaled, n, n)
+        base = curvature_sample(surf.field, QuadratureSpec(n, n))
+        other = curvature_sample(scaled, QuadratureSpec(n, n))
+        eta = connection_difference(base, other)
         assert eta.imag_max < 1e-12
-        uu, vv = np.meshgrid(eta.us, eta.vs, indexing="ij")
-        base = curvature_report_grid(surf.field, uu, vv)
-        other = curvature_report_grid(scaled, uu, vv)
-        want = other.two_form_coeff - base.two_form_coeff
+        want = (other.report.two_form_coeff - base.report.two_form_coeff).reshape(n, n)
         errs.append(np.max(np.abs(fd_curl(eta, surf.domain) - want)))
     assert errs[-1] < 1e-4
     # central differences are second order: each doubling divides by ~4
