@@ -8,7 +8,11 @@ non-converged (reported, never raised).
 
 The sample lives here: ``curvature_sample`` evaluates a metric once on
 the quadrature nodes, and ``chern_number`` keeps it in its result for
-``connection_difference`` and the grid dump to read.
+``connection_difference`` and the grid dump to read.  Nodes stream
+through the jet pipeline in u-major blocks of BLOCK_NODES into the
+full-length channels, so temporaries scale with the block, not the grid;
+the block size changes no bit, as every channel is computed node by
+node, alpha_max is a max and ``reduce_sum`` is exactly rounded.
 
 ``stokes_residual`` integrates the finite-difference exterior derivative
 of a sampled 1-form over a fully periodic chart; for differences of
@@ -23,7 +27,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .curvature import CurvatureSample, OneForm, curvature_report_grid, fd_curl
+from .curvature import (CurvatureReport, CurvatureSample, OneForm, curvature_report_grid,
+                        fd_curl)
 from .errors import NonFiniteValueError, PeriodicityError
 from .metric import MetricField, RectDomain
 from .quadrature import QuadratureSpec, build_nodes, reduce_sum
@@ -31,6 +36,8 @@ from .quadrature import QuadratureSpec, build_nodes, reduce_sum
 TWO_PI = 2.0 * math.pi
 
 CONVERGENCE_RESIDUAL = 0.01
+
+BLOCK_NODES = 1 << 14  # nodes per evaluation block of curvature_sample
 
 
 @dataclass(frozen=True)
@@ -58,21 +65,30 @@ class ChernResult:
 
 
 def curvature_sample(field: MetricField, spec: QuadratureSpec) -> CurvatureSample:
-    """One curvature pass over the quadrature nodes of the field's chart.
-    A non-finite two-form or K * sqrt(det g) raises NonFiniteValueError
-    naming the first such node (numpy's own warnings are silenced)."""
+    """One curvature pass over the quadrature nodes of the field's chart,
+    in blocks of BLOCK_NODES nodes.  A non-finite two-form or
+    K * sqrt(det g) raises NonFiniteValueError naming the first such node
+    (numpy's own warnings are silenced)."""
     us, vs, ws = build_nodes(field.domain, spec)
+    alpha_maxes = []
     with np.errstate(all="ignore"):
-        report = curvature_report_grid(field, us, vs)
-        k_area = report.k * report.area_coeff
-    for name, values in (("curvature two-form", report.two_form_coeff),
-                         ("K * sqrt(det g)", k_area)):
+        for lo in range(0, us.size, BLOCK_NODES):
+            cut = slice(lo, lo + BLOCK_NODES)
+            block = curvature_report_grid(field, us[cut], vs[cut])
+            if lo == 0:  # here, to reuse the first block's freed temporaries
+                channels = np.empty((6, us.size))  # five report channels, then K * area
+            channels[:, cut] = (block.k, block.area_coeff, block.two_form_coeff, block.b_u,
+                                block.b_v, block.k * block.area_coeff)
+            alpha_maxes.append(block.alpha_max)
+    for name, values in (("curvature two-form", channels[2]),
+                         ("K * sqrt(det g)", channels[5])):
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise NonFiniteValueError(f"{name} is {values[bad[0]]} at node (u, v) = "
                                       f"({us[bad[0]]:.17g}, {vs[bad[0]]:.17g})")
     return CurvatureSample(domain=field.domain, spec=spec, us=us, vs=vs, weights=ws,
-                           report=report, k_area=k_area)
+                           report=CurvatureReport(*channels[:5], max(alpha_maxes)),
+                           k_area=channels[5])
 
 
 def chern_number(surface, spec: QuadratureSpec | None = None) -> ChernResult:

@@ -17,7 +17,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage, config, geometry or expression error
 (such as a metric that is not positive definite or a curvature that
-overflows), 2 numerical non-convergence (or a failed verify suite).
+overflows) or a failed allocation, 2 numerical non-convergence (or a
+failed verify suite).
 """
 
 from __future__ import annotations
@@ -192,8 +193,8 @@ def main(argv=None) -> int:
             if args.timings:
                 config.timings = True
         report = experiment.run(config)
-    except (ConfigError, GeometryError, ExprError) as exc:
-        print(f"chernquad: error: {exc}", file=sys.stderr)
+    except (ConfigError, GeometryError, ExprError, MemoryError) as exc:
+        print(f"chernquad: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return _emit(report, config.output)
 

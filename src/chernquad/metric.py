@@ -519,7 +519,8 @@ def perturb_metric(field: MetricField, seed: int, amplitude: float) -> MetricFie
         np.linspace(dom.v_min, dom.v_max, PROBE_GRID + 2)[1:-1]
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     try:
-        eval_metric_grid(out, uu.ravel(), vv.ravel())
+        with np.errstate(all="ignore"):
+            eval_metric_grid(out, uu.ravel(), vv.ravel())
     except SpdViolationError as exc:
         raise SpdViolationError(
             f"perturbation (seed {seed}, amplitude {amplitude}) breaks positive "

@@ -31,12 +31,15 @@ its results bit for bit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metric import ParamDomain, PolygonDomain, RectDomain, edge_arcs
+
+_SUM_CHUNK = 1 << 14  # values per list that reduce_sum hands to math.fsum
 
 MIN_NODES = 8
 
@@ -280,8 +283,12 @@ def domain_measure(domain: ParamDomain) -> float:
 
 
 def reduce_sum(values: np.ndarray) -> float:
-    """Compensated sum in a fixed order; bit-for-bit reproducible."""
-    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+    """Exactly rounded sum, bit-for-bit reproducible: ``math.fsum`` reads
+    chained lists of at most _SUM_CHUNK values, never one list of all of
+    them, and rounds only the exact total, so the chunking is invisible."""
+    flat = np.asarray(values, dtype=float).ravel()
+    return math.fsum(itertools.chain.from_iterable(
+        flat[lo:lo + _SUM_CHUNK].tolist() for lo in range(0, flat.size, _SUM_CHUNK)))
 
 
 def integrate_scalar(f, domain: ParamDomain, spec: QuadratureSpec) -> float:

@@ -12,13 +12,14 @@ flat metrics) while matching plain relative error at large magnitudes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .chern import chern_number, stokes_residual
+from .chern import ChernResult, chern_number, stokes_residual
 from .complex_structure import (
     TangentVector,
     area_form,
@@ -42,7 +43,8 @@ from .quadrature import (
     integrate_scalar,
     reduce_sum,
 )
-from .zoo import Surface, flat_torus, poincare_octagon, sphere, torus_revolution
+from .zoo import (Surface, conformal_surface, flat_torus, perturbed_surface, poincare_octagon,
+                  sphere, torus_revolution, twisted_surface)
 from . import experiment
 
 
@@ -188,32 +190,35 @@ def check_conformal_invariance(seed: int) -> CheckResult:
             j_f = complex_structure(eval_metric_jet(scaled, p).value)
             worst_j = max(worst_j, float(np.max(np.abs(j.m - j_f.m))))
 
-    spec = QuadratureSpec.for_domain(surf.domain, 128, 128)
-    raw = chern_number(surf, spec=spec).raw
-    from .zoo import conformal_surface
-    raw_f = chern_number(conformal_surface(surf, "exp(0.6*sin(u))"), spec=spec).raw
-    delta = abs(raw - raw_f)
+    res, res_f = _torus_and_rescaling()
+    delta = abs(res.raw - res_f.raw)
     passed = worst_j < 1e-12 and delta < 1e-6
     return CheckResult("conformal_invariance", passed,
                        f"j entrywise {worst_j:.2e} (tol 1e-12), "
                        f"torus Chern delta {delta:.2e} (tol 1e-6)")
 
 
-def check_metric_independence(seed: int) -> CheckResult:
-    from .zoo import conformal_surface, perturbed_surface, twisted_surface
-
+@functools.lru_cache(maxsize=1)
+def _torus_and_rescaling() -> tuple[ChernResult, ChernResult]:
+    """The 128^2 torus and its exp(0.6*sin(u)) rescaling, read by two checks."""
     base = torus_revolution(2.0, 1.0)
     spec = QuadratureSpec.for_domain(base.domain, 128, 128)
-    res = chern_number(base, spec=spec)
+    return (chern_number(base, spec=spec),
+            chern_number(conformal_surface(base, "exp(0.6*sin(u))"), spec=spec))
+
+
+def check_metric_independence(seed: int) -> CheckResult:
+    res, res_conformal = _torus_and_rescaling()
+    base = torus_revolution(2.0, 1.0)
+    spec = res.sample.spec
     others = (
-        ("conformal", conformal_surface(base, "exp(0.6*sin(u))")),
-        ("perturbed", perturbed_surface(base, seed=1, amplitude=0.1)),
-        ("twisted", twisted_surface(base, amplitude=0.3)),
+        ("conformal", res_conformal),
+        ("perturbed", chern_number(perturbed_surface(base, seed=1, amplitude=0.1), spec=spec)),
+        ("twisted", chern_number(twisted_surface(base, amplitude=0.3), spec=spec)),
     )
     details = []
     passed = True
-    for label, other in others:
-        res_p = chern_number(other, spec=spec)
+    for label, res_p in others:
         eta = connection_difference(res.sample, res_p.sample)
         stokes = stokes_residual(eta, base.domain)
         delta = abs(res_p.raw - res.raw)

@@ -1,14 +1,15 @@
 """Chern numbers by quadrature and the discrete Stokes argument."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chernquad import jets
+from chernquad import chern, jets, quadrature, verify
 from chernquad.chern import ChernResult, chern_number, curvature_sample, stokes_residual
-from chernquad.curvature import connection_difference, exact_one_form
-from chernquad.errors import PeriodicityError
+from chernquad.curvature import connection_difference, curvature_report_grid, exact_one_form
+from chernquad.errors import NonFiniteValueError, PeriodicityError
 from chernquad.metric import (
     RectDomain,
     conformal_scale,
@@ -17,8 +18,9 @@ from chernquad.metric import (
     scalar_field_from_expression,
     twist_map,
 )
-from chernquad.quadrature import QuadratureSpec
-from chernquad.zoo import flat_torus, poincare_octagon, sphere, torus_revolution
+from chernquad.quadrature import QuadratureSpec, build_nodes
+from chernquad.zoo import (custom_surface, flat_torus, poincare_octagon, sphere,
+                           torus_revolution, twisted_surface)
 
 
 def _dup(surface, field):
@@ -118,3 +120,70 @@ def test_two_integration_routes_share_the_integral():
     for surf in (sphere(2.0), torus_revolution(3.0, 1.0), poincare_octagon()):
         result = chern_number(surf)
         assert result.raw == pytest.approx(result.raw_gauss, abs=1e-9)
+
+
+def _generated_expression_surface():
+    # a seeded verify expression inside exp(sin(.)) keeps the metric SPD
+    text = f"exp(sin({verify._random_expression(np.random.default_rng(5), depth=3)}))"
+    dom = RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi,
+                     periodic_u=True, periodic_v=True)
+    return custom_surface("generated", dom, text, "0", "2 + sin(u) * cos(v)")
+
+
+@pytest.mark.parametrize("block", [1000, 7])
+@pytest.mark.parametrize("make,n_u,n_v", [
+    (lambda: sphere(1.0), 24, 48),  # Gauss-Legendre u axis
+    (poincare_octagon, 12, 12),  # geodesic fan nodes
+    (lambda: flat_torus(1.0, 2.0), 32, 36),  # scalar channels broadcast
+    (lambda: twisted_surface(torus_revolution(2.0, 1.0), 0.3), 32, 40),
+    (_generated_expression_surface, 32, 36),
+], ids=["sphere", "octagon", "flat_torus", "twisted_torus", "expression"])
+def test_curvature_sample_is_block_invariant(make, n_u, n_v, block, monkeypatch):
+    surf = make()
+    spec = QuadratureSpec.for_domain(surf.domain, n_u, n_v)
+    whole = chern_number(surf, spec)
+    assert whole.sample.us.size <= chern.BLOCK_NODES  # one block
+    monkeypatch.setattr(chern, "BLOCK_NODES", block)
+    monkeypatch.setattr(quadrature, "_SUM_CHUNK", block)
+    blocked = chern_number(surf, spec)
+    for name in ("raw", "raw_gauss", "max_identity_residual"):
+        assert getattr(blocked, name) == getattr(whole, name), name
+    assert blocked.sample.report.alpha_max == whole.sample.report.alpha_max
+    for name in ("k", "area_coeff", "two_form_coeff", "b_u", "b_v"):
+        assert np.array_equal(getattr(blocked.sample.report, name),
+                              getattr(whole.sample.report, name)), name
+    for name in ("us", "vs", "weights", "k_area"):
+        assert np.array_equal(getattr(blocked.sample, name), getattr(whole.sample, name))
+
+
+def test_non_finite_error_names_the_same_node_for_any_block_size(monkeypatch):
+    dom = RectDomain(0.0, 1.0, 0.0, 1.0)
+    surf = custom_surface("overflow", dom, "exp(800*u)", "0", "1")
+    spec = QuadratureSpec.for_domain(dom, 32, 40)
+    messages = []
+    for block in (chern.BLOCK_NODES, 1000, 7):
+        monkeypatch.setattr(chern, "BLOCK_NODES", block)
+        with pytest.raises(NonFiniteValueError) as info:
+            curvature_sample(surf.field, spec)
+        messages.append(str(info.value))
+    us, vs, _ = build_nodes(dom, spec)
+    with np.errstate(all="ignore"):  # one unblocked pass as the reference
+        two_form = curvature_report_grid(surf.field, us, vs).two_form_coeff
+    first = np.flatnonzero(~np.isfinite(two_form))[0]
+    assert messages[0].endswith(f"at node (u, v) = ({us[first]:.17g}, {vs[first]:.17g})")
+    assert messages == [messages[0]] * 3
+
+
+def test_chern_number_memory_scales_with_the_block_not_the_grid():
+    surf = torus_revolution(2.0, 1.0)
+    spec = QuadratureSpec.for_domain(surf.domain, 512, 512)
+    tracemalloc.start()
+    try:
+        result = chern_number(surf, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.rounded == 0
+    # about 72 B/node persist (nodes, weights, five channels and K*area);
+    # an unblocked pass peaks above 1300 B/node
+    assert peak / (512 * 512) < 300

@@ -330,8 +330,10 @@ v_max = 1
     (["compare", "--surface", "torus_revolution", "--mode", "conformal",
       "--factor", "log(u-10)"], None),  # expression domain error
     (["chern", "--surface", "torus_revolution", "--param", "R=1e200"], None),  # overflow
+    (["compare", "--surface", "torus_revolution", "--mode", "perturb",
+      "--amplitude", "1e300"], None),  # SPD probe overflows
 ], ids=["metric_overflow", "metric_not_spd", "nonpositive_factor", "factor_domain",
-        "param_overflow"])
+        "param_overflow", "perturb_overflow"])
 def test_bad_inputs_exit_one_without_traceback(argv, config, tmp_path):
     if config is not None:
         argv = argv + ["--config", _write(tmp_path, config)]
@@ -343,7 +345,22 @@ def test_bad_inputs_exit_one_without_traceback(argv, config, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("chernquad: error:"), proc.stderr
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr  # no numpy warnings
     assert proc.stdout == ""
+
+
+def test_failed_allocation_exits_one(monkeypatch, capsys):
+    import chernquad.chern
+
+    def refuse(domain, spec):
+        raise MemoryError(f"Unable to allocate {spec.n_u * spec.n_v * 8} bytes")
+
+    monkeypatch.setattr(chernquad.chern, "build_nodes", refuse)
+    argv = ["chern", "--surface", "torus_revolution", "--resolution", "100000x100000"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "chernquad: error: Unable to allocate 80000000000 bytes\n"
+    assert captured.out == ""
 
 
 def _count_metric_grid_calls(monkeypatch):
@@ -374,6 +391,17 @@ def test_grid_out_ops_evaluate_each_metric_once(argv, expected, tmp_path, monkey
     capsys.readouterr()
     assert calls == [32 * 32] * expected
     assert len(grid.read_text().splitlines()) == 1 + 32 * 32
+
+
+def test_verify_samples_the_torus_and_its_rescaling_once(monkeypatch):
+    from chernquad import verify
+
+    verify._torus_and_rescaling.cache_clear()
+    calls = _count_metric_grid_calls(monkeypatch)
+    assert verify.check_conformal_invariance(5).passed
+    assert verify.check_metric_independence(6).passed
+    # torus, its rescaling, the perturbed and the twisted torus at 128^2
+    assert calls.count(128 * 128) == 4
 
 
 def test_gauss_rule_on_periodic_chart_keeps_the_eta_columns(tmp_path):
