@@ -32,7 +32,7 @@ print(f"{bumpy.name}: raw = {result.raw:+.3e}, rounded = {result.rounded}")
 
 # the hyperbolic octagon metric, written as expressions
 octo = custom_surface("handwritten_octagon",
-                      PolygonDomain(octagon_vertices(), geodesic_edges=True),
+                      PolygonDomain(octagon_vertices()),
                       "4/(1 - u^2 - v^2)^2", "0", "4/(1 - u^2 - v^2)^2")
 result = chern_number(octo)
 print(f"{octo.name}: raw = {result.raw:+.15f}, rounded = {result.rounded}")

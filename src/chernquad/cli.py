@@ -28,7 +28,7 @@ import re
 import sys
 
 from . import experiment, verify, zoo
-from .config import CompareSpec, ExperimentConfig, OutputSpec, load_config
+from .config import COMPARE_KEYS, CompareSpec, ExperimentConfig, OutputSpec, load_config
 from .errors import ConfigError, GeometryError
 from .expressions import ExprError
 
@@ -97,11 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="surface vs derived metric")
     _add_surface_flags(compare)
-    compare.add_argument("--mode", required=True,
-                         choices=("conformal", "perturb", "twist"))
+    compare.add_argument("--mode", required=True, choices=tuple(COMPARE_KEYS))
     compare.add_argument("--factor", default="", metavar="EXPR",
                          help="conformal factor expression, e.g. 'exp(0.6*sin(u))'")
-    compare.add_argument("--seed", type=int, default=1,
+    compare.add_argument("--seed", type=int, default=None,
                          help="perturbation seed (mode perturb)")
     compare.add_argument("--amplitude", type=float, default=None,
                          help="perturb or twist amplitude")
@@ -121,29 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_list() -> int:
     rows = []
-    for kind in sorted(zoo.BUILTIN_KINDS):
-        _, param_names = zoo.BUILTIN_KINDS[kind]
+    for kind, (_, keys) in sorted(zoo.BUILTIN_KINDS.items()):
         surf = zoo.make_surface(kind)
         n_u, n_v = surf.reference_resolution
-        params = ", ".join(param_names) if param_names else "-"
-        rows.append((kind, params, f"{n_u}x{n_v}", str(surf.expected_chern)))
+        rows.append((kind, ", ".join(keys) or "-", f"{n_u}x{n_v}", str(surf.expected_chern)))
     header = ("kind", "params", "reference", "chern")
     widths = [max(len(r[i]) for r in rows + [header]) for i in range(4)]
     for row in (header, *rows):
         print("  ".join(col.ljust(w) for col, w in zip(row, widths)).rstrip())
     return 0
-
-
-def _compare_spec(args) -> CompareSpec:
-    if args.mode == "conformal":
-        if not args.factor:
-            raise ConfigError("--mode conformal requires --factor")
-        return CompareSpec(mode="conformal", factor=args.factor)
-    if args.mode == "perturb":
-        amp = 0.1 if args.amplitude is None else args.amplitude
-        return CompareSpec(mode="perturb", seed=args.seed, amplitude=amp)
-    amp = 0.3 if args.amplitude is None else args.amplitude
-    return CompareSpec(mode="twist", amplitude=amp)
 
 
 def _config_from_flags(args, compare=None) -> ExperimentConfig:
@@ -187,7 +172,8 @@ def main(argv=None) -> int:
         if args.command == "chern":
             config = _config_from_flags(args)
         elif args.command == "compare":
-            config = _config_from_flags(args, compare=_compare_spec(args))
+            config = _config_from_flags(args, compare=CompareSpec.for_mode(
+                args.mode, args.factor, args.seed, args.amplitude))
         else:
             config = load_config(args.config, overrides=args.set)
             if args.timings:

@@ -3,10 +3,9 @@
 A config describes exactly one experiment.  Sections:
 
 ``[surface]``
-    ``kind`` names a builtin (``sphere``, ``torus_revolution``,
-    ``flat_torus``, ``poincare_octagon``) with parameter keys such as
-    ``R``, ``r``, ``a``, ``b``; or ``kind = custom`` with metric
-    component expressions ``g11``/``g12``/``g22`` (quoted strings in the
+    ``kind`` names a builtin with its parameter keys, as ``chernquad
+    list`` shows them; or ``kind = custom`` with metric component
+    expressions ``g11``/``g12``/``g22`` (quoted strings in the
     expression grammar) on ``domain = rect`` (bounds ``u_min`` ...
     ``v_max`` and ``periodic_u``/``periodic_v`` flags) or
     ``domain = octagon`` (the geodesic octagon chart).
@@ -16,7 +15,8 @@ A config describes exactly one experiment.  Sections:
 ``[compare]``
     optional second metric: ``mode = conformal`` with ``factor``,
     ``mode = perturb`` with ``seed`` and ``amplitude``, or
-    ``mode = twist`` with ``amplitude``.  Only meaningful on fully
+    ``mode = twist`` with ``amplitude``, defaults as for the ``compare``
+    flags (:meth:`CompareSpec.for_mode`).  Only meaningful on fully
     periodic domains, where the frame-difference one-form is global.
 ``[output]``
     ``format`` (``csv`` or ``json``), optional ``path`` (default
@@ -36,14 +36,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import ConfigError
+from .zoo import BUILTIN_KINDS
 
 _SECTIONS = ("surface", "quadrature", "compare", "output")
-_BUILTIN_PARAM_KEYS = {
-    "sphere": ("R",),
-    "torus_revolution": ("R", "r"),
-    "flat_torus": ("a", "b"),
-    "poincare_octagon": (),
-}
+COMPARE_KEYS = {"conformal": ("factor",), "perturb": ("seed", "amplitude"),
+                "twist": ("amplitude",)}
 _RECT_KEYS = ("u_min", "u_max", "v_min", "v_max")
 _BOOL_STATES = {
     "1": True, "yes": True, "true": True, "on": True,
@@ -65,10 +62,29 @@ class CustomSurfaceSpec:
 
 @dataclass(frozen=True)
 class CompareSpec:
+    """The second metric of a comparison; build it with :meth:`for_mode`."""
+
     mode: str  # "conformal" | "perturb" | "twist"
     factor: str = ""
-    seed: int = 1
+    seed: int = 1  # the perturb defaults
     amplitude: float = 0.1
+
+    @classmethod
+    def for_mode(cls, mode: str, factor: str = "", seed: Optional[int] = None,
+                 amplitude: Optional[float] = None) -> "CompareSpec":
+        """``mode`` with a default for each argument it reads that is left
+        None; the arguments it does not read are ignored."""
+        if mode == "conformal":
+            if not factor:
+                raise ConfigError("[compare] conformal mode requires factor")
+            return cls(mode, factor=factor)
+        if mode == "twist":
+            return cls(mode, amplitude=0.3 if amplitude is None else amplitude)
+        if mode != "perturb":
+            raise ConfigError(
+                f"[compare] mode must be conformal, perturb or twist, got {mode!r}")
+        return cls(mode, seed=cls.seed if seed is None else seed,
+                   amplitude=cls.amplitude if amplitude is None else amplitude)
 
 
 @dataclass(frozen=True)
@@ -160,8 +176,8 @@ def _surface_from(cp) -> tuple[str, dict, Optional[CustomSurfaceSpec]]:
     kind = _strip_quotes(opts.pop("kind", ""))
     if not kind:
         raise ConfigError("[surface] kind is required")
-    if kind in _BUILTIN_PARAM_KEYS:
-        _reject_unknown("surface", opts, _BUILTIN_PARAM_KEYS[kind])
+    if kind in BUILTIN_KINDS:
+        _reject_unknown("surface", opts, BUILTIN_KINDS[kind][1])
         params = {k: _as_float("surface", k, v) for k, v in opts.items()}
         return kind, params, None
     if kind != "custom":
@@ -200,24 +216,13 @@ def _compare_from(cp) -> Optional[CompareSpec]:
         return None
     opts = dict(cp["compare"])
     mode = _strip_quotes(opts.pop("mode", ""))
-    if mode == "conformal":
-        _reject_unknown("compare", opts, ("factor",))
-        factor = _strip_quotes(opts.get("factor", ""))
-        if not factor:
-            raise ConfigError("[compare] conformal mode requires factor")
-        return CompareSpec(mode="conformal", factor=factor)
-    if mode == "perturb":
-        _reject_unknown("compare", opts, ("seed", "amplitude"))
-        return CompareSpec(
-            mode="perturb",
-            seed=_as_int("compare", "seed", opts.get("seed", "1")),
-            amplitude=_as_float("compare", "amplitude", opts.get("amplitude", "0.1")))
-    if mode == "twist":
-        _reject_unknown("compare", opts, ("amplitude",))
-        return CompareSpec(
-            mode="twist",
-            amplitude=_as_float("compare", "amplitude", opts.get("amplitude", "0.3")))
-    raise ConfigError(f"[compare] mode must be conformal, perturb or twist, got {mode!r}")
+    if mode in COMPARE_KEYS:
+        _reject_unknown("compare", opts, COMPARE_KEYS[mode])
+    return CompareSpec.for_mode(
+        mode, factor=_strip_quotes(opts.get("factor", "")),
+        seed=_as_int("compare", "seed", opts["seed"]) if "seed" in opts else None,
+        amplitude=(_as_float("compare", "amplitude", opts["amplitude"])
+                   if "amplitude" in opts else None))
 
 
 def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:

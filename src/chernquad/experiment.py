@@ -84,7 +84,7 @@ class Report:
 
 def _custom_domain(spec: CustomSurfaceSpec):
     if spec.domain_kind == "octagon":
-        return PolygonDomain(octagon_vertices(), geodesic_edges=True)
+        return PolygonDomain(octagon_vertices())
     u0, u1, v0, v1 = spec.bounds
     try:
         return RectDomain(u0, u1, v0, v1,
@@ -121,7 +121,8 @@ def _quadrature_spec(config: ExperimentConfig, surface: Surface) -> QuadratureSp
     return spec
 
 
-def _derived_surface(base: Surface, compare) -> Surface:
+def derived_surface(base: Surface, compare) -> Surface:
+    """The second surface of a comparison; its errors become ConfigError."""
     try:
         if compare.mode == "conformal":
             return conformal_surface(base, compare.factor)
@@ -161,7 +162,7 @@ def run(config: ExperimentConfig) -> Report:
         domain = surface.domain
         if not (isinstance(domain, RectDomain) and domain.fully_periodic):
             raise ConfigError("[compare] comparison requires a fully periodic domain")
-        other = _derived_surface(surface, config.compare)
+        other = derived_surface(surface, config.compare)
         result_prime = chern_number(other, spec=spec)
         samples = (result.sample, result_prime.sample)
         eta_spec = QuadratureSpec.for_domain(domain, spec.n_u, spec.n_v)

@@ -1,11 +1,12 @@
 """Chart domains and metric tensor fields with second-order jets.
 
 A surface is presented by a single chart: a parameter domain (rectangle
-with optional periodic axes, or a polygon inside the unit disk) together
-with a smooth field of symmetric positive-definite 2x2 matrices.  Every
-field evaluation returns a :class:`MetricJet`, the metric components as
-:class:`~chernquad.jets.Jet2` values, so downstream curvature formulas
-get first and second metric derivatives that are exact to rounding.
+with optional periodic axes, or a geodesic polygon of the Poincare
+disk) together with a smooth field of symmetric positive-definite 2x2
+matrices.  Every field evaluation returns a :class:`MetricJet`, the
+metric components as :class:`~chernquad.jets.Jet2` values, so
+downstream curvature formulas get first and second metric derivatives
+that are exact to rounding.
 
 Transformations produce new fields from old ones:
 
@@ -101,19 +102,18 @@ def _segments_cross(a, b, c, d) -> bool:
 
 @dataclass(frozen=True)
 class PolygonDomain:
-    """Polygon strictly inside the unit disk (disk-model charts).
+    """Geodesic polygon of the Poincare disk chart.
 
-    With ``geodesic_edges`` the sides are not chords but the circular
-    arcs orthogonal to the unit circle through consecutive vertices,
-    i.e. hyperbolic geodesics of the Poincare disk.  Those arcs bow
-    toward the disk center, so the region is a strict subset of the
+    The vertices lie strictly inside the unit disk, and the sides are
+    not chords but the circular arcs orthogonal to the unit circle
+    through consecutive vertices, i.e. hyperbolic geodesics.  Those arcs
+    bow toward the disk center, so the region is a strict subset of the
     straight-edge polygon on the same vertices.  The region must be
     star-shaped about the vertex centroid (true for the regular
     fundamental domains this package ships).
     """
 
     vertices: tuple[Point2, ...]
-    geodesic_edges: bool = False
 
     def __post_init__(self):
         verts = self.vertices
@@ -130,8 +130,7 @@ class PolygonDomain:
                     continue
                 if _segments_cross(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]):
                     raise ValueError("polygon must be simple (non-self-intersecting)")
-        if self.geodesic_edges:
-            edge_arcs(self)  # fail fast on degenerate edges
+        edge_arcs(self)  # fail fast on degenerate edges
 
     @property
     def centroid(self) -> Point2:
@@ -149,12 +148,11 @@ class PolygonDomain:
 
     def area(self) -> float:
         """Euclidean chart area: shoelace, minus one circular segment per
-        side when the edges are geodesic arcs."""
+        side."""
         total = self._shoelace()
-        if self.geodesic_edges:
-            for arc in edge_arcs(self):
-                phi = abs(arc.dphi)
-                total -= arc.radius * arc.radius * (phi - math.sin(phi)) / 2.0
+        for arc in edge_arcs(self):
+            phi = abs(arc.dphi)
+            total -= arc.radius * arc.radius * (phi - math.sin(phi)) / 2.0
         return total
 
     def _inside_chords(self, p: Point2) -> bool:
@@ -172,13 +170,12 @@ class PolygonDomain:
     def contains(self, p: Point2) -> bool:
         if not self._inside_chords(p):
             return False
-        if self.geodesic_edges:
-            # interior points lie outside every edge circle (each circle
-            # bounds a hyperbolic half-plane whose far side holds the region)
-            for arc in edge_arcs(self):
-                du, dv = p.u - arc.cu, p.v - arc.cv
-                if du * du + dv * dv <= arc.radius * arc.radius:
-                    return False
+        # interior points lie outside every edge circle (each circle
+        # bounds a hyperbolic half-plane whose far side holds the region)
+        for arc in edge_arcs(self):
+            du, dv = p.u - arc.cu, p.v - arc.cv
+            if du * du + dv * dv <= arc.radius * arc.radius:
+                return False
         return True
 
     def sample_interior(self, rng: np.random.Generator, n: int, margin: float = 0.05):
@@ -245,12 +242,18 @@ def edge_arcs(domain: PolygonDomain) -> tuple[EdgeArc, ...]:
 ParamDomain = Union[RectDomain, PolygonDomain]
 
 
+def _finite_min(values) -> str:
+    finite = np.asarray(values, dtype=float)[np.isfinite(values)]
+    return f"{np.min(finite):.3e}" if finite.size else "n/a"
+
+
 @dataclass(frozen=True)
 class MetricTensor:
     """Symmetric positive-definite 2x2 matrix (components, not a field).
 
     Components may be floats or arrays; positive-definiteness is checked
-    elementwise at construction (g11 > 0 and det > SPD_TOL).
+    elementwise at construction (g11 > 0 and det > SPD_TOL); the error
+    names the finite minima and counts the non-finite nodes.
     """
 
     g11: Channel
@@ -260,9 +263,12 @@ class MetricTensor:
     def __post_init__(self):
         det = self.g11 * self.g22 - self.g12 * self.g12
         if not (np.all(np.asarray(self.g11) > 0.0) and np.all(np.asarray(det) > SPD_TOL)):
+            finite = np.isfinite(self.g11) & np.isfinite(det)
+            bad = finite.size - np.count_nonzero(finite)
             raise SpdViolationError(
-                f"metric is not positive definite (min g11 {np.min(self.g11):.3e}, "
-                f"min det {np.min(det):.3e})")
+                f"metric is not positive definite (min g11 {_finite_min(self.g11)}, "
+                f"min det {_finite_min(det)}"
+                + (f"; not finite at {bad} of {finite.size} nodes)" if bad else ")"))
 
     @property
     def det(self) -> Channel:
@@ -297,13 +303,10 @@ class MetricField:
     """A metric evaluator over a chart domain.
 
     ``evaluator`` must be a pure function accepting floats or arrays.
-    ``provenance`` records how the field was built (builtin, expression,
-    pullback, conformal, perturbed); it is bookkeeping, not behavior.
     """
 
     domain: ParamDomain
     evaluator: MetricEvaluator = dataclass_field(repr=False)
-    provenance: str = "builtin"
 
 
 def eval_metric_jet(field: MetricField, p: Point2) -> MetricJet:
@@ -439,7 +442,7 @@ def pullback_metric(param_map: ParamMap, field: MetricField) -> MetricField:
         new22 = a12 * a12 * h11 + 2.0 * a12 * a22 * h12 + a22 * a22 * h22
         return MetricJet(new11, new12, new22)
 
-    return MetricField(domain=field.domain, evaluator=evaluator, provenance="pullback")
+    return MetricField(domain=field.domain, evaluator=evaluator)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +466,7 @@ def conformal_scale(field: MetricField, factor: ScalarJetField) -> MetricField:
             raise NonpositiveFactorError("conformal factor must be strictly positive")
         return MetricJet(f * base.g11, f * base.g12, f * base.g22)
 
-    return MetricField(domain=field.domain, evaluator=evaluator, provenance="conformal")
+    return MetricField(domain=field.domain, evaluator=evaluator)
 
 
 def _trig_sum(terms, u: Jet2, v: Jet2) -> Jet2:
@@ -511,7 +514,7 @@ def perturb_metric(field: MetricField, seed: int, amplitude: float) -> MetricFie
         off = a * 0.5 * _trig_sum(chi_terms, su, sv) * jets.sqrt(base.g11 * base.g22)
         return MetricJet(scale * base.g11, scale * base.g12 + off, scale * base.g22)
 
-    out = MetricField(domain=field.domain, evaluator=evaluator, provenance="perturbed")
+    out = MetricField(domain=field.domain, evaluator=evaluator)
     dom = field.domain
     us = np.linspace(dom.u_min, dom.u_max, PROBE_GRID + 1)[:-1] if dom.periodic_u else \
         np.linspace(dom.u_min, dom.u_max, PROBE_GRID + 2)[1:-1]
@@ -542,4 +545,4 @@ def metric_field_from_expressions(domain: ParamDomain, g11: str, g12: str,
                          eval_jet(asts[1], u, v),
                          eval_jet(asts[2], u, v))
 
-    return MetricField(domain=domain, evaluator=evaluator, provenance="expression")
+    return MetricField(domain=domain, evaluator=evaluator)

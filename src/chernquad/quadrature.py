@@ -2,12 +2,9 @@
 
 Rectangles take tensor-product rules, one per axis: ``trapezoid`` on
 periodic axes (uniform nodes, spectrally accurate for smooth periodic
-integrands) and ``gauss`` (Gauss-Legendre) otherwise.  Straight-edge
-polygons are integrated by a fan of triangles around the centroid, each
-subdivided ``n_u`` times per edge and carrying a fixed degree-5
-seven-point rule, so doubling the resolution shrinks the error by a
-large power of two.  Geodesic-edge polygons are a fan of curved sectors
-instead: each sector is the image of the unit square under
+integrands) and ``gauss`` (Gauss-Legendre) otherwise.  Geodesic
+polygons are a fan of curved sectors about the vertex centroid: each
+sector is the image of the unit square under
 (s, t) -> centroid + s * (arc(t) - centroid), integrated by a tensor
 Gauss-Legendre rule against the exact Jacobian, which keeps the region
 exact and the weight sum equal to the curved measure up to rounding.
@@ -43,27 +40,13 @@ _SUM_CHUNK = 1 << 14  # values per list that reduce_sum hands to math.fsum
 
 MIN_NODES = 8
 
-# degree-5 rule on the reference triangle, barycentric orbits
-# (weights normalized to sum to 1; scaled by triangle area below)
-_SQRT15 = math.sqrt(15.0)
-_TRI_W = [9.0 / 40.0] + [(155.0 - _SQRT15) / 1200.0] * 3 + [(155.0 + _SQRT15) / 1200.0] * 3
-_A1 = (6.0 - _SQRT15) / 21.0
-_A2 = (6.0 + _SQRT15) / 21.0
-_TRI_BARY = [
-    (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
-    (1.0 - 2.0 * _A1, _A1, _A1), (_A1, 1.0 - 2.0 * _A1, _A1), (_A1, _A1, 1.0 - 2.0 * _A1),
-    (1.0 - 2.0 * _A2, _A2, _A2), (_A2, 1.0 - 2.0 * _A2, _A2), (_A2, _A2, 1.0 - 2.0 * _A2),
-]
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Node counts and per-axis rules.
 
-    For straight-edge polygons ``n_u`` is the per-edge subdivision level
-    of each fan triangle (n_u^2 subtriangles, 7 nodes each) and the axis
-    rules are ignored.  For geodesic-edge polygons ``n_u`` and ``n_v``
-    are the radial and arc Gauss node counts per fan sector.
+    On polygons ``n_u`` and ``n_v`` are the radial and arc Gauss node
+    counts per fan sector and the axis rules are ignored.
     """
 
     n_u: int
@@ -216,34 +199,7 @@ def _axis_rule(rule: str, lo: float, hi: float, n: int):
     return lo + half * (x + 1.0), half * w
 
 
-def _polygon_nodes(domain: PolygonDomain, m: int):
-    c = domain.centroid
-    verts = domain.vertices
-    bary = np.array(_TRI_BARY)
-    ref_w = np.array(_TRI_W)
-    us, vs, ws = [], [], []
-    for k in range(len(verts)):
-        a = np.array([c.u, c.v])
-        b = np.array([verts[k].u, verts[k].v])
-        d = np.array([verts[(k + 1) % len(verts)].u, verts[(k + 1) % len(verts)].v])
-        eb, ed = (b - a) / m, (d - a) / m
-        area = abs((b - a)[0] * (d - a)[1] - (b - a)[1] * (d - a)[0]) / 2.0 / (m * m)
-        corners = []
-        for i in range(m):
-            for j in range(m - i):
-                corners.append(((i, j), (i + 1, j), (i, j + 1)))
-                if i + j < m - 1:
-                    corners.append(((i + 1, j), (i + 1, j + 1), (i, j + 1)))
-        for tri in corners:
-            p = [a + eb * ij[0] + ed * ij[1] for ij in tri]
-            pts = bary @ np.array(p)
-            us.append(pts[:, 0])
-            vs.append(pts[:, 1])
-            ws.append(ref_w * area)
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
-
-
-def _geodesic_polygon_nodes(domain: PolygonDomain, n_s: int, n_t: int):
+def _sector_nodes(domain: PolygonDomain, n_s: int, n_t: int):
     c = domain.centroid
     x_s, w_s = _axis_rule("gauss", 0.0, 1.0, n_s)
     x_t, w_t = _axis_rule("gauss", 0.0, 1.0, n_t)
@@ -271,9 +227,7 @@ def build_nodes(domain: ParamDomain, spec: QuadratureSpec):
         uu, vv = np.meshgrid(us, vs, indexing="ij")
         ww = np.outer(w_u, w_v)
         return uu.ravel(), vv.ravel(), ww.ravel()
-    if domain.geodesic_edges:
-        return _geodesic_polygon_nodes(domain, spec.n_u, spec.n_v)
-    return _polygon_nodes(domain, spec.n_u)
+    return _sector_nodes(domain, spec.n_u, spec.n_v)
 
 
 def domain_measure(domain: ParamDomain) -> float:

@@ -43,8 +43,7 @@ from .quadrature import (
     integrate_scalar,
     reduce_sum,
 )
-from .zoo import (Surface, conformal_surface, flat_torus, perturbed_surface, poincare_octagon,
-                  sphere, torus_revolution, twisted_surface)
+from .zoo import Surface, conformal_surface, flat_torus, poincare_octagon, sphere, torus_revolution
 from . import experiment
 
 
@@ -85,17 +84,11 @@ def _random_vector(rng) -> TangentVector:
 
 
 def check_chern_values(seed: int) -> CheckResult:
-    cases = (
-        (sphere(1.0), QuadratureSpec.for_domain(sphere(1.0).domain, 64, 128), 2.0, 1e-6),
-        (torus_revolution(2.0, 1.0),
-         QuadratureSpec.for_domain(torus_revolution(2.0, 1.0).domain, 128, 128), 0.0, 1e-8),
-        (flat_torus(1.0, 1.0),
-         QuadratureSpec.for_domain(flat_torus(1.0, 1.0).domain, 64, 64), 0.0, 1e-14),
-        (poincare_octagon(), None, -2.0, 1e-3),
-    )
     worst = 0.0
-    for surf, spec, target, tol in cases:
-        res = chern_number(surf, spec=spec)
+    # at the reference resolutions; tolerances in the order of _zoo()
+    for surf, tol in zip(_zoo(), (1e-6, 1e-8, 1e-14, 1e-3)):
+        res = chern_number(surf)
+        target = surf.expected_chern
         gap = abs(res.raw - target)
         worst = max(worst, gap / tol)
         if gap > tol or res.rounded != int(target):
@@ -210,12 +203,11 @@ def _torus_and_rescaling() -> tuple[ChernResult, ChernResult]:
 def check_metric_independence(seed: int) -> CheckResult:
     res, res_conformal = _torus_and_rescaling()
     base = torus_revolution(2.0, 1.0)
-    spec = res.sample.spec
-    others = (
-        ("conformal", res_conformal),
-        ("perturbed", chern_number(perturbed_surface(base, seed=1, amplitude=0.1), spec=spec)),
-        ("twisted", chern_number(twisted_surface(base, amplitude=0.3), spec=spec)),
-    )
+    perturbed, twisted = (
+        chern_number(experiment.derived_surface(base, CompareSpec.for_mode(mode)),
+                     spec=res.sample.spec)
+        for mode in ("perturb", "twist"))
+    others = (("conformal", res_conformal), ("perturbed", perturbed), ("twisted", twisted))
     details = []
     passed = True
     for label, res_p in others:
@@ -239,7 +231,6 @@ def check_quadrature(seed: int) -> CheckResult:
         flat_torus(1.0, 1.0).domain,
         RectDomain(0.0, 1.0, -1.0, 2.0),
         PolygonDomain(octagon_vertices()),
-        PolygonDomain(octagon_vertices(), geodesic_edges=True),
     )
     for dom in domains:
         us, vs, ws = build_nodes(dom, QuadratureSpec.for_domain(dom, 16, 16))

@@ -17,8 +17,12 @@ kinds
     chart with g = 4 / (1 - u^2 - v^2)^2 * I; K = -1; hyperbolic area
     4*pi; Chern -2.
 
-Derived kinds ``conformal``, ``perturbed`` and ``pullback_twist`` wrap
-the metric transformations so the CLI can address them by name.
+``BUILTIN_KINDS`` is the one table of these kinds: it maps each to its
+constructor and its parameter keys, and drives ``make_surface``, the
+``[surface]`` key check of configs and ``chernquad list``.  Parameter
+defaults live only in the constructor signatures.  ``conformal_surface``,
+``perturbed_surface`` and ``twisted_surface`` derive the second metric
+of a ``compare`` run from a surface.
 """
 
 from __future__ import annotations
@@ -146,9 +150,9 @@ def octagon_vertices() -> tuple[Point2, ...]:
 
 
 def poincare_octagon() -> Surface:
-    # geodesic sides: the region is the true fundamental domain, whose
+    # the geodesic octagon is the true fundamental domain, whose
     # hyperbolic area 4*pi carries the Chern number -2
-    domain = PolygonDomain(octagon_vertices(), geodesic_edges=True)
+    domain = PolygonDomain(octagon_vertices())
 
     def evaluator(u, v):
         su, sv = jets.var_u(u), jets.var_v(v)
@@ -191,29 +195,24 @@ def custom_surface(name: str, domain: ParamDomain, g11: str, g12: str,
                    reference_resolution=(n, n))
 
 
+# kind -> (constructor, {parameter key: constructor argument})
 BUILTIN_KINDS = {
-    "sphere": (sphere, ("R",)),
-    "torus_revolution": (torus_revolution, ("R", "r")),
-    "flat_torus": (flat_torus, ("a", "b")),
-    "poincare_octagon": (poincare_octagon, ()),
+    "sphere": (sphere, {"R": "radius"}),
+    "torus_revolution": (torus_revolution, {"R": "big_radius", "r": "small_radius"}),
+    "flat_torus": (flat_torus, {"a": "a", "b": "b"}),
+    "poincare_octagon": (poincare_octagon, {}),
 }
 
 
 def make_surface(kind: str, params: Mapping[str, float] | None = None) -> Surface:
     """Builtin surface by kind name; raises ValueError for unknown kinds
     or parameters."""
-    params = dict(params or {})
-    if kind == "sphere":
-        radius = float(params.pop("R", 1.0))
-        out = sphere(radius)
-    elif kind == "torus_revolution":
-        out = torus_revolution(float(params.pop("R", 2.0)), float(params.pop("r", 1.0)))
-    elif kind == "flat_torus":
-        out = flat_torus(float(params.pop("a", 1.0)), float(params.pop("b", 1.0)))
-    elif kind == "poincare_octagon":
-        out = poincare_octagon()
-    else:
+    if kind not in BUILTIN_KINDS:
         raise ValueError(f"unknown surface kind {kind!r}; kinds: {sorted(BUILTIN_KINDS)}")
+    constructor, keys = BUILTIN_KINDS[kind]
+    params = dict(params or {})
+    out = constructor(**{arg: float(params.pop(key)) for key, arg in keys.items()
+                         if key in params})
     if params:
         raise ValueError(f"unknown parameters for {kind}: {sorted(params)}")
     return out

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import chernquad
-from chernquad import cli, experiment
+from chernquad import cli, experiment, zoo
 from chernquad.config import CompareSpec, ExperimentConfig, OutputSpec, load_config
 from chernquad.errors import ConfigError
 
@@ -191,9 +191,43 @@ def test_report_serialization_is_byte_identical():
 
 def test_cli_list(capsys):
     assert cli.main(["list"]) == 0
-    out = capsys.readouterr().out
-    assert "poincare_octagon" in out and "sphere" in out
-    assert "chern" in out.splitlines()[0]
+    assert capsys.readouterr().out == (
+        "kind              params  reference  chern\n"
+        "flat_torus        a, b    64x64      0\n"
+        "poincare_octagon  -       32x32      -2\n"
+        "sphere            R       64x128     2\n"
+        "torus_revolution  R, r    128x128    0\n")
+
+
+@pytest.mark.parametrize("kind", sorted(zoo.BUILTIN_KINDS))
+def test_builtin_kind_reads_the_same_from_flags_and_config(kind, tmp_path, capsys):
+    assert cli.main(["chern", "--surface", kind, "--resolution", "16x16"]) == 0
+    from_flags = capsys.readouterr().out
+    cfg = _write(tmp_path, f"[surface]\nkind = {kind}\n[quadrature]\nn_u = 16\nn_v = 16\n")
+    assert cli.main(["report", "--config", cfg]) == 0
+    assert capsys.readouterr().out == from_flags
+
+    assert cli.main(["chern", "--surface", kind, "--param", "bogus=1"]) == 1
+    assert "unknown parameters" in capsys.readouterr().err
+    assert cli.main(["report", "--config", cfg, "--set", "surface.bogus=1"]) == 1
+    assert "[surface] unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode,explicit", [
+    ("perturb", ["--seed", "1", "--amplitude", "0.1"]),
+    ("twist", ["--amplitude", "0.3"]),
+])
+def test_compare_defaults_agree_between_flags_and_config(mode, explicit, tmp_path, capsys):
+    argv = ["compare", "--surface", "torus_revolution", "--mode", mode,
+            "--resolution", "32x32"]
+    assert cli.main(argv) == 0
+    from_flags = capsys.readouterr().out
+    assert cli.main(argv + explicit) == 0
+    assert capsys.readouterr().out == from_flags
+    cfg = _write(tmp_path, "[surface]\nkind = torus_revolution\n"
+                           f"[quadrature]\nn_u = 32\nn_v = 32\n[compare]\nmode = {mode}\n")
+    assert cli.main(["report", "--config", cfg]) == 0
+    assert capsys.readouterr().out == from_flags
 
 
 def test_cli_chern_stdout_csv(capsys):

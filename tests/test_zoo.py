@@ -50,7 +50,6 @@ def test_domain_shapes():
     assert flat_torus(1.0, 1.0).domain.fully_periodic
     octo = poincare_octagon().domain
     assert isinstance(octo, PolygonDomain)
-    assert octo.geodesic_edges
 
 
 def test_analytic_k_fields():
