@@ -20,7 +20,7 @@ from chernquad import (
 )
 
 base = make_surface("torus_revolution")
-spec = QuadratureSpec.for_domain(base.domain, 128, 128)
+spec = QuadratureSpec(128, 128)
 reference = chern_number(base, spec)
 print(f"base {base.name}: raw = {reference.raw:+.2e}")
 print()

@@ -18,7 +18,6 @@ from .expressions import (
     ExprSyntaxError,
     eval_jet,
     parse,
-    to_text,
 )
 from .errors import (
     ConfigError,
@@ -40,17 +39,13 @@ from .metric import (
     Point2,
     PolygonDomain,
     RectDomain,
-    compose_maps,
     conformal_scale,
     eval_metric_grid,
     eval_metric_jet,
-    identity_map,
-    linear_map,
     metric_field_from_expressions,
     perturb_metric,
     pullback_metric,
     scalar_field_from_expression,
-    translation_map,
     twist_map,
 )
 from .complex_structure import (

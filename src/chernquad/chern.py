@@ -95,7 +95,7 @@ def chern_number(surface, spec: QuadratureSpec | None = None) -> ChernResult:
     """(1 / 2*pi) * integral of the curvature two-form over the chart."""
     if spec is None:
         n_u, n_v = surface.reference_resolution
-        spec = QuadratureSpec.for_domain(surface.domain, n_u, n_v)
+        spec = QuadratureSpec(n_u, n_v)
     sample = curvature_sample(surface.field, spec)
     two_form, k_area = sample.report.two_form_coeff, sample.k_area
     raw = reduce_sum(sample.weights * two_form) / TWO_PI

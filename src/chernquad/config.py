@@ -10,8 +10,8 @@ A config describes exactly one experiment.  Sections:
     ``v_max`` and ``periodic_u``/``periodic_v`` flags) or
     ``domain = octagon`` (the geodesic octagon chart).
 ``[quadrature]``
-    ``n_u``/``n_v`` node counts; optional ``rule_u``/``rule_v``
-    (``trapezoid`` or ``gauss``); defaults follow the domain.
+    ``n_u``/``n_v`` node counts.  The rules follow the domain: the
+    trapezoid rule on periodic axes, Gauss-Legendre otherwise.
 ``[compare]``
     optional second metric: ``mode = conformal`` with ``factor``,
     ``mode = perturb`` with ``seed`` and ``amplitude``, or
@@ -104,8 +104,6 @@ class ExperimentConfig:
     custom: Optional[CustomSurfaceSpec] = None
     n_u: Optional[int] = None  # None falls back to the surface reference
     n_v: Optional[int] = None
-    rule_u: Optional[str] = None
-    rule_v: Optional[str] = None
     compare: Optional[CompareSpec] = None
     output: OutputSpec = field(default_factory=OutputSpec)
     timings: bool = False
@@ -232,19 +230,13 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
     kind, params, custom = _surface_from(cp)
 
     n_u = n_v = None
-    rule_u = rule_v = None
     if cp.has_section("quadrature"):
         opts = dict(cp["quadrature"])
-        _reject_unknown("quadrature", opts, ("n_u", "n_v", "rule_u", "rule_v"))
+        _reject_unknown("quadrature", opts, ("n_u", "n_v"))
         if "n_u" in opts:
             n_u = _as_int("quadrature", "n_u", opts["n_u"])
         if "n_v" in opts:
             n_v = _as_int("quadrature", "n_v", opts["n_v"])
-        rule_u = _strip_quotes(opts["rule_u"]) if "rule_u" in opts else None
-        rule_v = _strip_quotes(opts["rule_v"]) if "rule_v" in opts else None
-        for rule in (rule_u, rule_v):
-            if rule is not None and rule not in ("trapezoid", "gauss"):
-                raise ConfigError(f"[quadrature] rule must be trapezoid or gauss, got {rule!r}")
     if (n_u is None) != (n_v is None):
         raise ConfigError("[quadrature] n_u and n_v must be given together")
 
@@ -260,7 +252,7 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
                             grid_path=_strip_quotes(opts.get("grid_path", "")))
 
     return ExperimentConfig(surface_kind=kind, surface_params=params, custom=custom,
-                            n_u=n_u, n_v=n_v, rule_u=rule_u, rule_v=rule_v,
+                            n_u=n_u, n_v=n_v,
                             compare=_compare_from(cp), output=output)
 
 

@@ -118,11 +118,13 @@ def _inverse_and_gamma(mjet: MetricJet):
     gamma = [[[None, None], [None, None]], [[None, None], [None, None]]]
     for k in range(2):
         for i in range(2):
-            for j in range(2):
+            for j in range(i, 2):
                 acc = Jet2(0.0)
                 for l in range(2):
                     acc = acc + inv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
                 gamma[k][i][j] = 0.5 * acc
+        # g[0][1] and g[1][0] are one jet, so Gamma^k_10 would equal Gamma^k_01 bitwise
+        gamma[k][1][0] = gamma[k][0][1]
     return g, det, inv, gamma
 
 
@@ -261,8 +263,7 @@ def curvature_report_grid(field: MetricField, us: np.ndarray,
 def _periodic_one_form(domain: ParamDomain, spec: QuadratureSpec, us: np.ndarray,
                        vs: np.ndarray, eta_u, eta_v, imag_max: float = 0.0) -> OneForm:
     """A OneForm from flat u-major values on ``build_nodes(domain, spec)``."""
-    if not (isinstance(domain, RectDomain) and domain.fully_periodic
-            and spec == QuadratureSpec.for_domain(domain, spec.n_u, spec.n_v)):
+    if not (isinstance(domain, RectDomain) and domain.fully_periodic):
         raise PeriodicityError("one-forms are sampled on the uniform grid of a fully "
                                "periodic rectangle chart")
     shape = (spec.n_u, spec.n_v)
@@ -302,7 +303,7 @@ def fd_curl(form: OneForm, domain: RectDomain) -> np.ndarray:
 def exact_one_form(domain: RectDomain, potential, n_u: int, n_v: int) -> OneForm:
     """d(potential) sampled on the periodic grid; potential maps jet seeds
     to a jet (use jets.sin and friends)."""
-    spec = QuadratureSpec.for_domain(domain, n_u, n_v)
+    spec = QuadratureSpec(n_u, n_v)
     us, vs, _ = build_nodes(domain, spec)
     p = potential(jets.var_u(us), jets.var_v(vs))
     return _periodic_one_form(domain, spec, us, vs, np.broadcast_to(p.du, us.shape),

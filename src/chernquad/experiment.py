@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import chern_number, curvature_sample, stokes_residual
+from .chern import chern_number, stokes_residual
 from .config import CustomSurfaceSpec, ExperimentConfig
 from .curvature import CurvatureSample, connection_difference
 from .errors import ConfigError
@@ -111,14 +111,9 @@ def _quadrature_spec(config: ExperimentConfig, surface: Surface) -> QuadratureSp
     if config.n_u is not None:
         n_u, n_v = config.n_u, config.n_v
     try:
-        spec = QuadratureSpec.for_domain(surface.domain, n_u, n_v)
-        if config.rule_u or config.rule_v:
-            spec = QuadratureSpec(n_u, n_v,
-                                  rule_u=config.rule_u or spec.rule_u,
-                                  rule_v=config.rule_v or spec.rule_v)
+        return QuadratureSpec(n_u, n_v)
     except ValueError as exc:
         raise ConfigError(f"[quadrature] {exc}") from None
-    return spec
 
 
 def derived_surface(base: Surface, compare) -> Surface:
@@ -164,12 +159,7 @@ def run(config: ExperimentConfig) -> Report:
             raise ConfigError("[compare] comparison requires a fully periodic domain")
         other = derived_surface(surface, config.compare)
         result_prime = chern_number(other, spec=spec)
-        samples = (result.sample, result_prime.sample)
-        eta_spec = QuadratureSpec.for_domain(domain, spec.n_u, spec.n_v)
-        if spec != eta_spec:  # a Gauss rule on a periodic axis; eta needs the uniform grid
-            samples = (curvature_sample(surface.field, eta_spec),
-                       curvature_sample(other.field, eta_spec))
-        eta = connection_difference(*samples)
+        eta = connection_difference(result.sample, result_prime.sample)
         fieldnames = BASE_FIELDS + COMPARE_FIELDS
         row["raw_chern_prime"] = result_prime.raw
         row["delta_raw"] = result_prime.raw - result.raw
@@ -188,21 +178,15 @@ def run(config: ExperimentConfig) -> Report:
 
 
 def _write_grid(path: str, sample: CurvatureSample) -> None:
-    """K * sqrt(det g) on the quadrature nodes of ``sample``."""
-    us, vs, k_area = sample.us, sample.vs, sample.k_area
+    """K * sqrt(det g) on the quadrature nodes of ``sample``.  Each column
+    is formatted once and joined into JSON arrays or CSV rows; numeric
+    fields never need CSV quoting."""
+    columns = [["%.17g" % x for x in values.tolist()]
+               for values in (sample.us, sample.vs, sample.k_area)]
     if path.endswith(".json"):
-        arrays = []
-        for name, values in zip(_GRID_FIELDS, (us, vs, k_area)):
-            body = ", ".join(format(float(x), ".17g") for x in values)
-            arrays.append(f'  "{name}": [{body}]')
+        arrays = (f'  "{name}": [{", ".join(col)}]' for name, col in zip(_GRID_FIELDS, columns))
         text = "{\n" + ",\n".join(arrays) + "\n}\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_GRID_FIELDS)
-        for u, v, k in zip(us, vs, k_area):
-            writer.writerow([format(float(u), ".17g"), format(float(v), ".17g"),
-                             format(float(k), ".17g")])
-        text = buf.getvalue()
+        text = "".join(f"{row}\n" for row in map(",".join, (_GRID_FIELDS, *zip(*columns))))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)

@@ -15,8 +15,7 @@ is positive at evaluation time.
 ``parse`` reports syntax errors with the byte offset of the offending
 token; ``eval_jet`` reports domain errors (division by zero, log/sqrt out
 of domain, non-integer power of a non-positive base) with the offset of
-the responsible operator.  ``to_text`` prints a canonical form that
-re-parses to a structurally equal tree.
+the responsible operator.
 """
 
 from __future__ import annotations
@@ -287,43 +286,4 @@ def _eval(node: ExprAst, u_seed: Jet2, v_seed: Jet2) -> Jet2:
         if np.any(np.asarray(right.val) == 0.0):
             raise ExprDomainError("division by zero", node.pos)
         return left / right
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _needs_parens(child: ExprAst, parent_op: str, side: str) -> bool:
-    if isinstance(child, Neg):
-        return True
-    if not isinstance(child, BinOp):
-        return False
-    prec = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-    parent, own = prec[parent_op], prec[child.op]
-    if parent_op == "^":
-        # left operand of '^' must be a plain base; right is a factor
-        return True if side == "left" else own < parent
-    if side == "left":
-        return own < parent
-    return own <= parent
-
-
-def to_text(node: ExprAst) -> str:
-    """Canonical rendering; ``parse(to_text(ast)) == ast`` structurally."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, (Var, Const)):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.func}({to_text(node.arg)})"
-    if isinstance(node, Neg):
-        inner = to_text(node.arg)
-        if isinstance(node.arg, (BinOp, Neg)):
-            return f"-({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        left = to_text(node.left)
-        right = to_text(node.right)
-        if _needs_parens(node.left, node.op, "left"):
-            left = f"({left})"
-        if _needs_parens(node.right, node.op, "right"):
-            right = f"({right})"
-        return f"{left}{node.op}{right}"
     raise TypeError(f"not an expression node: {node!r}")

@@ -11,10 +11,11 @@ that are exact to rounding.
 Transformations produce new fields from old ones:
 
 ``pullback_metric``
-    (D phi)^T g(phi(p)) (D phi) for a parameter map phi, with jets
-    propagated by the chain rule through second order.  The map supplies
-    jet-valued Jacobian entries; composing second-order Taylor data is
-    what makes the pulled-back second derivatives exact.
+    (D phi)^T g(phi(p)) (D phi) for an orientation-preserving parameter
+    map phi such as ``twist_map``, with jets propagated by the chain rule
+    through second order.  The map supplies jet-valued Jacobian entries;
+    composing second-order Taylor data is what makes the pulled-back
+    second derivatives exact.
 ``conformal_scale``
     f * g for a strictly positive scalar factor with jets.
 ``perturb_metric``
@@ -343,26 +344,6 @@ class ParamMap:
     name: str
     comp: Callable[[Jet2, Jet2], tuple[Jet2, Jet2]] = dataclass_field(repr=False)
     jac: Callable[[Jet2, Jet2], tuple[Jet2, Jet2, Jet2, Jet2]] = dataclass_field(repr=False)
-    orientation_preserving: bool = True
-
-
-def identity_map() -> ParamMap:
-    one = Jet2(1.0)
-    zero = Jet2(0.0)
-    return ParamMap("identity",
-                    comp=lambda u, v: (u, v),
-                    jac=lambda u, v: (one, zero, zero, one))
-
-
-def linear_map(a: float, b: float, c: float, d: float) -> ParamMap:
-    det = a * d - b * c
-    if abs(det) <= 1e-10:
-        raise JacobianSingularError(f"linear map with determinant {det:.3e}")
-    return ParamMap(f"linear({a},{b},{c},{d})",
-                    comp=lambda u, v: (a * u + b * v, c * u + d * v),
-                    jac=lambda u, v: (Jet2(float(a)), Jet2(float(b)),
-                                      Jet2(float(c)), Jet2(float(d))),
-                    orientation_preserving=det > 0)
 
 
 def twist_map(amplitude: float) -> ParamMap:
@@ -374,35 +355,6 @@ def twist_map(amplitude: float) -> ParamMap:
     return ParamMap(f"twist({a})",
                     comp=lambda u, v: (u, v + a * jets.sin(u)),
                     jac=lambda u, v: (one, zero, a * jets.cos(u), one))
-
-
-def translation_map(du: float, dv: float) -> ParamMap:
-    one = Jet2(1.0)
-    zero = Jet2(0.0)
-    return ParamMap(f"translate({du},{dv})",
-                    comp=lambda u, v: (u + du, v + dv),
-                    jac=lambda u, v: (one, zero, zero, one))
-
-
-def compose_maps(outer: ParamMap, inner: ParamMap) -> ParamMap:
-    """outer after inner.  Component jets compose through jet arithmetic;
-    Jacobian entries compose by the chain rule with the outer entries
-    evaluated at the inner image."""
-
-    def comp(u, v):
-        p, q = inner.comp(u, v)
-        return outer.comp(p, q)
-
-    def jac(u, v):
-        p, q = inner.comp(u, v)
-        o11, o12, o21, o22 = outer.jac(p, q)
-        i11, i12, i21, i22 = inner.jac(u, v)
-        return (o11 * i11 + o12 * i21, o11 * i12 + o12 * i22,
-                o21 * i11 + o22 * i21, o21 * i12 + o22 * i22)
-
-    return ParamMap(f"{outer.name}*{inner.name}", comp=comp, jac=jac,
-                    orientation_preserving=(
-                        outer.orientation_preserving == inner.orientation_preserving))
 
 
 def _compose_scalar(h: Jet2, dp: Jet2, dq: Jet2) -> Jet2:
@@ -417,7 +369,8 @@ def pullback_metric(param_map: ParamMap, field: MetricField) -> MetricField:
     """(D phi)^T g(phi(p)) (D phi) as a new field over the same chart.
 
     The map must send the chart into ``field.domain`` (self-maps of
-    periodic charts always do) and be non-singular where evaluated.
+    periodic charts always do) and have a positive Jacobian determinant
+    where evaluated.
     """
 
     def evaluator(u, v):
@@ -427,9 +380,8 @@ def pullback_metric(param_map: ParamMap, field: MetricField) -> MetricField:
         det = a11.val * a22.val - a12.val * a21.val
         if np.any(np.abs(np.asarray(det)) <= 1e-10):
             raise JacobianSingularError("parameter map is singular at an evaluation point")
-        if param_map.orientation_preserving and np.any(np.asarray(det) < 0.0):
-            raise JacobianSingularError(
-                "parameter map declared orientation-preserving has negative Jacobian")
+        if np.any(np.asarray(det) < 0.0):
+            raise JacobianSingularError("parameter map has negative Jacobian")
         base = field.evaluator(p.val, q.val)
         dp = p - p.val
         dq = q - q.val

@@ -1,10 +1,12 @@
 """Quadrature rules on chart domains with deterministic reduction.
 
-Rectangles take tensor-product rules, one per axis: ``trapezoid`` on
-periodic axes (uniform nodes, spectrally accurate for smooth periodic
-integrands) and ``gauss`` (Gauss-Legendre) otherwise.  Geodesic
-polygons are a fan of curved sectors about the vertex centroid: each
-sector is the image of the unit square under
+The chart picks the rule.  Rectangles take a tensor-product rule whose
+axis rules follow the domain's periodicity: the trapezoid rule on a
+periodic axis (uniform nodes, spectrally accurate for smooth periodic
+integrands) and Gauss-Legendre otherwise, which keeps nodes off
+boundary seams such as the sphere poles.  Geodesic polygons are a fan
+of curved sectors about the vertex centroid: each sector is the image
+of the unit square under
 (s, t) -> centroid + s * (arc(t) - centroid), integrated by a tensor
 Gauss-Legendre rule against the exact Jacobian, which keeps the region
 exact and the weight sum equal to the curved measure up to rounding.
@@ -43,33 +45,18 @@ MIN_NODES = 8
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and per-axis rules.
+    """Node counts per axis; the domain picks the rule (see build_nodes).
 
     On polygons ``n_u`` and ``n_v`` are the radial and arc Gauss node
-    counts per fan sector and the axis rules are ignored.
+    counts per fan sector.
     """
 
     n_u: int
     n_v: int
-    rule_u: str = "trapezoid"
-    rule_v: str = "trapezoid"
 
     def __post_init__(self):
         if self.n_u < MIN_NODES or self.n_v < MIN_NODES:
             raise ValueError(f"node counts must be at least {MIN_NODES}")
-        for rule in (self.rule_u, self.rule_v):
-            if rule not in ("trapezoid", "gauss"):
-                raise ValueError(f"unknown quadrature rule {rule!r}")
-
-    @staticmethod
-    def for_domain(domain: ParamDomain, n_u: int, n_v: int) -> "QuadratureSpec":
-        """Default rules: trapezoid on periodic axes, Gauss-Legendre otherwise."""
-        if isinstance(domain, RectDomain):
-            return QuadratureSpec(
-                n_u, n_v,
-                rule_u="trapezoid" if domain.periodic_u else "gauss",
-                rule_v="trapezoid" if domain.periodic_v else "gauss")
-        return QuadratureSpec(n_u, n_v)
 
 
 # Double-double arithmetic (Dekker 1971): a pair (hi, lo) of floats stands
@@ -190,8 +177,9 @@ def gauss_legendre(n: int):
     return nodes, weights
 
 
-def _axis_rule(rule: str, lo: float, hi: float, n: int):
-    if rule == "trapezoid":
+def _axis_rule(periodic: bool, lo: float, hi: float, n: int):
+    """Trapezoid on a periodic axis, Gauss-Legendre otherwise."""
+    if periodic:
         h = (hi - lo) / n
         return lo + h * np.arange(n), np.full(n, h)
     x, w = gauss_legendre(n)
@@ -201,8 +189,8 @@ def _axis_rule(rule: str, lo: float, hi: float, n: int):
 
 def _sector_nodes(domain: PolygonDomain, n_s: int, n_t: int):
     c = domain.centroid
-    x_s, w_s = _axis_rule("gauss", 0.0, 1.0, n_s)
-    x_t, w_t = _axis_rule("gauss", 0.0, 1.0, n_t)
+    x_s, w_s = _axis_rule(False, 0.0, 1.0, n_s)
+    x_t, w_t = _axis_rule(False, 0.0, 1.0, n_t)
     us, vs, ws = [], [], []
     for arc in edge_arcs(domain):
         phi = arc.phi0 + arc.dphi * x_t
@@ -222,8 +210,8 @@ def _sector_nodes(domain: PolygonDomain, n_s: int, n_t: int):
 def build_nodes(domain: ParamDomain, spec: QuadratureSpec):
     """Flat arrays (us, vs, weights) in a deterministic u-major order."""
     if isinstance(domain, RectDomain):
-        us, w_u = _axis_rule(spec.rule_u, domain.u_min, domain.u_max, spec.n_u)
-        vs, w_v = _axis_rule(spec.rule_v, domain.v_min, domain.v_max, spec.n_v)
+        us, w_u = _axis_rule(domain.periodic_u, domain.u_min, domain.u_max, spec.n_u)
+        vs, w_v = _axis_rule(domain.periodic_v, domain.v_min, domain.v_max, spec.n_v)
         uu, vv = np.meshgrid(us, vs, indexing="ij")
         ww = np.outer(w_u, w_v)
         return uu.ravel(), vv.ravel(), ww.ravel()

@@ -195,7 +195,7 @@ def check_conformal_invariance(seed: int) -> CheckResult:
 def _torus_and_rescaling() -> tuple[ChernResult, ChernResult]:
     """The 128^2 torus and its exp(0.6*sin(u)) rescaling, read by two checks."""
     base = torus_revolution(2.0, 1.0)
-    spec = QuadratureSpec.for_domain(base.domain, 128, 128)
+    spec = QuadratureSpec(128, 128)
     return (chern_number(base, spec=spec),
             chern_number(conformal_surface(base, "exp(0.6*sin(u))"), spec=spec))
 
@@ -233,7 +233,7 @@ def check_quadrature(seed: int) -> CheckResult:
         PolygonDomain(octagon_vertices()),
     )
     for dom in domains:
-        us, vs, ws = build_nodes(dom, QuadratureSpec.for_domain(dom, 16, 16))
+        us, vs, ws = build_nodes(dom, QuadratureSpec(16, 16))
         if ws.min() <= 0.0:
             problems.append(f"nonpositive weight on {type(dom).__name__}")
         rel = abs(reduce_sum(ws) - domain_measure(dom)) / domain_measure(dom)
@@ -242,7 +242,7 @@ def check_quadrature(seed: int) -> CheckResult:
 
     dom = flat_torus(1.0, 1.0).domain
     val = integrate_scalar(lambda u, v: np.sin(u) ** 2, dom,
-                           QuadratureSpec.for_domain(dom, 64, 64))
+                           QuadratureSpec(64, 64))
     if abs(val - 2.0 * math.pi ** 2) > 1e-12:
         problems.append(f"sin^2 integral off by {val - 2.0 * math.pi ** 2:.2e}")
 

@@ -47,8 +47,8 @@ def test_reference_chern_numbers(make, expected):
 
 def test_sphere_raw_value_tightens_with_resolution():
     surf = sphere(1.0)
-    coarse = chern_number(surf, QuadratureSpec.for_domain(surf.domain, 16, 32))
-    fine = chern_number(surf, QuadratureSpec.for_domain(surf.domain, 64, 128))
+    coarse = chern_number(surf, QuadratureSpec(16, 32))
+    fine = chern_number(surf, QuadratureSpec(64, 128))
     assert fine.residual <= coarse.residual
     assert fine.residual < 1e-8
 
@@ -61,8 +61,8 @@ def test_octagon_residual_decays_fast_under_doubling():
 
 def test_result_flags_non_convergence_at_starved_resolution():
     surf = sphere(1.0)
-    starved = chern_number(surf, QuadratureSpec.for_domain(surf.domain, 8, 8))
-    fine = chern_number(surf, QuadratureSpec.for_domain(surf.domain, 64, 128))
+    starved = chern_number(surf, QuadratureSpec(8, 8))
+    fine = chern_number(surf, QuadratureSpec(64, 128))
     assert isinstance(starved, ChernResult)
     assert fine.converged
     if not starved.converged:
@@ -71,7 +71,7 @@ def test_result_flags_non_convergence_at_starved_resolution():
 
 def test_chern_number_is_metric_independent():
     surf = torus_revolution(2.0, 1.0)
-    spec = QuadratureSpec.for_domain(surf.domain, 128, 128)
+    spec = QuadratureSpec(128, 128)
     base = chern_number(surf, spec)
     variants = [
         conformal_scale(surf.field, scalar_field_from_expression("exp(0.6*sin(u))")),
@@ -87,7 +87,7 @@ def test_chern_number_is_metric_independent():
 def test_stokes_residual_of_connection_difference_vanishes():
     surf = torus_revolution(2.0, 1.0)
     scaled = conformal_scale(surf.field, scalar_field_from_expression("exp(0.6*sin(u))"))
-    spec = QuadratureSpec.for_domain(surf.domain, 128, 128)
+    spec = QuadratureSpec(128, 128)
     eta = connection_difference(curvature_sample(surf.field, spec),
                                 curvature_sample(scaled, spec))
     assert stokes_residual(eta, surf) < 1e-10
@@ -140,7 +140,7 @@ def _generated_expression_surface():
 ], ids=["sphere", "octagon", "flat_torus", "twisted_torus", "expression"])
 def test_curvature_sample_is_block_invariant(make, n_u, n_v, block, monkeypatch):
     surf = make()
-    spec = QuadratureSpec.for_domain(surf.domain, n_u, n_v)
+    spec = QuadratureSpec(n_u, n_v)
     whole = chern_number(surf, spec)
     assert whole.sample.us.size <= chern.BLOCK_NODES  # one block
     monkeypatch.setattr(chern, "BLOCK_NODES", block)
@@ -159,7 +159,7 @@ def test_curvature_sample_is_block_invariant(make, n_u, n_v, block, monkeypatch)
 def test_non_finite_error_names_the_same_node_for_any_block_size(monkeypatch):
     dom = RectDomain(0.0, 1.0, 0.0, 1.0)
     surf = custom_surface("overflow", dom, "exp(800*u)", "0", "1")
-    spec = QuadratureSpec.for_domain(dom, 32, 40)
+    spec = QuadratureSpec(32, 40)
     messages = []
     for block in (chern.BLOCK_NODES, 1000, 7):
         monkeypatch.setattr(chern, "BLOCK_NODES", block)
@@ -176,7 +176,7 @@ def test_non_finite_error_names_the_same_node_for_any_block_size(monkeypatch):
 
 def test_chern_number_memory_scales_with_the_block_not_the_grid():
     surf = torus_revolution(2.0, 1.0)
-    spec = QuadratureSpec.for_domain(surf.domain, 512, 512)
+    spec = QuadratureSpec(512, 512)
     tracemalloc.start()
     try:
         result = chern_number(surf, spec)

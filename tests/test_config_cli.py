@@ -98,6 +98,8 @@ def test_malformed_overrides_rejected(tmp_path, override):
     ("[surface]\nkind = sphere\n[quadrature]\nn_u = 16\n", "together"),
     ("[surface]\nkind = sphere\n[quadrature]\nn_u = 16\nn_v = 16\nrule_u = simpson\n",
      "rule"),
+    ("[surface]\nkind = sphere\n[quadrature]\nn_u = 16\nn_v = 16\nrule_u = gauss\n",
+     "unknown key"),
     ("[surface]\nkind = custom\ng11 = \"1\"\ng12 = \"0\"\n", "g22"),
     ("[surface]\nkind = custom\ng11 = \"1\"\ng12 = \"0\"\ng22 = \"1\"\n"
      "domain = rect\n", "u_min"),
@@ -436,26 +438,3 @@ def test_verify_samples_the_torus_and_its_rescaling_once(monkeypatch):
     assert verify.check_metric_independence(6).passed
     # torus, its rescaling, the perturbed and the twisted torus at 128^2
     assert calls.count(128 * 128) == 4
-
-
-def test_gauss_rule_on_periodic_chart_keeps_the_eta_columns(tmp_path):
-    # eta needs the uniform grid; a Gauss spec cannot reuse the Chern
-    # samples, so both fields are sampled once more on the trapezoid nodes
-    text = """
-[surface]
-kind = torus_revolution
-
-[quadrature]
-n_u = 32
-n_v = 32
-{rules}
-[compare]
-mode = conformal
-factor = "exp(0.6*sin(u))"
-"""
-    plain = experiment.run(load_config(_write(tmp_path, text.format(rules=""))))
-    gauss = experiment.run(load_config(_write(
-        tmp_path, text.format(rules="rule_u = gauss\nrule_v = gauss\n"), "gauss.cfg")))
-    assert gauss.row["raw_chern"] != plain.row["raw_chern"]  # the rules did apply
-    for name in ("stokes_residual", "eta_realness_max"):
-        assert gauss.row[name] == plain.row[name]

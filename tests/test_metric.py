@@ -7,27 +7,26 @@ import pytest
 
 from chernquad.errors import (
     DomainMismatchError,
+    JacobianSingularError,
     NonpositiveFactorError,
     PointOutsideDomainError,
     SpdViolationError,
 )
+from chernquad.jets import Jet2
 from chernquad.metric import (
     MetricTensor,
+    ParamMap,
     Point2,
     PolygonDomain,
     RectDomain,
-    compose_maps,
     conformal_scale,
     edge_arcs,
     eval_metric_grid,
     eval_metric_jet,
-    identity_map,
-    linear_map,
     metric_field_from_expressions,
     perturb_metric,
     pullback_metric,
     scalar_field_from_expression,
-    translation_map,
     twist_map,
 )
 from chernquad.verify import _fd_jet
@@ -186,7 +185,7 @@ def test_grid_evaluation_matches_pointwise():
 
 def test_pullback_by_identity_is_identity():
     surf = torus_revolution(2.0, 1.0)
-    pulled = pullback_metric(identity_map(), surf.field)
+    pulled = pullback_metric(twist_map(0.0), surf.field)
     u, v = 1.1, 2.2
     a = surf.field.evaluator(u, v)
     b = pulled.evaluator(u, v)
@@ -197,19 +196,19 @@ def test_pullback_by_identity_is_identity():
 
 
 def test_pullback_linear_map_closed_form():
-    # phi = diag(2, 3) on the flat metric: pullback is diag(4 a^2, 9 b^2)
-    field = flat_torus(1.5, 0.5).field
-    pulled = pullback_metric(linear_map(2.0, 0.0, 0.0, 3.0), field)
-    jet = pulled.evaluator(0.3, 0.4)
-    assert jet.g11.val == pytest.approx(4.0 * 1.5**2)
-    assert jet.g22.val == pytest.approx(9.0 * 0.5**2)
-    assert jet.g12.val == pytest.approx(0.0, abs=1e-15)
+    # the twist by A on the flat metric diag(a^2, b^2): g11 = a^2 + (A b cos u)^2,
+    # g12 = A b^2 cos u, g22 = b^2
+    a, b, amp, u = 1.5, 0.5, 0.7, 0.3
+    pulled = pullback_metric(twist_map(amp), flat_torus(a, b).field)
+    jet = pulled.evaluator(u, 0.4)
+    assert jet.g11.val == pytest.approx(a**2 + (amp * b * math.cos(u)) ** 2)
+    assert jet.g12.val == pytest.approx(amp * b**2 * math.cos(u))
+    assert jet.g22.val == pytest.approx(b**2)
 
 
 def test_twist_and_untwist_compose_to_identity():
     surf = torus_revolution(2.0, 1.0)
-    round_trip = compose_maps(twist_map(-0.4), twist_map(0.4))
-    pulled = pullback_metric(round_trip, surf.field)
+    pulled = pullback_metric(twist_map(-0.4), pullback_metric(twist_map(0.4), surf.field))
     u, v = 0.9, 5.1
     a = surf.field.evaluator(u, v)
     b = pulled.evaluator(u, v)
@@ -219,20 +218,12 @@ def test_twist_and_untwist_compose_to_identity():
                 getattr(getattr(b, comp), ch), abs=1e-12)
 
 
-def test_pullback_composition_matches_iterated_pullback():
-    """(phi o psi)^* g == psi^* (phi^* g), jets included."""
-    surf = torus_revolution(2.0, 1.0)
-    phi = twist_map(0.3)
-    psi = translation_map(0.5, 1.0)
-    once = pullback_metric(compose_maps(phi, psi), surf.field)
-    twice = pullback_metric(psi, pullback_metric(phi, surf.field))
-    u, v = 1.7, 0.6
-    a = once.evaluator(u, v)
-    b = twice.evaluator(u, v)
-    for comp in ("g11", "g12", "g22"):
-        for ch in ("val", "du", "dv", "duu", "duv", "dvv"):
-            assert getattr(getattr(a, comp), ch) == pytest.approx(
-                getattr(getattr(b, comp), ch), rel=1e-12, abs=1e-12)
+def test_pullback_rejects_orientation_reversing_map():
+    one, zero = Jet2(1.0), Jet2(0.0)
+    swap = ParamMap("swap", comp=lambda u, v: (v, u), jac=lambda u, v: (zero, one, one, zero))
+    pulled = pullback_metric(swap, flat_torus(1.5, 0.5).field)
+    with pytest.raises(JacobianSingularError, match="negative Jacobian"):
+        pulled.evaluator(0.3, 0.4)
 
 
 def test_pullback_jets_match_finite_differences():
