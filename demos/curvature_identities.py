@@ -1,8 +1,9 @@
 """Curvature of the tangent line bundle, three ways, at random points.
 
 For each builtin surface: the two-form coefficient from the hermitian
-connection, K * sqrt(det g) from the Christoffel route, and the
-Brioschi formula. All three must agree pointwise.
+connection (Cartan's structure equations), K * sqrt(det g) from the
+Brioschi formula, and K from the Christoffel route. All three must
+agree pointwise.
 Run: python3 demos/curvature_identities.py
 """
 
@@ -12,7 +13,7 @@ from chernquad import (
     Point2,
     connection_form,
     curvature_two_form,
-    gauss_curvature_brioschi,
+    gauss_curvature,
     make_surface,
 )
 
@@ -22,19 +23,19 @@ for kind in ("sphere", "torus_revolution", "flat_torus", "poincare_octagon"):
     surf = make_surface(kind)
     us, vs = surf.domain.sample_interior(rng, 200)
     worst_identity = 0.0
-    worst_brioschi = 0.0
+    worst_christoffel = 0.0
     worst_alpha = 0.0
     for u, v in zip(us, vs):
         p = Point2(float(u), float(v))
         rep = curvature_two_form(surf.field, p)
         worst_identity = max(worst_identity, rep.identity_residual())
-        worst_brioschi = max(
-            worst_brioschi,
-            abs(gauss_curvature_brioschi(surf.field, p) - rep.k) / (1.0 + abs(rep.k)))
+        worst_christoffel = max(
+            worst_christoffel,
+            abs(gauss_curvature(surf.field, p) - rep.k) / (1.0 + abs(rep.k)))
         form = connection_form(surf.field, p)
         worst_alpha = max(worst_alpha, abs(form.alpha_u), abs(form.alpha_v))
     print(f"{surf.name:28s}  |two_form - K*area| {worst_identity:8.1e}   "
-          f"|K - K_brioschi| {worst_brioschi:8.1e}   "
+          f"|K - K_christoffel| {worst_christoffel:8.1e}   "
           f"hermiticity residual {worst_alpha:8.1e}")
 
 # the sphere pins the sign convention: b_v = cos(theta), b_u = 0

@@ -9,7 +9,7 @@ non-converged (reported, never raised).
 The sample lives here: ``curvature_sample`` evaluates a metric once on
 the quadrature nodes, and ``chern_number`` keeps it in its result for
 ``connection_difference`` and the grid dump to read.  Nodes stream
-through the jet pipeline in u-major blocks of BLOCK_NODES into the
+through the curvature kernel in u-major blocks of BLOCK_NODES into the
 full-length channels, so temporaries scale with the block, not the grid;
 the block size changes no bit, as every channel is computed node by
 node, alpha_max is a max and ``reduce_sum`` is exactly rounded.

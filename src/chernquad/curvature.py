@@ -1,11 +1,9 @@
 """Levi-Civita connection data and the curvature two-form of the tangent line.
 
-Everything here is computed from metric jets, so first derivatives of
-Christoffel symbols come from second metric derivatives analytically, not
-from differencing.  The chart frame e1 = du/|du|, e2 = J e1 is unitary
-for the hermitian structure; metric compatibility makes the connection
-form in that frame purely imaginary, omega = i * (b_u du + b_v dv) with
-real b_a = FRAME_SIGN * g(nabla_a e1, e2).  The two-form coefficient
+The unitary frame is e1 = du/|du|, e2 = J e1 for the hermitian
+structure; metric compatibility makes the connection form in that frame
+purely imaginary, omega = i * (b_u du + b_v dv) with real
+b_a = FRAME_SIGN * g(nabla_a e1, e2).  The two-form coefficient
 
     two_form_coeff = -(d_u b_v - d_v b_u)
 
@@ -13,15 +11,35 @@ is the coefficient of i * curv(nabla) against du^dv and must reproduce
 K * sqrt(det g) pointwise; integrating it (or K * sqrt(det g)) against
 the chart quadrature and dividing by 2*pi gives the first Chern number.
 
-Scalar entry points take a Point2; the same kernels run vectorized over
-arrays for the quadrature module.  ``curvature_report_grid`` is the one
-vectorized pass; it keeps every channel (K, area, two-form, b, max|alpha|)
-that the Chern sums, ``connection_difference`` and the grid dump read.
+``curvature_report_grid`` is the vectorized kernel.  It takes the
+two-form and K * sqrt(det g) by two independent closed-form routes on
+plain arrays of jet channels:
+
+* Cartan.  The coframe theta1 = a du + c dv, theta2 = d dv is dual to
+  (e1, e2).  Its jets come from the field's ``coframe`` when it has one
+  (exact for the builtin surfaces), else from the Cholesky factor of
+  the metric jets, a = sqrt(E), c = F/a, d = sqrt(EG - F^2)/a.  The
+  structure equations (do Carmo, *Differential Forms and
+  Applications*, ch. 5) give b_u = (d_u c - d_v a)/d and
+  b_v = (d_u d + b_u c)/a, and the product and quotient rules on the
+  second-order channels of a, c, d give their derivatives.
+* Brioschi.  K from the two 3x3 determinants of E, F, G and their first
+  and second derivatives, expanded; no square root of a jet, no
+  Christoffel symbol.  sqrt(det g) is taken of the value alone.
+
+``max_identity_residual`` compares the two routes.  alpha_max, the
+hermiticity residual max|g(nabla_a e1, e1)|, comes from Christoffel
+values, which need only first metric derivatives.  The Jet2 Christoffel
+route (``christoffels``, ``curvature_operator``, ``gauss_curvature``,
+``connection_form``) takes first derivatives of Christoffel symbols from
+second metric derivatives, and stays as the independent pointwise oracle
+of the tests and ``verify``.  ``curvature_two_form`` is a one-node call
+of the grid kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -33,9 +51,10 @@ from .metric import (MetricField, MetricJet, ParamDomain, Point2, RectDomain,
                      eval_metric_grid, eval_metric_jet)
 from .quadrature import QuadratureSpec, build_nodes
 
-# Overall sign of the stored connection coefficients.  Pinned by the
-# calibration test: the unit sphere must give two_form_coeff = +sin(theta)
-# and Chern number +2 for the chart orientation du^dv.
+# Overall sign of the Christoffel oracle's connection coefficients.  The
+# structure equations fix the kernel's sign; the calibration tests pin
+# both: the unit sphere must give b_v = +cos(theta), two_form_coeff =
+# +sin(theta) and Chern number +2 for the chart orientation du^dv.
 FRAME_SIGN = 1.0
 
 
@@ -104,7 +123,7 @@ class CurvatureSample:
 
 
 # ---------------------------------------------------------------------------
-# jet-level kernels (scalar or array channels)
+# the Jet2 Christoffel route, kept as the pointwise oracle
 
 
 def _inverse_and_gamma(mjet: MetricJet):
@@ -161,14 +180,64 @@ def _connection_coeffs(g, det, inv, gamma):
     return bs[0], bs[1], alphas[0], alphas[1]
 
 
-def _report_channels(mjet: MetricJet):
-    g, det, inv, gamma = _inverse_and_gamma(mjet)
-    k = _curvature_k(g, det, gamma)
-    area = np.sqrt(det.val)
-    b_u, b_v, alpha_u, alpha_v = _connection_coeffs(g, det, inv, gamma)
-    two_form = -(b_v.du - b_u.dv)
-    alpha_max = max(float(np.max(np.abs(alpha_u))), float(np.max(np.abs(alpha_v))))
-    return k, area, two_form, b_u.val, b_v.val, alpha_max
+# ---------------------------------------------------------------------------
+# the closed-form kernel: plain arithmetic on jet channels (scalar or array)
+
+
+def _brioschi_k(mjet: MetricJet):
+    """K = (det M1 - det M2) / det(g)^2 with both determinants expanded."""
+    e, f, g = mjet.g11, mjet.g12, mjet.g22
+    det = e.val * g.val - f.val * f.val
+    # M1 = [[top, p, q], [s, E, F], [t, F, G]]; M2 = [[0, h, k], [h, E, F], [k, F, G]]
+    top = -0.5 * e.dvv + f.duv - 0.5 * g.duu
+    p, q = 0.5 * e.du, f.du - 0.5 * e.dv
+    s, t = f.dv - 0.5 * g.du, 0.5 * g.dv
+    h, k = 0.5 * e.dv, 0.5 * g.du
+    det_m1 = top * det - p * (s * g.val - f.val * t) + q * (s * f.val - e.val * t)
+    det_m2 = k * (h * f.val - e.val * k) - h * (h * g.val - f.val * k)
+    return (det_m1 - det_m2) / (det * det), det
+
+
+def _cartan(a: Jet2, c: Jet2, d: Jet2):
+    """b_u, b_v and the two-form from the coframe (a du + c dv, d dv):
+    d theta1 = b ^ theta2 and d theta2 = -b ^ theta1, curv = -db."""
+    b_u = (c.du - a.dv) / d.val
+    b_u_du = (c.duu - a.duv - b_u * d.du) / d.val
+    b_u_dv = (c.duv - a.dvv - b_u * d.dv) / d.val
+    b_v = (d.du + b_u * c.val) / a.val
+    b_v_du = (d.duu + b_u_du * c.val + b_u * c.du - b_v * a.du) / a.val
+    return b_u, b_v, -(b_v_du - b_u_dv)
+
+
+def _cholesky_coframe(mjet: MetricJet):
+    a = jets.sqrt(mjet.g11)
+    return (a, mjet.g12 / a,
+            jets.sqrt(mjet.g11 * mjet.g22 - mjet.g12 * mjet.g12) / a)
+
+
+def _alpha_max(mjet: MetricJet, det) -> float:
+    """max |alpha_a| over both axes, alpha_a = g(nabla_a e1, e1) for
+    e1 = du/sqrt(E), which is (E Gamma^0_a0 + F Gamma^1_a0 - d_a E / 2) / E
+    with the values Gamma^k_a0 = (g^k0 d_a E + g^k1 l_a) / 2."""
+    e, f, g = mjet.g11, mjet.g12, mjet.g22
+    worst = 0.0
+    # (d_a E, l_a) with l_u = 2 d_u F - d_v E and l_v = d_u G
+    for d_e, lower in ((e.du, 2.0 * f.du - e.dv), (e.dv, g.du)):
+        gamma0 = 0.5 * (g.val * d_e - f.val * lower) / det
+        gamma1 = 0.5 * (e.val * lower - f.val * d_e) / det
+        alpha = (e.val * gamma0 + f.val * gamma1 - 0.5 * d_e) / e.val
+        worst = max(worst, float(np.max(np.abs(alpha))))
+    return worst
+
+
+def _kernel(field: MetricField, mjet: MetricJet, us, vs) -> CurvatureReport:
+    coframe = _cholesky_coframe(mjet) if field.coframe is None else field.coframe(us, vs)
+    b_u, b_v, two_form = _cartan(*coframe)
+    k, det = _brioschi_k(mjet)
+    shape = np.broadcast(us, vs).shape
+    return CurvatureReport(*(np.broadcast_to(c, shape)
+                             for c in (k, np.sqrt(det), two_form, b_u, b_v)),
+                           _alpha_max(mjet, det))
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +290,8 @@ def gauss_curvature(field: MetricField, p: Point2) -> float:
 
 def gauss_curvature_brioschi(field: MetricField, p: Point2) -> float:
     """Brioschi determinant formula; an independent route to K that never
-    touches Christoffel symbols."""
-    mjet = eval_metric_jet(field, p)
-    e, f, g = mjet.g11, mjet.g12, mjet.g22
-    m1 = np.array([
-        [-0.5 * e.dvv + f.duv - 0.5 * g.duu, 0.5 * e.du, f.du - 0.5 * e.dv],
-        [f.dv - 0.5 * g.du, e.val, f.val],
-        [0.5 * g.dv, f.val, g.val],
-    ])
-    m2 = np.array([
-        [0.0, 0.5 * e.dv, 0.5 * g.du],
-        [0.5 * e.dv, e.val, f.val],
-        [0.5 * g.du, f.val, g.val],
-    ])
-    det_g = e.val * g.val - f.val * f.val
-    return float((np.linalg.det(m1) - np.linalg.det(m2)) / (det_g * det_g))
+    touches Christoffel symbols (the grid kernel's K at one point)."""
+    return float(_brioschi_k(eval_metric_jet(field, p))[0])
 
 
 def connection_form(field: MetricField, p: Point2) -> ConnectionForm:
@@ -246,18 +302,16 @@ def connection_form(field: MetricField, p: Point2) -> ConnectionForm:
 
 
 def curvature_two_form(field: MetricField, p: Point2) -> CurvatureReport:
-    """K, sqrt(det g) and the analytic jet curl of the connection form."""
-    mjet = eval_metric_jet(field, p)
-    return CurvatureReport(*(float(c) for c in _report_channels(mjet)))
+    """The grid kernel's report at one point, with the domain check."""
+    rep = _kernel(field, eval_metric_jet(field, p), p.u, p.v)
+    return CurvatureReport(*(float(c) for c in astuple(rep)))
 
 
 def curvature_report_grid(field: MetricField, us: np.ndarray,
                           vs: np.ndarray) -> CurvatureReport:
     """Vectorized CurvatureReport; array channels shaped like the input."""
-    mjet = eval_metric_grid(field, us, vs)
-    *channels, alpha_max = _report_channels(mjet)
-    shape = np.broadcast(us, vs).shape
-    return CurvatureReport(*(np.broadcast_to(c, shape) for c in channels), alpha_max)
+    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+    return _kernel(field, eval_metric_grid(field, us, vs), us, vs)
 
 
 def _periodic_one_form(domain: ParamDomain, spec: QuadratureSpec, us: np.ndarray,

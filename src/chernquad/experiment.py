@@ -177,16 +177,29 @@ def run(config: ExperimentConfig) -> Report:
     return Report(fieldnames=fieldnames, row=row, flagged=flagged)
 
 
+def _format(values: np.ndarray) -> list[str]:
+    return ["%.17g" % x for x in values.tolist()]
+
+
 def _write_grid(path: str, sample: CurvatureSample) -> None:
-    """K * sqrt(det g) on the quadrature nodes of ``sample``.  Each column
-    is formatted once and joined into JSON arrays or CSV rows; numeric
-    fields never need CSV quoting."""
-    columns = [["%.17g" % x for x in values.tolist()]
-               for values in (sample.us, sample.vs, sample.k_area)]
+    """K * sqrt(det g) on the quadrature nodes of ``sample``, as JSON
+    arrays or CSV rows (numeric fields never need CSV quoting).  The
+    nodes of a rectangle chart are a u-major product grid, so each
+    distinct u and v is formatted once and repeated; polygon nodes are
+    formatted one by one."""
+    k_col = _format(sample.k_area)
+    if isinstance(sample.domain, RectDomain):
+        n_u, n_v = sample.spec.n_u, sample.spec.n_v
+        u_col = [u for u in _format(sample.us[::n_v]) for _ in range(n_v)]
+        v_col = _format(sample.vs[:n_v]) * n_u
+    else:
+        u_col, v_col = _format(sample.us), _format(sample.vs)
     if path.endswith(".json"):
-        arrays = (f'  "{name}": [{", ".join(col)}]' for name, col in zip(_GRID_FIELDS, columns))
+        arrays = (f'  "{name}": [{", ".join(col)}]'
+                  for name, col in zip(_GRID_FIELDS, (u_col, v_col, k_col)))
         text = "{\n" + ",\n".join(arrays) + "\n}\n"
     else:
-        text = "".join(f"{row}\n" for row in map(",".join, (_GRID_FIELDS, *zip(*columns))))
+        text = ",".join(_GRID_FIELDS) + "\n" + "".join(
+            f"{u},{v},{k}\n" for u, v, k in zip(u_col, v_col, k_col))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)

@@ -297,17 +297,28 @@ class MetricJet:
 
 
 MetricEvaluator = Callable[[Channel, Channel], MetricJet]
+CoframeEvaluator = Callable[[Channel, Channel], tuple[Jet2, Jet2, Jet2]]
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """A metric evaluator over a chart domain.
+    """A metric evaluator over a chart domain, and optionally its coframe.
 
     ``evaluator`` must be a pure function accepting floats or arrays.
+    ``coframe``, when given, is a pure function of the same kind
+    returning the jets (a, c, d) of the coframe theta1 = a du + c dv,
+    theta2 = d dv with a, d > 0, so that a^2 = g11, a*c = g12 and
+    c^2 + d^2 = g22.  theta2 must have no du term: then e1 = du/a is
+    the frame of the Cholesky coframe the curvature kernel builds when
+    ``coframe`` is None, and connection forms from either source live
+    in one frame.  A closed-form coframe spares the kernel the square
+    roots of the metric jets, which lose accuracy where det g degenerates
+    (the sphere's poles).
     """
 
     domain: ParamDomain
     evaluator: MetricEvaluator = dataclass_field(repr=False)
+    coframe: CoframeEvaluator | None = dataclass_field(default=None, repr=False)
 
 
 def eval_metric_jet(field: MetricField, p: Point2) -> MetricJet:

@@ -17,12 +17,21 @@ kinds
     chart with g = 4 / (1 - u^2 - v^2)^2 * I; K = -1; hyperbolic area
     4*pi; Chern -2.
 
+Each builtin field also supplies its coframe theta1 = a du + c dv,
+theta2 = d dv in closed form (see ``MetricField``): a = R, c = 0,
+d = R sin u for the sphere; a = r, c = 0, d = R + r cos u for the torus;
+constant a, d and c = 0 for the flat torus; a = d = 2 / (1 - u^2 - v^2),
+c = 0 for the octagon.  theta2 has no du term, so e1 = du/a is the frame
+of the Cholesky coframe that derived and custom fields get.  The
+curvature kernel's two-form then never takes a square root of a metric
+jet, and the sphere's stays accurate to rounding up to the poles.
+
 ``BUILTIN_KINDS`` is the one table of these kinds: it maps each to its
 constructor and its parameter keys, and drives ``make_surface``, the
 ``[surface]`` key check of configs and ``chernquad list``.  Parameter
 defaults live only in the constructor signatures.  ``conformal_surface``,
 ``perturbed_surface`` and ``twisted_surface`` derive the second metric
-of a ``compare`` run from a surface.
+of a ``compare`` run from a surface; they set no coframe.
 """
 
 from __future__ import annotations
@@ -85,7 +94,10 @@ def sphere(radius: float = 1.0) -> Surface:
         s = jets.sin(su)
         return MetricJet(r2 * one, 0.0 * su, r2 * s * s)
 
-    field = MetricField(domain=domain, evaluator=evaluator)
+    def coframe(u, v):
+        return jets.const(radius), jets.const(0.0), radius * jets.sin(jets.var_u(u))
+
+    field = MetricField(domain=domain, evaluator=evaluator, coframe=coframe)
     return Surface(name=f"sphere(R={radius:g})", field=field, expected_chern=2,
                    analytic_k=lambda u, v: np.broadcast_to(1.0 / r2, np.shape(u)),
                    reference_resolution=(64, 128))
@@ -103,7 +115,10 @@ def torus_revolution(big_radius: float = 2.0, small_radius: float = 1.0) -> Surf
         ring = R + r * jets.cos(su)
         return MetricJet(r * r * one, 0.0 * su, ring * ring)
 
-    field = MetricField(domain=domain, evaluator=evaluator)
+    def coframe(u, v):
+        return jets.const(r), jets.const(0.0), R + r * jets.cos(jets.var_u(u))
+
+    field = MetricField(domain=domain, evaluator=evaluator, coframe=coframe)
     return Surface(name=f"torus_revolution(R={R:g},r={r:g})", field=field,
                    expected_chern=0,
                    analytic_k=lambda u, v: np.cos(u) / (r * (R + r * np.cos(u))),
@@ -120,7 +135,10 @@ def flat_torus(a: float = 1.0, b: float = 1.0) -> Surface:
         one = su * 0.0 + 1.0
         return MetricJet(a * a * one, 0.0 * su, b * b * one)
 
-    field = MetricField(domain=domain, evaluator=evaluator)
+    def coframe(u, v):
+        return jets.const(a), jets.const(0.0), jets.const(b)
+
+    field = MetricField(domain=domain, evaluator=evaluator, coframe=coframe)
     return Surface(name=f"flat_torus(a={a:g},b={b:g})", field=field, expected_chern=0,
                    analytic_k=lambda u, v: np.zeros(np.shape(u)),
                    reference_resolution=(64, 64))
@@ -160,7 +178,12 @@ def poincare_octagon() -> Surface:
         h = 4.0 / (s * s)
         return MetricJet(h, 0.0 * su, h)
 
-    field = MetricField(domain=domain, evaluator=evaluator)
+    def coframe(u, v):
+        su, sv = jets.var_u(u), jets.var_v(v)
+        scale = 2.0 / (1.0 - su * su - sv * sv)
+        return scale, jets.const(0.0), scale
+
+    field = MetricField(domain=domain, evaluator=evaluator, coframe=coframe)
     return Surface(name="poincare_octagon", field=field, expected_chern=-2,
                    analytic_k=lambda u, v: np.full(np.shape(u), -1.0),
                    reference_resolution=(32, 32))

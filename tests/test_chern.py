@@ -8,19 +8,22 @@ import pytest
 
 from chernquad import chern, jets, quadrature, verify
 from chernquad.chern import ChernResult, chern_number, curvature_sample, stokes_residual
-from chernquad.curvature import connection_difference, curvature_report_grid, exact_one_form
+from chernquad.curvature import (connection_difference, connection_form, curvature_report_grid,
+                                 exact_one_form, gauss_curvature)
 from chernquad.errors import NonFiniteValueError, PeriodicityError
 from chernquad.metric import (
+    Point2,
     RectDomain,
     conformal_scale,
+    eval_metric_jet,
     perturb_metric,
     pullback_metric,
     scalar_field_from_expression,
     twist_map,
 )
 from chernquad.quadrature import QuadratureSpec, build_nodes
-from chernquad.zoo import (custom_surface, flat_torus, poincare_octagon, sphere,
-                           torus_revolution, twisted_surface)
+from chernquad.zoo import (custom_surface, flat_torus, perturbed_surface, poincare_octagon,
+                           sphere, torus_revolution, twisted_surface)
 
 
 def _dup(surface, field):
@@ -128,6 +131,30 @@ def _generated_expression_surface():
     dom = RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi,
                      periodic_u=True, periodic_v=True)
     return custom_surface("generated", dom, text, "0", "2 + sin(u) * cos(v)")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sphere(1.0),
+    lambda: torus_revolution(2.0, 1.0),
+    lambda: flat_torus(1.0, 2.0),
+    poincare_octagon,
+    lambda: twisted_surface(torus_revolution(2.0, 1.0), 0.3),
+    lambda: perturbed_surface(torus_revolution(2.0, 1.0), 1, 0.1),
+    _generated_expression_surface,
+], ids=["sphere", "torus", "flat_torus", "octagon", "twisted_torus", "perturbed_torus",
+        "expression"])
+def test_grid_kernel_matches_the_christoffel_oracle(make):
+    # the Cartan and Brioschi kernel against the Jet2 Christoffel route
+    surf = make()
+    us, vs = surf.domain.sample_interior(np.random.default_rng(7), 40)
+    rep = curvature_report_grid(surf.field, us, vs)
+    for i, (u, v) in enumerate(zip(us, vs)):
+        p = Point2(float(u), float(v))
+        form = connection_form(surf.field, p)
+        k_area = gauss_curvature(surf.field, p) * math.sqrt(eval_metric_jet(surf.field, p).value.det)
+        for got, want in ((rep.b_u[i], form.b_u), (rep.b_v[i], form.b_v),
+                          (rep.two_form_coeff[i], k_area), (rep.k[i] * rep.area_coeff[i], k_area)):
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (u, v, got, want)
 
 
 @pytest.mark.parametrize("block", [1000, 7])

@@ -1,5 +1,6 @@
 """Christoffels, curvature oracles, connection forms, and the two-form."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from chernquad.metric import (
     scalar_field_from_expression,
 )
 from chernquad.quadrature import QuadratureSpec
-from chernquad.zoo import flat_torus, poincare_octagon, sphere, torus_revolution
+from chernquad.zoo import BUILTIN_KINDS, flat_torus, poincare_octagon, sphere, torus_revolution
 
 
 TWO_PI = 2 * math.pi
@@ -170,6 +171,49 @@ def test_conformal_flat_metric_curvature_closed_form():
         lap = -0.2 * math.sin(u) - 0.4 * math.cos(2 * v)
         rep = curvature_two_form(field, Point2(float(u), float(v)))
         assert rep.two_form_coeff == pytest.approx(-lap, rel=1e-10, abs=1e-10)
+
+
+# --- the grid kernel and the builtin coframes ----------------------------------
+
+@pytest.mark.parametrize("radius", [1.0, 3.0])
+def test_sphere_two_form_is_exact_up_to_the_poles(radius):
+    # the two-form K*sqrt(det g) = sin u does not depend on R; at 256x512
+    # the Gauss nodes nearest the poles have sin u ~ 7e-5, where the
+    # metric-jet route loses about 1/sin^2 u of its accuracy
+    mpmath = pytest.importorskip("mpmath")
+    sample = curvature_sample(sphere(radius).field, QuadratureSpec(256, 512))
+    us, two_form = sample.us, sample.report.two_form_coeff
+    near = (us < 0.05) | (us > math.pi - 0.05)
+    assert near.any()
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for u in np.unique(us[near]):
+            want = float(mpmath.sin(mpmath.mpf(float(u))))
+            err = float(np.max(np.abs(two_form[us == u] - want)))
+            assert err <= 4.0 * eps * abs(want), (u, err)
+
+
+@pytest.mark.parametrize("make", [
+    *(constructor for constructor, _ in BUILTIN_KINDS.values()),
+    lambda: sphere(3.0), lambda: torus_revolution(3.0, 0.5), lambda: flat_torus(1.0, 2.0),
+], ids=[*BUILTIN_KINDS, "sphere_R3", "thin_torus", "flat_torus_1x2"])
+def test_builtin_coframe_reproduces_its_metric(make):
+    field = make().field
+    assert field.coframe is not None
+    us, vs = field.domain.sample_interior(np.random.default_rng(8), 40)
+    mjet = field.evaluator(us, vs)
+    a, c, d = field.coframe(us, vs)
+    # a^2 = E, a*c = F, c^2 + d^2 = G through second derivatives
+    for got, want in ((a * a, mjet.g11), (a * c, mjet.g12), (c * c + d * d, mjet.g22)):
+        for channel in ("val", "du", "dv", "duu", "duv", "dvv"):
+            x = np.broadcast_to(getattr(got, channel), us.shape)
+            y = np.broadcast_to(getattr(want, channel), us.shape)
+            assert np.all(np.abs(x - y) <= 1e-13 * (1.0 + np.abs(y))), channel
+    # theta2 = d dv, so the exact and the Cholesky coframes share e1 = du/a
+    exact = curvature_report_grid(field, us, vs)
+    cholesky = curvature_report_grid(dataclasses.replace(field, coframe=None), us, vs)
+    assert np.max(np.abs(exact.b_u - cholesky.b_u)) <= 1e-13
+    assert np.max(np.abs(exact.b_v - cholesky.b_v)) <= 1e-13
 
 
 # --- connection differences ---------------------------------------------------
