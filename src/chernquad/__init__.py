@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     DomainMismatchError,
     GeometryError,
-    JacobianSingularError,
     NonFiniteValueError,
     NonpositiveFactorError,
     OrientationMismatchError,
@@ -35,7 +34,6 @@ from .metric import (
     MetricField,
     MetricJet,
     MetricTensor,
-    ParamMap,
     Point2,
     PolygonDomain,
     RectDomain,
@@ -44,9 +42,8 @@ from .metric import (
     eval_metric_jet,
     metric_field_from_expressions,
     perturb_metric,
-    pullback_metric,
     scalar_field_from_expression,
-    twist_map,
+    twist_metric,
 )
 from .complex_structure import (
     AreaFormAtPoint,
@@ -75,7 +72,6 @@ from .curvature import (
     exact_one_form,
     fd_curl,
     gauss_curvature,
-    gauss_curvature_brioschi,
 )
 from .quadrature import (
     QuadratureSpec,

@@ -8,11 +8,13 @@ non-converged (reported, never raised).
 
 The sample lives here: ``curvature_sample`` evaluates a metric once on
 the quadrature nodes, and ``chern_number`` keeps it in its result for
-``connection_difference`` and the grid dump to read.  Nodes stream
-through the curvature kernel in u-major blocks of BLOCK_NODES into the
-full-length channels, so temporaries scale with the block, not the grid;
-the block size changes no bit, as every channel is computed node by
-node, alpha_max is a max and ``reduce_sum`` is exactly rounded.
+``connection_difference`` and the grid dump to read.  It stores four
+channels per node (the two-form, K * sqrt(det g), b_u and b_v) and two
+maxima (alpha_max and the identity residual).  Nodes stream through the
+curvature kernel in u-major blocks of BLOCK_NODES into the full-length
+channels, so temporaries scale with the block, not the grid; the block
+size changes no bit, as every channel is computed node by node, both
+maxima are maxima and ``reduce_sum`` is exactly rounded.
 
 ``stokes_residual`` integrates the finite-difference exterior derivative
 of a sampled 1-form over a fully periodic chart; for differences of
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .curvature import (CurvatureReport, CurvatureSample, OneForm, curvature_report_grid,
-                        fd_curl)
+from .curvature import (CurvatureSample, OneForm, curvature_report_grid, fd_curl,
+                        identity_residual)
 from .errors import NonFiniteValueError, PeriodicityError
 from .metric import MetricField, RectDomain
 from .quadrature import QuadratureSpec, build_nodes, reduce_sum
@@ -47,9 +49,9 @@ class ChernResult:
     ``raw`` comes from the connection-form route (two-form coefficient);
     ``raw_gauss`` from K * sqrt(det g).  ``two_path_delta`` is their
     absolute disagreement.  ``max_identity_residual`` is the largest
-    relative pointwise gap |two_form - K*area| / (1 + |K*area|) seen on
-    the quadrature nodes.  ``sample`` is the curvature sample both
-    integrals were taken over.
+    ``curvature.identity_residual`` of the two routes on the quadrature
+    nodes.  ``sample`` is the curvature sample both integrals were taken
+    over.
     """
 
     raw: float
@@ -70,25 +72,27 @@ def curvature_sample(field: MetricField, spec: QuadratureSpec) -> CurvatureSampl
     K * sqrt(det g) raises NonFiniteValueError naming the first such node
     (numpy's own warnings are silenced)."""
     us, vs, ws = build_nodes(field.domain, spec)
-    alpha_maxes = []
+    alpha_max = max_residual = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, us.size, BLOCK_NODES):
             cut = slice(lo, lo + BLOCK_NODES)
             block = curvature_report_grid(field, us[cut], vs[cut])
             if lo == 0:  # here, to reuse the first block's freed temporaries
-                channels = np.empty((6, us.size))  # five report channels, then K * area
-            channels[:, cut] = (block.k, block.area_coeff, block.two_form_coeff, block.b_u,
-                                block.b_v, block.k * block.area_coeff)
-            alpha_maxes.append(block.alpha_max)
-    for name, values in (("curvature two-form", channels[2]),
-                         ("K * sqrt(det g)", channels[5])):
+                channels = np.empty((4, us.size))  # two-form, K * area, b_u, b_v
+            k_area = block.k * block.area_coeff
+            channels[:, cut] = (block.two_form_coeff, k_area, block.b_u, block.b_v)
+            alpha_max = max(alpha_max, block.alpha_max)
+            max_residual = max(max_residual, identity_residual(block.two_form_coeff, k_area))
+    for name, values in (("curvature two-form", channels[0]),
+                         ("K * sqrt(det g)", channels[1])):
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise NonFiniteValueError(f"{name} is {values[bad[0]]} at node (u, v) = "
                                       f"({us[bad[0]]:.17g}, {vs[bad[0]]:.17g})")
     return CurvatureSample(domain=field.domain, spec=spec, us=us, vs=vs, weights=ws,
-                           report=CurvatureReport(*channels[:5], max(alpha_maxes)),
-                           k_area=channels[5])
+                           two_form=channels[0], k_area=channels[1], b_u=channels[2],
+                           b_v=channels[3], alpha_max=alpha_max,
+                           max_identity_residual=max_residual)
 
 
 def chern_number(surface, spec: QuadratureSpec | None = None) -> ChernResult:
@@ -97,9 +101,8 @@ def chern_number(surface, spec: QuadratureSpec | None = None) -> ChernResult:
         n_u, n_v = surface.reference_resolution
         spec = QuadratureSpec(n_u, n_v)
     sample = curvature_sample(surface.field, spec)
-    two_form, k_area = sample.report.two_form_coeff, sample.k_area
-    raw = reduce_sum(sample.weights * two_form) / TWO_PI
-    raw_gauss = reduce_sum(sample.weights * k_area) / TWO_PI
+    raw = reduce_sum(sample.weights * sample.two_form) / TWO_PI
+    raw_gauss = reduce_sum(sample.weights * sample.k_area) / TWO_PI
     rounded = int(round(raw))
     residual = abs(raw - rounded)
     return ChernResult(
@@ -111,19 +114,18 @@ def chern_number(surface, spec: QuadratureSpec | None = None) -> ChernResult:
         converged=residual < CONVERGENCE_RESIDUAL,
         raw_gauss=raw_gauss,
         two_path_delta=abs(raw - raw_gauss),
-        max_identity_residual=float(np.max(np.abs(two_form - k_area) / (1.0 + np.abs(k_area)))),
+        max_identity_residual=sample.max_identity_residual,
         sample=sample,
     )
 
 
-def stokes_residual(form: OneForm, domain_or_surface) -> float:
+def stokes_residual(form: OneForm, domain: RectDomain) -> float:
     """|integral of d(form)| over a fully periodic rectangle chart.
 
     The exterior derivative is the central finite-difference curl with
     periodic wrap at the sampling spacing, integrated with the matching
     trapezoid weights.
     """
-    domain = getattr(domain_or_surface, "domain", domain_or_surface)
     if not isinstance(domain, RectDomain) or not domain.fully_periodic:
         raise PeriodicityError("stokes_residual needs a fully periodic rectangle chart")
     curl = fd_curl(form, domain)

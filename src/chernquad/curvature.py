@@ -27,7 +27,7 @@ plain arrays of jet channels:
   and second derivatives, expanded; no square root of a jet, no
   Christoffel symbol.  sqrt(det g) is taken of the value alone.
 
-``max_identity_residual`` compares the two routes.  alpha_max, the
+``identity_residual`` compares the two routes.  alpha_max, the
 hermiticity residual max|g(nabla_a e1, e1)|, comes from Christoffel
 values, which need only first metric derivatives.  The Jet2 Christoffel
 route (``christoffels``, ``curvature_operator``, ``gauss_curvature``,
@@ -35,6 +35,11 @@ route (``christoffels``, ``curvature_operator``, ``gauss_curvature``,
 second metric derivatives, and stays as the independent pointwise oracle
 of the tests and ``verify``.  ``curvature_two_form`` is a one-node call
 of the grid kernel.
+
+A ``CurvatureSample`` (built by ``chern.curvature_sample``) keeps of the
+kernel's output only what its readers read: the two-form and K * sqrt(det g)
+for the Chern integrals, b_u, b_v and alpha_max for
+``connection_difference``, and the largest identity residual.
 """
 
 from __future__ import annotations
@@ -93,8 +98,14 @@ class CurvatureReport:
     alpha_max: float
 
     def identity_residual(self) -> float:
-        target = self.k * self.area_coeff
-        return float(np.max(np.abs(self.two_form_coeff - target) / (1.0 + np.abs(target))))
+        return identity_residual(self.two_form_coeff, self.k * self.area_coeff)
+
+
+def identity_residual(two_form, k_area) -> float:
+    """max |two_form - k_area| / (1 + |k_area|): how far the Cartan
+    two-form and the Brioschi K * sqrt(det g) disagree, relative to the
+    size of K * sqrt(det g) where it is large."""
+    return float(np.max(np.abs(two_form - k_area) / (1.0 + np.abs(k_area))))
 
 
 @dataclass(frozen=True)
@@ -110,16 +121,24 @@ class OneForm:
 
 @dataclass(frozen=True)
 class CurvatureSample:
-    """A grid CurvatureReport on ``build_nodes(domain, spec)``: flat arrays
-    in u-major order, with k_area = K * sqrt(det g)."""
+    """The curvature channels that the Chern integrals, the connection
+    difference and the grid dump read, on ``build_nodes(domain, spec)``:
+    flat arrays in u-major order of the two-form coefficient,
+    k_area = K * sqrt(det g) and b_u, b_v, with the largest hermiticity
+    residual ``alpha_max`` and the largest ``identity_residual`` over
+    the nodes."""
 
     domain: ParamDomain
     spec: QuadratureSpec
     us: np.ndarray
     vs: np.ndarray
     weights: np.ndarray
-    report: CurvatureReport
+    two_form: np.ndarray
     k_area: np.ndarray
+    b_u: np.ndarray
+    b_v: np.ndarray
+    alpha_max: float
+    max_identity_residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +230,9 @@ def _cartan(a: Jet2, c: Jet2, d: Jet2):
 
 def _cholesky_coframe(mjet: MetricJet):
     a = jets.sqrt(mjet.g11)
-    return (a, mjet.g12 / a,
-            jets.sqrt(mjet.g11 * mjet.g22 - mjet.g12 * mjet.g12) / a)
+    inv_a = jets.reciprocal(a)
+    return (a, mjet.g12 * inv_a,
+            jets.sqrt(mjet.g11 * mjet.g22 - mjet.g12 * mjet.g12) * inv_a)
 
 
 def _alpha_max(mjet: MetricJet, det) -> float:
@@ -288,12 +308,6 @@ def gauss_curvature(field: MetricField, p: Point2) -> float:
     return float(_curvature_k(g, det, gamma))
 
 
-def gauss_curvature_brioschi(field: MetricField, p: Point2) -> float:
-    """Brioschi determinant formula; an independent route to K that never
-    touches Christoffel symbols (the grid kernel's K at one point)."""
-    return float(_brioschi_k(eval_metric_jet(field, p))[0])
-
-
 def connection_form(field: MetricField, p: Point2) -> ConnectionForm:
     mjet = eval_metric_jet(field, p)
     g, det, inv, gamma = _inverse_and_gamma(mjet)
@@ -338,10 +352,9 @@ def connection_difference(sample: CurvatureSample,
     """
     if (sample.domain, sample.spec) != (sample_prime.domain, sample_prime.spec):
         raise DomainMismatchError("connection_difference needs samples on the same nodes")
-    rep, rep_prime = sample.report, sample_prime.report
     return _periodic_one_form(sample.domain, sample.spec, sample.us, sample.vs,
-                              rep.b_u - rep_prime.b_u, rep.b_v - rep_prime.b_v,
-                              imag_max=max(rep.alpha_max, rep_prime.alpha_max))
+                              sample.b_u - sample_prime.b_u, sample.b_v - sample_prime.b_v,
+                              imag_max=max(sample.alpha_max, sample_prime.alpha_max))
 
 
 def fd_curl(form: OneForm, domain: RectDomain) -> np.ndarray:

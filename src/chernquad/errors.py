@@ -17,10 +17,6 @@ class NonpositiveFactorError(GeometryError):
     """A conformal factor was not strictly positive where evaluated."""
 
 
-class JacobianSingularError(GeometryError):
-    """A parameter map is singular (or orientation-reversing) at a point."""
-
-
 class OrientationMismatchError(GeometryError):
     """Two complex structures induce opposite orientations."""
 

@@ -15,6 +15,7 @@ grow with the grid.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from numbers import Number
 from typing import Union
@@ -69,24 +70,14 @@ class Jet2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * _reciprocal(_lift(other))
+        return self * reciprocal(_lift(other))
 
     def __rtruediv__(self, other):
-        return _lift(other) * _reciprocal(self)
+        return _lift(other) * reciprocal(self)
 
-    def __pow__(self, power):
-        if isinstance(power, Jet2):
-            return exp(power * log(self))
-        if isinstance(power, (int, np.integer)):
-            return _int_pow(self, int(power))
-        if isinstance(power, float) and power.is_integer():
-            return _int_pow(self, int(power))
-        if np.any(np.asarray(self.val) <= 0.0):
-            raise ValueError("jet power with non-integer exponent requires a positive base")
-        return exp(float(power) * log(self))
-
-    def __rpow__(self, base):
-        return _lift(base) ** self
+    def __pow__(self, power: int):
+        # integer exponents only: expressions take x^y as exp(y log x)
+        return _int_pow(self, operator.index(power))
 
 
 def _lift(x) -> Jet2:
@@ -95,10 +86,6 @@ def _lift(x) -> Jet2:
     if isinstance(x, (Number, np.ndarray)):
         return Jet2(x)
     raise TypeError(f"cannot lift {type(x).__name__} to a jet")
-
-
-def const(value: Channel) -> Jet2:
-    return Jet2(value)
 
 
 def var_u(value: Channel) -> Jet2:
@@ -123,14 +110,15 @@ def _chain(x: Jet2, f0: Channel, f1: Channel, f2: Channel) -> Jet2:
     )
 
 
-def _reciprocal(x: Jet2) -> Jet2:
+def reciprocal(x: Jet2) -> Jet2:
+    """1 / x, which ``x / y`` multiplies by."""
     v = x.val
     return _chain(x, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
 
 
 def _int_pow(x: Jet2, n: int) -> Jet2:
     if n < 0:
-        return _reciprocal(_int_pow(x, -n))
+        return reciprocal(_int_pow(x, -n))
     if n == 0:
         return Jet2(x.val * 0.0 + 1.0)
     out = x

@@ -10,12 +10,11 @@ that are exact to rounding.
 
 Transformations produce new fields from old ones:
 
-``pullback_metric``
-    (D phi)^T g(phi(p)) (D phi) for an orientation-preserving parameter
-    map phi such as ``twist_map``, with jets propagated by the chain rule
-    through second order.  The map supplies jet-valued Jacobian entries;
-    composing second-order Taylor data is what makes the pulled-back
-    second derivatives exact.
+``twist_metric``
+    the pullback of g by the twist (u, v) -> (u, v + a sin u), whose
+    Jacobian determinant is 1 for every amplitude a, with jets propagated
+    by the chain rule through second order; composing second-order
+    Taylor data is what makes the pulled-back second derivatives exact.
 ``conformal_scale``
     f * g for a strictly positive scalar factor with jets.
 ``perturb_metric``
@@ -38,7 +37,6 @@ import numpy as np
 from . import jets
 from .errors import (
     DomainMismatchError,
-    JacobianSingularError,
     NonpositiveFactorError,
     PointOutsideDomainError,
     SpdViolationError,
@@ -47,6 +45,8 @@ from .expressions import eval_jet, parse
 from .jets import Channel, Jet2
 
 SPD_TOL = 1e-12
+
+INTERIOR_MARGIN = 0.05  # share of the chart that sample_interior keeps off its edges
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,14 @@ class RectDomain:
         ok_v = self.periodic_v or (self.v_min < p.v < self.v_max)
         return ok_u and ok_v
 
-    def sample_interior(self, rng: np.random.Generator, n: int, margin: float = 0.05):
-        """n interior points, kept ``margin`` of the side length away from
-        non-periodic edges (degenerate seams such as sphere poles sit on
-        the boundary)."""
+    def sample_interior(self, rng: np.random.Generator, n: int):
+        """n interior points, kept INTERIOR_MARGIN of the side length away
+        from non-periodic edges (degenerate seams such as sphere poles sit
+        on the boundary)."""
         du = self.u_max - self.u_min
         dv = self.v_max - self.v_min
-        mu = 0.0 if self.periodic_u else margin * du
-        mv = 0.0 if self.periodic_v else margin * dv
+        mu = 0.0 if self.periodic_u else INTERIOR_MARGIN * du
+        mv = 0.0 if self.periodic_v else INTERIOR_MARGIN * dv
         us = rng.uniform(self.u_min + mu, self.u_max - mu, size=n)
         vs = rng.uniform(self.v_min + mv, self.v_max - mv, size=n)
         return us, vs
@@ -179,11 +179,11 @@ class PolygonDomain:
                 return False
         return True
 
-    def sample_interior(self, rng: np.random.Generator, n: int, margin: float = 0.05):
+    def sample_interior(self, rng: np.random.Generator, n: int):
         """Rejection-sample n points inside the polygon shrunk about its
-        centroid by ``1 - margin``."""
+        centroid by ``1 - INTERIOR_MARGIN``."""
         c = self.centroid
-        scale = 1.0 - margin
+        scale = 1.0 - INTERIOR_MARGIN
         lo_u = min(p.u for p in self.vertices)
         hi_u = max(p.u for p in self.vertices)
         lo_v = min(p.v for p in self.vertices)
@@ -338,34 +338,7 @@ def eval_metric_grid(field: MetricField, us: np.ndarray, vs: np.ndarray) -> Metr
 
 
 # ---------------------------------------------------------------------------
-# parameter maps and pullback
-
-
-@dataclass(frozen=True)
-class ParamMap:
-    """A smooth map of the chart, phi(u, v) = (u', v').
-
-    ``comp`` maps seed jets to the component jets of phi.  ``jac`` maps
-    seed jets to jets of the four Jacobian entries (du u', dv u', du v',
-    dv v'); evaluating those entry functions in jet arithmetic is how
-    third-order information about phi reaches the pullback, which needs
-    it to produce exact second derivatives of the pulled-back metric.
-    """
-
-    name: str
-    comp: Callable[[Jet2, Jet2], tuple[Jet2, Jet2]] = dataclass_field(repr=False)
-    jac: Callable[[Jet2, Jet2], tuple[Jet2, Jet2, Jet2, Jet2]] = dataclass_field(repr=False)
-
-
-def twist_map(amplitude: float) -> ParamMap:
-    """(u, v) -> (u, v + amplitude * sin u); a degree-one self-map of the
-    torus chart, unimodular for every amplitude."""
-    a = float(amplitude)
-    one = Jet2(1.0)
-    zero = Jet2(0.0)
-    return ParamMap(f"twist({a})",
-                    comp=lambda u, v: (u, v + a * jets.sin(u)),
-                    jac=lambda u, v: (one, zero, a * jets.cos(u), one))
+# the twist pullback
 
 
 def _compose_scalar(h: Jet2, dp: Jet2, dq: Jet2) -> Jet2:
@@ -376,34 +349,27 @@ def _compose_scalar(h: Jet2, dp: Jet2, dq: Jet2) -> Jet2:
             + 0.5 * h.duu * dp * dp + h.duv * dp * dq + 0.5 * h.dvv * dq * dq)
 
 
-def pullback_metric(param_map: ParamMap, field: MetricField) -> MetricField:
-    """(D phi)^T g(phi(p)) (D phi) as a new field over the same chart.
+def twist_metric(field: MetricField, amplitude: float) -> MetricField:
+    """The pullback of ``field`` by the twist (u, v) -> (u, v + a sin u).
 
-    The map must send the chart into ``field.domain`` (self-maps of
-    periodic charts always do) and have a positive Jacobian determinant
-    where evaluated.
+    The twist is a degree-one self-map of any chart periodic in v.  Its
+    Jacobian has columns (1, s) and (0, 1) with s = a cos u, so its
+    determinant is 1 for every amplitude and the pullback
+    (D phi)^T g(phi(p)) (D phi) is
+    (g11 + 2 s g12 + s^2 g22, g12 + s g22, g22) at the image point.
     """
+    a = float(amplitude)
 
     def evaluator(u, v):
         su, sv = jets.var_u(u), jets.var_v(v)
-        p, q = param_map.comp(su, sv)
-        a11, a12, a21, a22 = param_map.jac(su, sv)
-        det = a11.val * a22.val - a12.val * a21.val
-        if np.any(np.abs(np.asarray(det)) <= 1e-10):
-            raise JacobianSingularError("parameter map is singular at an evaluation point")
-        if np.any(np.asarray(det) < 0.0):
-            raise JacobianSingularError("parameter map has negative Jacobian")
-        base = field.evaluator(p.val, q.val)
-        dp = p - p.val
-        dq = q - q.val
+        q = sv + a * jets.sin(su)
+        base = field.evaluator(su.val, q.val)
+        dp, dq = su - su.val, q - q.val
         h11 = _compose_scalar(base.g11, dp, dq)
         h12 = _compose_scalar(base.g12, dp, dq)
         h22 = _compose_scalar(base.g22, dp, dq)
-        # columns of D phi are (a11, a21) and (a12, a22)
-        new11 = a11 * a11 * h11 + 2.0 * a11 * a21 * h12 + a21 * a21 * h22
-        new12 = a11 * a12 * h11 + (a11 * a22 + a12 * a21) * h12 + a21 * a22 * h22
-        new22 = a12 * a12 * h11 + 2.0 * a12 * a22 * h12 + a22 * a22 * h22
-        return MetricJet(new11, new12, new22)
+        s = a * jets.cos(su)
+        return MetricJet(h11 + 2.0 * s * h12 + s * s * h22, h12 + s * h22, h22)
 
     return MetricField(domain=field.domain, evaluator=evaluator)
 

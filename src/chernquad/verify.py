@@ -63,10 +63,6 @@ def _zoo() -> tuple[Surface, ...]:
             poincare_octagon())
 
 
-def _interior_points(surface: Surface, rng, n: int):
-    return surface.domain.sample_interior(rng, n)
-
-
 def _rel(a, b) -> np.ndarray:
     return np.abs(a - b) / (1.0 + np.abs(b))
 
@@ -102,10 +98,8 @@ def check_curvature_identity(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for surf in _zoo():
-        us, vs = _interior_points(surf, rng, 100)
-        rep = curvature_report_grid(surf.field, us, vs)
-        k_area = rep.k * rep.area_coeff
-        worst = max(worst, float(np.max(_rel(rep.two_form_coeff, k_area))))
+        us, vs = surf.domain.sample_interior(rng, 100)
+        worst = max(worst, curvature_report_grid(surf.field, us, vs).identity_residual())
     passed = worst < 1e-5
     return CheckResult("curvature_identity", passed,
                        f"max |two_form - K*area| residual {worst:.2e} (tol 1e-5)")
@@ -116,7 +110,7 @@ def check_curvature_oracles(seed: int) -> CheckResult:
     worst_pair = 0.0
     worst_analytic = 0.0
     for surf in _zoo():
-        us, vs = _interior_points(surf, rng, 100)
+        us, vs = surf.domain.sample_interior(rng, 100)
         k = curvature_report_grid(surf.field, us, vs).k
         k_c = np.array([gauss_curvature(surf.field, Point2(u, v)) for u, v in zip(us, vs)])
         worst_pair = max(worst_pair, float(np.max(_rel(k, k_c))))
@@ -175,7 +169,7 @@ def check_conformal_invariance(seed: int) -> CheckResult:
         b = rng.uniform(-0.8, 0.8)
         text = f"exp({a!r}*sin(u) + {b!r}*cos(v))"
         scaled = conformal_scale(surf.field, scalar_field_from_expression(text))
-        us, vs = _interior_points(surf, rng, 200)
+        us, vs = surf.domain.sample_interior(rng, 200)
         for u, v in zip(us, vs):
             p = Point2(float(u), float(v))
             j = complex_structure(eval_metric_jet(surf.field, p).value)

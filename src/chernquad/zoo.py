@@ -25,13 +25,16 @@ c = 0 for the octagon.  theta2 has no du term, so e1 = du/a is the frame
 of the Cholesky coframe that derived and custom fields get.  The
 curvature kernel's two-form then never takes a square root of a metric
 jet, and the sphere's stays accurate to rounding up to the poles.
+Constant metric and coframe components are scalar-channel jets such as
+``Jet2(r * r)``, which the kernel broadcasts over the nodes.
 
 ``BUILTIN_KINDS`` is the one table of these kinds: it maps each to its
 constructor and its parameter keys, and drives ``make_surface``, the
 ``[surface]`` key check of configs and ``chernquad list``.  Parameter
 defaults live only in the constructor signatures.  ``conformal_surface``,
-``perturbed_surface`` and ``twisted_surface`` derive the second metric
-of a ``compare`` run from a surface; they set no coframe.
+``perturbed_surface`` and ``twisted_surface`` (the pullback by
+``metric.twist_metric``) derive the second metric of a ``compare`` run
+from a surface; they set no coframe.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import jets
+from .jets import Jet2
 from .metric import (
     MetricField,
     MetricJet,
@@ -54,9 +58,8 @@ from .metric import (
     conformal_scale,
     metric_field_from_expressions,
     perturb_metric,
-    pullback_metric,
     scalar_field_from_expression,
-    twist_map,
+    twist_metric,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -89,13 +92,11 @@ def sphere(radius: float = 1.0) -> Surface:
     domain = RectDomain(0.0, math.pi, 0.0, TWO_PI, periodic_u=False, periodic_v=True)
 
     def evaluator(u, v):
-        su = jets.var_u(u)
-        one = su * 0.0 + 1.0
-        s = jets.sin(su)
-        return MetricJet(r2 * one, 0.0 * su, r2 * s * s)
+        s = jets.sin(jets.var_u(u))
+        return MetricJet(Jet2(r2), Jet2(0.0), r2 * s * s)
 
     def coframe(u, v):
-        return jets.const(radius), jets.const(0.0), radius * jets.sin(jets.var_u(u))
+        return Jet2(radius), Jet2(0.0), radius * jets.sin(jets.var_u(u))
 
     field = MetricField(domain=domain, evaluator=evaluator, coframe=coframe)
     return Surface(name=f"sphere(R={radius:g})", field=field, expected_chern=2,
@@ -110,13 +111,11 @@ def torus_revolution(big_radius: float = 2.0, small_radius: float = 1.0) -> Surf
     r, R = small_radius, big_radius
 
     def evaluator(u, v):
-        su = jets.var_u(u)
-        one = su * 0.0 + 1.0
-        ring = R + r * jets.cos(su)
-        return MetricJet(r * r * one, 0.0 * su, ring * ring)
+        ring = R + r * jets.cos(jets.var_u(u))
+        return MetricJet(Jet2(r * r), Jet2(0.0), ring * ring)
 
     def coframe(u, v):
-        return jets.const(r), jets.const(0.0), R + r * jets.cos(jets.var_u(u))
+        return Jet2(r), Jet2(0.0), R + r * jets.cos(jets.var_u(u))
 
     field = MetricField(domain=domain, evaluator=evaluator, coframe=coframe)
     return Surface(name=f"torus_revolution(R={R:g},r={r:g})", field=field,
@@ -131,12 +130,10 @@ def flat_torus(a: float = 1.0, b: float = 1.0) -> Surface:
     domain = RectDomain(0.0, TWO_PI, 0.0, TWO_PI, periodic_u=True, periodic_v=True)
 
     def evaluator(u, v):
-        su = jets.var_u(u)
-        one = su * 0.0 + 1.0
-        return MetricJet(a * a * one, 0.0 * su, b * b * one)
+        return MetricJet(Jet2(a * a), Jet2(0.0), Jet2(b * b))
 
     def coframe(u, v):
-        return jets.const(a), jets.const(0.0), jets.const(b)
+        return Jet2(a), Jet2(0.0), Jet2(b)
 
     field = MetricField(domain=domain, evaluator=evaluator, coframe=coframe)
     return Surface(name=f"flat_torus(a={a:g},b={b:g})", field=field, expected_chern=0,
@@ -176,12 +173,12 @@ def poincare_octagon() -> Surface:
         su, sv = jets.var_u(u), jets.var_v(v)
         s = 1.0 - su * su - sv * sv
         h = 4.0 / (s * s)
-        return MetricJet(h, 0.0 * su, h)
+        return MetricJet(h, Jet2(0.0), h)
 
     def coframe(u, v):
         su, sv = jets.var_u(u), jets.var_v(v)
         scale = 2.0 / (1.0 - su * su - sv * sv)
-        return scale, jets.const(0.0), scale
+        return scale, Jet2(0.0), scale
 
     field = MetricField(domain=domain, evaluator=evaluator, coframe=coframe)
     return Surface(name="poincare_octagon", field=field, expected_chern=-2,
@@ -204,7 +201,7 @@ def perturbed_surface(base: Surface, seed: int, amplitude: float) -> Surface:
 
 
 def twisted_surface(base: Surface, amplitude: float) -> Surface:
-    field = pullback_metric(twist_map(amplitude), base.field)
+    field = twist_metric(base.field, amplitude)
     return Surface(name=f"{base.name}|twist({amplitude:g})", field=field,
                    expected_chern=base.expected_chern, analytic_k=None,
                    reference_resolution=base.reference_resolution)

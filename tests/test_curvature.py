@@ -19,7 +19,6 @@ from chernquad.curvature import (
     exact_one_form,
     fd_curl,
     gauss_curvature,
-    gauss_curvature_brioschi,
 )
 from chernquad.errors import DomainMismatchError, PeriodicityError
 from chernquad.metric import (
@@ -78,7 +77,7 @@ def test_gauss_curvature_against_analytic(make, expected):
         p = Point2(float(u), float(v))
         want = expected(u, v)
         assert gauss_curvature(surf.field, p) == pytest.approx(want, rel=1e-9, abs=1e-9)
-        assert gauss_curvature_brioschi(surf.field, p) == pytest.approx(
+        assert curvature_two_form(surf.field, p).k == pytest.approx(
             want, rel=1e-9, abs=1e-9)
 
 
@@ -92,7 +91,7 @@ def test_two_curvature_routes_agree_off_oracle():
     for u, v in zip(us, vs):
         p = Point2(float(u), float(v))
         assert gauss_curvature(field, p) == pytest.approx(
-            gauss_curvature_brioschi(field, p), rel=1e-8, abs=1e-8)
+            curvature_two_form(field, p).k, rel=1e-8, abs=1e-8)
 
 
 # --- curvature operator ------------------------------------------------------
@@ -182,7 +181,7 @@ def test_sphere_two_form_is_exact_up_to_the_poles(radius):
     # metric-jet route loses about 1/sin^2 u of its accuracy
     mpmath = pytest.importorskip("mpmath")
     sample = curvature_sample(sphere(radius).field, QuadratureSpec(256, 512))
-    us, two_form = sample.us, sample.report.two_form_coeff
+    us, two_form = sample.us, sample.two_form
     near = (us < 0.05) | (us > math.pi - 0.05)
     assert near.any()
     eps = np.finfo(float).eps
@@ -254,7 +253,7 @@ def test_curl_of_connection_difference_matches_two_form_change():
         other = curvature_sample(scaled, QuadratureSpec(n, n))
         eta = connection_difference(base, other)
         assert eta.imag_max < 1e-12
-        want = (other.report.two_form_coeff - base.report.two_form_coeff).reshape(n, n)
+        want = (other.two_form - base.two_form).reshape(n, n)
         errs.append(np.max(np.abs(fd_curl(eta, surf.domain) - want)))
     assert errs[-1] < 1e-4
     # central differences are second order: each doubling divides by ~4
