@@ -17,9 +17,11 @@ size changes no bit, as every channel is computed node by node, both
 maxima are maxima and ``reduce_sum`` is exactly rounded.
 
 ``stokes_residual`` integrates the finite-difference exterior derivative
-of a sampled 1-form over a fully periodic chart; for differences of
-connection forms this is the quadrature ghost of the boundary-free
-Stokes argument and must vanish to rounding.
+of a sampled 1-form over a fully periodic chart, the quadrature ghost of
+the boundary-free Stokes argument.  It cannot fail: the periodic
+central-difference curl summed over the grid telescopes to zero for any
+sampled 1-form (random entries of size 100 give below 1e-13 at 16^2 to
+256^2 nodes), so it checks the discretization, not the form.
 """
 
 from __future__ import annotations
@@ -124,7 +126,8 @@ def stokes_residual(form: OneForm, domain: RectDomain) -> float:
 
     The exterior derivative is the central finite-difference curl with
     periodic wrap at the sampling spacing, integrated with the matching
-    trapezoid weights.
+    trapezoid weights.  Each sample enters that sum once with each sign,
+    so the result is rounding error for every ``form``.
     """
     if not isinstance(domain, RectDomain) or not domain.fully_periodic:
         raise PeriodicityError("stokes_residual needs a fully periodic rectangle chart")

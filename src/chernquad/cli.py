@@ -16,9 +16,9 @@ Subcommands:
     run every invariant suite; one line per suite.
 
 Exit codes: 0 success, 1 usage, config, geometry or expression error
-(such as a metric that is not positive definite or a curvature that
-overflows) or a failed allocation, 2 numerical non-convergence (or a
-failed verify suite).
+(such as a non-SPD metric, an overflowing curvature, node counts numpy
+cannot index or an unwritable output path) or a failed allocation, 2
+numerical non-convergence (or a failed verify suite).
 """
 
 from __future__ import annotations
@@ -146,12 +146,10 @@ def _config_from_flags(args, compare=None) -> ExperimentConfig:
 
 
 def _emit(report: experiment.Report, output: OutputSpec) -> int:
-    text = report.render(output.format)
     if output.path:
-        with open(output.path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        experiment.write_text(output.path, report.render(output.format))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report.render(output.format))
     return 2 if report.flagged else 0
 
 
@@ -178,11 +176,10 @@ def main(argv=None) -> int:
             config = load_config(args.config, overrides=args.set)
             if args.timings:
                 config.timings = True
-        report = experiment.run(config)
+        return _emit(experiment.run(config), config.output)
     except (ConfigError, GeometryError, ExprError, MemoryError) as exc:
         print(f"chernquad: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    return _emit(report, config.output)
 
 
 if __name__ == "__main__":

@@ -201,5 +201,13 @@ def _write_grid(path: str, sample: CurvatureSample) -> None:
     else:
         text = ",".join(_GRID_FIELDS) + "\n" + "".join(
             f"{u},{v},{k}\n" for u, v, k in zip(u_col, v_col, k_col))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    write_text(path, text)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an unwritable path is a ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"[output] cannot write: {exc}") from None

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence, Union
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from . import jets
 from .errors import (
@@ -79,7 +80,7 @@ class RectDomain:
         ok_v = self.periodic_v or (self.v_min < p.v < self.v_max)
         return ok_u and ok_v
 
-    def sample_interior(self, rng: np.random.Generator, n: int):
+    def sample_interior(self, rng: Generator, n: int):
         """n interior points, kept INTERIOR_MARGIN of the side length away
         from non-periodic edges (degenerate seams such as sphere poles sit
         on the boundary)."""
@@ -179,7 +180,7 @@ class PolygonDomain:
                 return False
         return True
 
-    def sample_interior(self, rng: np.random.Generator, n: int):
+    def sample_interior(self, rng: Generator, n: int):
         """Rejection-sample n points inside the polygon shrunk about its
         centroid by ``1 - INTERIOR_MARGIN``."""
         c = self.centroid
@@ -405,7 +406,7 @@ def _trig_sum(terms, u: Jet2, v: Jet2) -> Jet2:
     return out
 
 
-def _draw_trig_terms(rng: np.random.Generator, n_terms: int):
+def _draw_trig_terms(rng: Generator, n_terms: int):
     coeffs = rng.uniform(-1.0, 1.0, size=n_terms)
     coeffs = coeffs / np.sum(np.abs(coeffs))
     freqs = rng.integers(0, 3, size=(n_terms, 2))
@@ -431,7 +432,7 @@ def perturb_metric(field: MetricField, seed: int, amplitude: float) -> MetricFie
     """
     if not isinstance(field.domain, RectDomain):
         raise DomainMismatchError("perturb_metric expects a rectangle chart domain")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     psi_terms = _draw_trig_terms(rng, 3)
     chi_terms = _draw_trig_terms(rng, 2)
     a = float(amplitude)

@@ -41,6 +41,7 @@ from .metric import ParamDomain, PolygonDomain, RectDomain, edge_arcs
 _SUM_CHUNK = 1 << 14  # values per list that reduce_sum hands to math.fsum
 
 MIN_NODES = 8
+MAX_NODES = np.iinfo(np.intp).max // 256  # bytes: 4 float64 channels, 8 polygon sectors
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.n_u < MIN_NODES or self.n_v < MIN_NODES:
             raise ValueError(f"node counts must be at least {MIN_NODES}")
+        if self.n_u * self.n_v > MAX_NODES:
+            raise ValueError(f"node counts {self.n_u}x{self.n_v} exceed numpy's limit")
 
 
 # Double-double arithmetic (Dekker 1971): a pair (hi, lo) of floats stands

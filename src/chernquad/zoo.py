@@ -13,9 +13,9 @@ kinds
 ``flat_torus`` {a, b > 0}
     [0, 2pi)^2 periodic; g = diag(a^2, b^2); K = 0; Chern 0.
 ``poincare_octagon``
-    regular hyperbolic octagon (interior angles pi/4) in the unit-disk
-    chart with g = 4 / (1 - u^2 - v^2)^2 * I; K = -1; hyperbolic area
-    4*pi; Chern -2.
+    regular hyperbolic octagon (interior angles pi/4, vertex radius
+    2^(-1/4)) in the unit-disk chart with g = 4 / (1 - u^2 - v^2)^2 * I;
+    K = -1; hyperbolic area 4*pi; Chern -2.
 
 Each builtin field also supplies its coframe theta1 = a du + c dv,
 theta2 = d dv in closed form (see ``MetricField``): a = R, c = 0,
@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import jets
 from .jets import Jet2
@@ -141,24 +140,11 @@ def flat_torus(a: float = 1.0, b: float = 1.0) -> Surface:
                    reference_resolution=(64, 64))
 
 
-def octagon_interior_angle(radius: float) -> float:
-    """Interior angle of the regular hyperbolic octagon with vertices at
-    Euclidean radius ``radius`` in the disk chart (curvature -1).
-
-    Split the central isoceles triangle along its axis: the right
-    hyperbolic triangle with central angle pi/8 and hypotenuse
-    c = 2 artanh(radius) has vertex angle B with cot B = cosh c tan(pi/8),
-    and the interior angle is 2B.
-    """
-    c = 2.0 * math.atanh(radius)
-    return 2.0 * math.atan(1.0 / (math.cosh(c) * math.tan(math.pi / 8.0)))
-
-
 def octagon_vertices() -> tuple[Point2, ...]:
-    """Vertices of the regular hyperbolic octagon with angle sum 2*pi,
-    found by root-finding the interior-angle condition in the vertex radius."""
-    rho = brentq(lambda r: octagon_interior_angle(r) - math.pi / 4.0, 0.1, 0.99,
-                 xtol=1e-15, rtol=8.9e-16)
+    """Vertices of the regular hyperbolic octagon with angle sum 2*pi.  Its
+    central right triangle has hypotenuse c with cosh c = cot(pi/8)
+    cot(alpha/2) = 3 + 2 sqrt(2) at alpha = pi/4, so rho = tanh(c/2) = 2^(-1/4)."""
+    rho = 2.0 ** -0.25
     return tuple(
         Point2(rho * math.cos(k * math.pi / 4.0), rho * math.sin(k * math.pi / 4.0))
         for k in range(8))

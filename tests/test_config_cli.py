@@ -27,6 +27,13 @@ def _write(tmp_path, text, name="exp.cfg"):
     return str(path)
 
 
+def _subprocess_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(chernquad.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # --- config loading -----------------------------------------------------------
 
 def test_load_builtin_config(tmp_path):
@@ -368,21 +375,74 @@ v_max = 1
     (["chern", "--surface", "torus_revolution", "--param", "R=1e200"], None),  # overflow
     (["compare", "--surface", "torus_revolution", "--mode", "perturb",
       "--amplitude", "1e300"], None),  # SPD probe overflows
+    (["chern", "--surface", "sphere", "--grid-out", "/nonexistent/g.csv"], None),
+    (["chern", "--surface", "sphere", "--out", "/nonexistent/r.csv"], None),
+    (["chern", "--surface", "sphere", "--grid-out", "."], None),  # a directory
+    (["report"], "[surface]\nkind = sphere\n[output]\npath = /nonexistent/r.csv\n"),
+    (["report"], "[surface]\nkind = sphere\n[output]\ngrid_path = /nonexistent/g.csv\n"),
+    (["chern", "--surface", "sphere", "--resolution", "99999999999999999999x8"], None),
+    (["chern", "--surface", "poincare_octagon", "--resolution",
+      "4611686018427387904x8"], None),
 ], ids=["metric_overflow", "metric_not_spd", "nonpositive_factor", "factor_domain",
-        "param_overflow", "perturb_overflow"])
+        "param_overflow", "perturb_overflow", "grid_out_missing_dir", "out_missing_dir",
+        "grid_out_is_dir", "config_path_missing_dir", "config_grid_path_missing_dir",
+        "resolution_past_int64", "resolution_past_array_size"])
 def test_bad_inputs_exit_one_without_traceback(argv, config, tmp_path):
     if config is not None:
         argv = argv + ["--config", _write(tmp_path, config)]
-    src = str(Path(chernquad.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "chernquad.cli", *argv], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_subprocess_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.startswith("chernquad: error:"), proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr  # no numpy warnings
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("resolution", ["99999999999999999999x8", "4611686018427387904x8"])
+@pytest.mark.parametrize("kind", sorted(zoo.BUILTIN_KINDS))
+def test_oversized_node_counts_are_rejected_before_any_allocation(kind, resolution,
+                                                                 monkeypatch, capsys):
+    import chernquad.chern
+
+    def refuse(domain, spec):
+        raise AssertionError("nodes were built")
+
+    monkeypatch.setattr(chernquad.chern, "build_nodes", refuse)
+    assert cli.main(["chern", "--surface", kind, "--resolution", resolution]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"chernquad: error: [quadrature] node counts {resolution} "
+                                   "exceed")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+# prints the modules that `import chernquad.cli` loads from where
+# third-party packages live, other than numpy and chernquad
+_IMPORT_PROBE = """
+import os, site, sys, sysconfig
+before = set(sys.modules)
+import chernquad.cli, numpy
+def under(*dirs):
+    return tuple(os.path.realpath(d) + os.sep for d in dirs)
+third_party = under(sysconfig.get_paths()["purelib"], sysconfig.get_paths()["platlib"],
+                    site.getusersitepackages())
+allowed = under(os.path.dirname(numpy.__file__), os.path.dirname(chernquad.__file__))
+paths = {name: getattr(sys.modules[name], "__file__", None) or ""
+         for name in set(sys.modules) - before}
+print(sorted(name for name, path in paths.items()
+             if os.path.realpath(path).startswith(third_party)
+             and not os.path.realpath(path).startswith(allowed)))
+"""
+
+
+def test_cli_imports_numpy_alone():
+    # the package depends on numpy alone
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_failed_allocation_exits_one(monkeypatch, capsys):

@@ -1,16 +1,23 @@
-"""Property test: any expression metric ends in a report or a typed error.
+"""Property tests: any drawn input ends in a report or a typed error.
 
-Metrics are drawn from ``verify._random_expression`` and widened to the
-inputs the curvature kernel must survive: components that overflow, that
-are not positive definite, that vanish or divide by zero, and degenerate
-rectangles or node counts.  Each example runs ``chernquad report``
-in process through ``cli.main``.  It must print one finite report row,
-or exactly one stderr line ``chernquad: error: ...`` with exit 1; any
-exception escaping ``main`` fails the test.
+Two strategies feed ``cli.main`` in process.  The first draws expression
+metrics from ``verify._random_expression``, widened to the inputs the
+curvature kernel must survive: components that overflow, that are not
+positive definite, that vanish or divide by zero, and degenerate
+rectangles or node counts; each runs ``chernquad report``.  The second
+draws ``chern`` and ``compare`` flags: builtin kinds with parameters
+that are nan, infinite, negative or huge, node counts too small or past
+what numpy can index, compare modes with their factor, seed and
+amplitude, the output format, and ``--out``/``--grid-out`` paths that
+are writable or not.  Each example must print one finite report row, or
+exactly one stderr line ``chernquad: error: ...`` with exit 1 and an
+empty stdout; any exception escaping ``main`` fails the test.
 """
 
 import contextlib
+import csv
 import io
+import json
 import math
 import os
 import tempfile
@@ -18,7 +25,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from chernquad import cli, verify
+from chernquad import cli, verify, zoo
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -68,25 +75,104 @@ def _configs(draw):
             + (f"[compare]\n{compare}\n" if compare else ""))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(_configs())
-def test_drawn_metrics_end_in_a_report_or_a_typed_error(text):
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "drawn.cfg")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["report", "--config", path])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
     if code == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("chernquad: error: "), err.getvalue()
         assert out.getvalue() == ""
-        return
-    assert code in (0, 2), code  # 2: a finite row that failed the integrality residual
-    assert err.getvalue() == ""
-    header, row = out.getvalue().splitlines()
-    names, values = header.split(","), row.split(",")
-    assert values[0] == "drawn" and len(values) == len(names)
+    else:
+        assert code in (0, 2), code  # 2: a finite row that failed the integrality residual
+        assert err.getvalue() == ""
+    return code, out.getvalue()
+
+
+def _assert_finite_row(text, fmt="csv"):
+    """The report's surface name, and every other value finite."""
+    if fmt == "json":
+        row = json.loads(text)
+        names, values = list(row), [str(v) for v in row.values()]
+    else:
+        names, values = csv.reader(io.StringIO(text))
+    assert names[0] == "surface" and len(values) == len(names)
     for name, value in zip(names[1:], values[1:]):
         assert math.isfinite(float(value)), (name, value)
+    return values[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_configs())
+def test_drawn_metrics_end_in_a_report_or_a_typed_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, out = _run(["report", "--config", path])
+    if code != 1:
+        assert _assert_finite_row(out) == "drawn"
+
+
+# (usual, bad) choices per flag; bad ones are drawn about one time in four.
+# Bad node counts are too small or past what numpy can index, never merely
+# large, which would allocate for real before failing.
+_VALUES = (("0.5", "1", "3"), ("nan", "inf", "-inf", "-1", "0", "1e200"))
+_RESOLUTIONS = ((None, "8x8", "16x12", "32x16"),
+                ("4x16", "8x0", "99999999999999999999x8", "4611686018427387904x8",
+                 "8x4611686018427387904"))
+_FACTORS = (("exp(0.6*sin(u))", "2+cos(v)", "exp(0.3*cos(u+v))"),
+            ("sin(u)", "log(u-10)", "exp(800*sin(u))", ""))
+_AMPLITUDES = ((None, "0.1", "0.5", "-0.3"), _VALUES[1] + ("1e8",))
+_SEEDS = ((None, "0", "7"), ("-1", str(2 ** 70)))
+# output files, inside the test's temporary directory; "." is the directory
+_PATHS = (("", "out.csv", "out.json"), ("missing/out.csv", "."))
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, --out, --grid-out, --format) for a chern or compare run."""
+    def pick(choices):
+        usual, bad = choices
+        return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 3 else usual))
+
+    kind = draw(st.sampled_from(("torus_revolution", "flat_torus", "sphere",
+                                 "poincare_octagon")))
+    argv = [draw(st.sampled_from(("chern", "compare"))), "--surface", kind]
+    for key in zoo.BUILTIN_KINDS[kind][1]:
+        if draw(st.booleans()):
+            argv += ["--param", f"{key}={pick(_VALUES)}"]
+    resolution = pick(_RESOLUTIONS)
+    if resolution:
+        argv += ["--resolution", resolution]
+    if argv[0] == "compare":
+        argv += ["--mode", draw(st.sampled_from(("twist", "perturb", "conformal"))),
+                 "--factor", pick(_FACTORS)]
+        amplitude, seed = pick(_AMPLITUDES), pick(_SEEDS)
+        if amplitude:  # one word, or argparse takes "-inf" for an option
+            argv.append(f"--amplitude={amplitude}")
+        if seed:
+            argv += ["--seed", seed]
+    fmt = draw(st.sampled_from(("csv", "json")))
+    return argv + ["--format", fmt], pick(_PATHS), pick(_PATHS), fmt
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+def test_drawn_flags_end_in_a_report_or_a_typed_error(drawn):
+    argv, out_path, grid_path, fmt = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        if out_path:
+            argv += ["--out", os.path.join(tmp, out_path)]
+        if grid_path:
+            argv += ["--grid-out", os.path.join(tmp, grid_path)]
+        code, out = _run(argv)
+        if code == 1:
+            return
+        if out_path:
+            assert out == ""
+            with open(os.path.join(tmp, out_path), encoding="utf-8") as handle:
+                out = handle.read()
+        _assert_finite_row(out, fmt)
+        if grid_path:
+            assert os.path.getsize(os.path.join(tmp, grid_path)) > 0

@@ -1,4 +1,8 @@
-"""Builtin surfaces and the hyperbolic octagon geometry oracles."""
+"""Builtin surfaces and the hyperbolic octagon geometry oracles.
+
+The octagon's vertex radius is the closed form 2^(-1/4); the oracles
+below check it from the circle geometry of the edge arcs (each interior
+angle pi/4) and from Gauss-Bonnet (hyperbolic area 4*pi)."""
 
 import math
 
@@ -10,7 +14,6 @@ from chernquad.quadrature import QuadratureSpec, build_nodes, reduce_sum
 from chernquad.zoo import (
     flat_torus,
     make_surface,
-    octagon_interior_angle,
     octagon_vertices,
     poincare_octagon,
     sphere,
@@ -74,7 +77,6 @@ def test_octagon_vertices_radius_and_symmetry():
         assert math.hypot(p.u, p.v) == pytest.approx(rho, abs=1e-12)
         angle = math.atan2(p.v, p.u) % (2 * math.pi)
         assert angle == pytest.approx((k * math.pi / 4.0) % (2 * math.pi), abs=1e-12)
-    assert octagon_interior_angle(rho) == pytest.approx(math.pi / 4.0, abs=1e-13)
 
 
 def test_octagon_angle_sum_oracle():
@@ -82,7 +84,7 @@ def test_octagon_angle_sum_oracle():
     # the edge-arc tangents meeting at the vertex
     dom = poincare_octagon().domain
     arcs = edge_arcs(dom)
-    total = 0.0
+    angles = []
     for k in range(8):
         arc_in, arc_out = arcs[(k - 1) % 8], arcs[k]
         phi_in = arc_in.phi0 + arc_in.dphi
@@ -93,8 +95,10 @@ def test_octagon_angle_sum_oracle():
                  arc_out.radius * arc_out.dphi * math.cos(phi_out))
         turn = math.atan2(t_in[0] * t_out[1] - t_in[1] * t_out[0],
                           t_in[0] * t_out[0] + t_in[1] * t_out[1])
-        total += math.pi - turn
-    assert total == pytest.approx(2.0 * math.pi, abs=1e-10)
+        angles.append(math.pi - turn)
+    for angle in angles:
+        assert angle == pytest.approx(math.pi / 4.0, abs=1e-12)
+    assert sum(angles) == pytest.approx(2.0 * math.pi, abs=1e-10)
 
 
 def test_octagon_hyperbolic_area_is_four_pi():
@@ -105,13 +109,6 @@ def test_octagon_hyperbolic_area_is_four_pi():
     s = 1.0 - us**2 - vs**2
     area = reduce_sum(ws * 4.0 / (s * s))
     assert area == pytest.approx(4.0 * math.pi, abs=1e-9)
-
-
-def test_octagon_interior_angle_is_monotone():
-    # larger octagons are thinner: interior angle decreases in the radius
-    angles = [octagon_interior_angle(r) for r in (0.3, 0.5, 0.7, 0.9)]
-    assert all(a > b for a, b in zip(angles, angles[1:]))
-    assert angles[0] < 3.0 * math.pi / 4.0  # euclidean octagon bound
 
 
 # --- reference resolutions -----------------------------------------------------
