@@ -40,11 +40,11 @@ print("isometry            g(JX, JY) - g(X, Y) =",
 print()
 
 # the tangent plane as a complex line: i acts as J
-h_xy = hermitian_product(g, x, y).as_complex()
-h_jxy = hermitian_product(g, j(x), y).as_complex()
+h_xy = hermitian_product(g, x, y)
+h_jxy = hermitian_product(g, j(x), y)
 print("h(X, Y)  =", h_xy)
 print("h(JX, Y) =", h_jxy, " (equals -i h(X, Y))")
-print("|X|^2 via h(X, X) =", hermitian_product(g, x, x).as_complex())
+print("|X|^2 via h(X, X) =", hermitian_product(g, x, x))
 print()
 
 # scaling by a complex number mixes X and JX

@@ -8,47 +8,12 @@ Chern number; that integer is the Euler characteristic and does not
 move when the metric does.  This package computes every object in that
 chain concretely (jets of metrics, complex structures, connection
 forms, curvature, quadrature) and ships the checks that pin each
-identity down numerically.
+identity down numerically.  The top level exports what the demos and
+README use; everything else is reached through its submodule.
 """
 
-from .jets import Jet2, partial_jet
-from .expressions import (
-    ExprDomainError,
-    ExprError,
-    ExprSyntaxError,
-    eval_jet,
-    parse,
-)
-from .errors import (
-    ConfigError,
-    DomainMismatchError,
-    GeometryError,
-    NonFiniteValueError,
-    NonpositiveFactorError,
-    OrientationMismatchError,
-    PeriodicityError,
-    PointOutsideDomainError,
-    SpdViolationError,
-)
-from .metric import (
-    MetricField,
-    MetricJet,
-    MetricTensor,
-    Point2,
-    PolygonDomain,
-    RectDomain,
-    conformal_scale,
-    eval_metric_grid,
-    eval_metric_jet,
-    metric_field_from_expressions,
-    perturb_metric,
-    scalar_field_from_expression,
-    twist_metric,
-)
+from .metric import MetricTensor, Point2, RectDomain
 from .complex_structure import (
-    AreaFormAtPoint,
-    ComplexStructureTensor,
-    HermitianValue,
     TangentVector,
     area_form,
     bundle_isomorphism,
@@ -56,45 +21,23 @@ from .complex_structure import (
     complex_structure,
     hermitian_product,
     metric_inner,
-    parallelogram_residual,
 )
 from .curvature import (
-    ConnectionForm,
-    CurvatureReport,
-    CurvatureSample,
-    OneForm,
-    christoffels,
     connection_difference,
     connection_form,
-    curvature_operator,
     curvature_report_grid,
     curvature_two_form,
-    exact_one_form,
-    fd_curl,
     gauss_curvature,
 )
-from .quadrature import (
-    QuadratureSpec,
-    build_nodes,
-    domain_measure,
-    integrate_scalar,
-    reduce_sum,
-)
-from .chern import ChernResult, chern_number, curvature_sample, stokes_residual
+from .quadrature import QuadratureSpec
+from .chern import chern_number, stokes_residual
 from .zoo import (
-    Surface,
     conformal_surface,
     custom_surface,
-    flat_torus,
     make_surface,
-    octagon_vertices,
     perturbed_surface,
-    poincare_octagon,
-    sphere,
-    torus_revolution,
     twisted_surface,
 )
-from .config import CompareSpec, ExperimentConfig, OutputSpec, load_config
-from .experiment import Report, run
+from .config import load_config
 
 __version__ = "0.1.0"

@@ -132,6 +132,7 @@ def stokes_residual(form: OneForm, domain: RectDomain) -> float:
     if not isinstance(domain, RectDomain) or not domain.fully_periodic:
         raise PeriodicityError("stokes_residual needs a fully periodic rectangle chart")
     curl = fd_curl(form, domain)
-    h_u = (domain.u_max - domain.u_min) / len(form.us)
-    h_v = (domain.v_max - domain.v_min) / len(form.vs)
+    n_u, n_v = form.eta_u.shape
+    h_u = (domain.u_max - domain.u_min) / n_u
+    h_v = (domain.v_max - domain.v_min) / n_v
     return abs(reduce_sum(curl) * h_u * h_v)

@@ -4,8 +4,8 @@ An SPD metric g and the chart orientation determine an area form with
 matrix W = [[0, a], [-a, 0]], a = sqrt(det g), and a rotation-by-90
 tensor J = -g^{-1} W characterized by g(J X, Y) = area(X, Y).  Together
 they turn each tangent plane into a complex line with hermitian product
-g + i*area.  The constructions here are exact 2x2 algebra; tolerances
-belong to the tests.
+g + i*area, returned as a Python complex.  The constructions here are
+exact 2x2 algebra; tolerances belong to the tests.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ class AreaFormAtPoint:
 
     coeff: float
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[0.0, self.coeff], [-self.coeff, 0.0]])
-
     def __call__(self, x: TangentVector, y: TangentVector) -> float:
         return self.coeff * (x.x1 * y.x2 - x.x2 * y.x1)
 
@@ -53,15 +50,6 @@ class ComplexStructureTensor:
     def __call__(self, x: TangentVector) -> TangentVector:
         out = self.m @ x.array()
         return TangentVector(float(out[0]), float(out[1]))
-
-
-@dataclass(frozen=True)
-class HermitianValue:
-    re: float
-    im: float
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
 
 
 def area_form(g: MetricTensor) -> AreaFormAtPoint:
@@ -81,10 +69,10 @@ def metric_inner(g: MetricTensor, x: TangentVector, y: TangentVector) -> float:
     return float(x.array() @ g.matrix() @ y.array())
 
 
-def hermitian_product(g: MetricTensor, x: TangentVector, y: TangentVector) -> HermitianValue:
+def hermitian_product(g: MetricTensor, x: TangentVector, y: TangentVector) -> complex:
     """g(X, Y) + i * area(X, Y), conjugate-linear in X and complex-linear
     in Y for the J action: h(JX, Y) = -i h(X, Y), h(X, JY) = i h(X, Y)."""
-    return HermitianValue(metric_inner(g, x, y), area_form(g)(x, y))
+    return complex(metric_inner(g, x, y), area_form(g)(x, y))
 
 
 def complex_scale(j: ComplexStructureTensor, c: complex, x: TangentVector) -> TangentVector:

@@ -3,7 +3,7 @@
 The unitary frame is e1 = du/|du|, e2 = J e1 for the hermitian
 structure; metric compatibility makes the connection form in that frame
 purely imaginary, omega = i * (b_u du + b_v dv) with real
-b_a = FRAME_SIGN * g(nabla_a e1, e2).  The two-form coefficient
+b_a = g(nabla_a e1, e2).  The two-form coefficient
 
     two_form_coeff = -(d_u b_v - d_v b_u)
 
@@ -30,11 +30,10 @@ plain arrays of jet channels:
 ``identity_residual`` compares the two routes.  alpha_max, the
 hermiticity residual max|g(nabla_a e1, e1)|, comes from Christoffel
 values, which need only first metric derivatives.  The Jet2 Christoffel
-route (``christoffels``, ``curvature_operator``, ``gauss_curvature``,
-``connection_form``) takes first derivatives of Christoffel symbols from
-second metric derivatives, and stays as the independent pointwise oracle
-of the tests and ``verify``.  ``curvature_two_form`` is a one-node call
-of the grid kernel.
+route (``gauss_curvature``, ``connection_form``) takes first derivatives
+of Christoffel symbols from second metric derivatives, and stays as the
+independent pointwise oracle of the tests and ``verify``.
+``curvature_two_form`` is a one-node call of the grid kernel.
 
 A ``CurvatureSample`` (built by ``chern.curvature_sample``) keeps of the
 kernel's output only what its readers read: the two-form and K * sqrt(det g)
@@ -49,25 +48,11 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import jets
-from .complex_structure import TangentVector
 from .errors import DomainMismatchError, PeriodicityError
 from .jets import Jet2, partial_jet
 from .metric import (MetricField, MetricJet, ParamDomain, Point2, RectDomain,
                      eval_metric_grid, eval_metric_jet)
-from .quadrature import QuadratureSpec, build_nodes
-
-# Overall sign of the Christoffel oracle's connection coefficients.  The
-# structure equations fix the kernel's sign; the calibration tests pin
-# both: the unit sphere must give b_v = +cos(theta), two_form_coeff =
-# +sin(theta) and Chern number +2 for the chart orientation du^dv.
-FRAME_SIGN = 1.0
-
-
-@dataclass(frozen=True)
-class Christoffels:
-    """gamma[k][i][j] = Gamma^k_{ij}, symmetric in the lower pair."""
-
-    gamma: np.ndarray  # shape (2, 2, 2)
+from .quadrature import QuadratureSpec
 
 
 @dataclass(frozen=True)
@@ -110,10 +95,9 @@ def identity_residual(two_form, k_area) -> float:
 
 @dataclass(frozen=True)
 class OneForm:
-    """A 1-form sampled on a periodic rectangle grid (u-major arrays)."""
+    """A 1-form sampled on a periodic rectangle grid, as (n_u, n_v)
+    arrays indexed [u, v]."""
 
-    us: np.ndarray
-    vs: np.ndarray
     eta_u: np.ndarray
     eta_v: np.ndarray
     imag_max: float = 0.0
@@ -190,9 +174,9 @@ def _connection_coeffs(g, det, inv, gamma):
         i = 0 if axis == "u" else 1
         w0 = partial_jet(f, axis) + f * gamma[0][i][0]
         w1 = f * gamma[1][i][0]
-        b = FRAME_SIGN * (g[0][0] * w0 * e2[0]
-                          + g[0][1] * (w0 * e2[1] + w1 * e2[0])
-                          + g[1][1] * w1 * e2[1])
+        b = (g[0][0] * w0 * e2[0]
+             + g[0][1] * (w0 * e2[1] + w1 * e2[0])
+             + g[1][1] * w1 * e2[1])
         alpha = (g[0][0].val * w0.val + g[0][1].val * w1.val) * f.val
         bs.append(b)
         alphas.append(alpha)
@@ -264,42 +248,6 @@ def _kernel(field: MetricField, mjet: MetricJet, us, vs) -> CurvatureReport:
 # public entry points
 
 
-def christoffels(mjet: MetricJet) -> Christoffels:
-    """Gamma^k_{ij} = g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) / 2."""
-    _, _, _, gamma = _inverse_and_gamma(mjet)
-    out = np.empty((2, 2, 2))
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                out[k, i, j] = gamma[k][i][j].val
-    return Christoffels(out)
-
-
-def curvature_operator(field: MetricField, p: Point2, x: TangentVector,
-                       y: TangentVector, z: TangentVector) -> TangentVector:
-    """R(X, Y)Z with R(di, dj)dk = (d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
-    + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}) dl."""
-    mjet = eval_metric_jet(field, p)
-    _, _, _, gamma = _inverse_and_gamma(mjet)
-
-    def dgamma(l, a, i, j):
-        entry = gamma[l][i][j]
-        return entry.du if a == 0 else entry.dv
-
-    xs, ys, zs = x.array(), y.array(), z.array()
-    out = np.zeros(2)
-    for l in range(2):
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    coeff = dgamma(l, i, j, k) - dgamma(l, j, i, k)
-                    for m in range(2):
-                        coeff += (gamma[l][i][m].val * gamma[m][j][k].val
-                                  - gamma[l][j][m].val * gamma[m][i][k].val)
-                    out[l] += coeff * xs[i] * ys[j] * zs[k]
-    return TangentVector(float(out[0]), float(out[1]))
-
-
 def gauss_curvature(field: MetricField, p: Point2) -> float:
     """Sectional curvature of the chart plane, K = g(R(X,Y)Y, X) /
     (g(X,X) g(Y,Y) - g(X,Y)^2) with X = du, Y = dv."""
@@ -328,18 +276,6 @@ def curvature_report_grid(field: MetricField, us: np.ndarray,
     return _kernel(field, eval_metric_grid(field, us, vs), us, vs)
 
 
-def _periodic_one_form(domain: ParamDomain, spec: QuadratureSpec, us: np.ndarray,
-                       vs: np.ndarray, eta_u, eta_v, imag_max: float = 0.0) -> OneForm:
-    """A OneForm from flat u-major values on ``build_nodes(domain, spec)``."""
-    if not (isinstance(domain, RectDomain) and domain.fully_periodic):
-        raise PeriodicityError("one-forms are sampled on the uniform grid of a fully "
-                               "periodic rectangle chart")
-    shape = (spec.n_u, spec.n_v)
-    return OneForm(us=us.reshape(shape)[:, 0], vs=vs.reshape(shape)[0],
-                   eta_u=np.reshape(eta_u, shape), eta_v=np.reshape(eta_v, shape),
-                   imag_max=imag_max)
-
-
 def connection_difference(sample: CurvatureSample,
                           sample_prime: CurvatureSample) -> OneForm:
     """eta = -i*(omega - omega') = b - b' from two samples on the same
@@ -352,26 +288,23 @@ def connection_difference(sample: CurvatureSample,
     """
     if (sample.domain, sample.spec) != (sample_prime.domain, sample_prime.spec):
         raise DomainMismatchError("connection_difference needs samples on the same nodes")
-    return _periodic_one_form(sample.domain, sample.spec, sample.us, sample.vs,
-                              sample.b_u - sample_prime.b_u, sample.b_v - sample_prime.b_v,
-                              imag_max=max(sample.alpha_max, sample_prime.alpha_max))
+    domain = sample.domain
+    if not (isinstance(domain, RectDomain) and domain.fully_periodic):
+        raise PeriodicityError("one-forms are sampled on the uniform grid of a fully "
+                               "periodic rectangle chart")
+    shape = (sample.spec.n_u, sample.spec.n_v)
+    return OneForm(eta_u=np.reshape(sample.b_u - sample_prime.b_u, shape),
+                   eta_v=np.reshape(sample.b_v - sample_prime.b_v, shape),
+                   imag_max=max(sample.alpha_max, sample_prime.alpha_max))
 
 
 def fd_curl(form: OneForm, domain: RectDomain) -> np.ndarray:
     """d_u eta_v - d_v eta_u by central differences with periodic wrap;
     the step is the grid spacing."""
-    h_u = (domain.u_max - domain.u_min) / len(form.us)
-    h_v = (domain.v_max - domain.v_min) / len(form.vs)
+    n_u, n_v = form.eta_u.shape
+    h_u = (domain.u_max - domain.u_min) / n_u
+    h_v = (domain.v_max - domain.v_min) / n_v
     d_u = (np.roll(form.eta_v, -1, axis=0) - np.roll(form.eta_v, 1, axis=0)) / (2.0 * h_u)
     d_v = (np.roll(form.eta_u, -1, axis=1) - np.roll(form.eta_u, 1, axis=1)) / (2.0 * h_v)
     return d_u - d_v
 
-
-def exact_one_form(domain: RectDomain, potential, n_u: int, n_v: int) -> OneForm:
-    """d(potential) sampled on the periodic grid; potential maps jet seeds
-    to a jet (use jets.sin and friends)."""
-    spec = QuadratureSpec(n_u, n_v)
-    us, vs, _ = build_nodes(domain, spec)
-    p = potential(jets.var_u(us), jets.var_v(vs))
-    return _periodic_one_form(domain, spec, us, vs, np.broadcast_to(p.du, us.shape),
-                              np.broadcast_to(p.dv, us.shape))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from dataclasses import dataclass
 
@@ -136,8 +137,14 @@ def run(config: ExperimentConfig) -> Report:
     non-convergence is reported in the row and via ``flagged``, never
     raised.
     """
+    output = config.output
+    if output.path and output.grid_path and _same_file(output.path, output.grid_path):
+        raise ConfigError("[output] path and grid_path name the same file")
     surface = build_surface(config)
     spec = _quadrature_spec(config, surface)
+    if config.compare is not None and not (isinstance(surface.domain, RectDomain)
+                                           and surface.domain.fully_periodic):
+        raise ConfigError("[compare] comparison requires a fully periodic domain")
     start = time.perf_counter()
 
     result = chern_number(surface, spec=spec)
@@ -154,16 +161,13 @@ def run(config: ExperimentConfig) -> Report:
     flagged = not result.converged
 
     if config.compare is not None:
-        domain = surface.domain
-        if not (isinstance(domain, RectDomain) and domain.fully_periodic):
-            raise ConfigError("[compare] comparison requires a fully periodic domain")
         other = derived_surface(surface, config.compare)
         result_prime = chern_number(other, spec=spec)
         eta = connection_difference(result.sample, result_prime.sample)
         fieldnames = BASE_FIELDS + COMPARE_FIELDS
         row["raw_chern_prime"] = result_prime.raw
         row["delta_raw"] = result_prime.raw - result.raw
-        row["stokes_residual"] = stokes_residual(eta, domain)
+        row["stokes_residual"] = stokes_residual(eta, surface.domain)
         row["eta_realness_max"] = eta.imag_max
         flagged = flagged or not result_prime.converged
 
@@ -171,8 +175,8 @@ def run(config: ExperimentConfig) -> Report:
         fieldnames = fieldnames + ("runtime_ms",)
         row["runtime_ms"] = (time.perf_counter() - start) * 1000.0
 
-    if config.output.grid_path:
-        _write_grid(config.output.grid_path, result.sample)
+    if output.grid_path:
+        _write_grid(output.grid_path, result.sample)
 
     return Report(fieldnames=fieldnames, row=row, flagged=flagged)
 
@@ -202,6 +206,13 @@ def _write_grid(path: str, sample: CurvatureSample) -> None:
         text = ",".join(_GRID_FIELDS) + "\n" + "".join(
             f"{u},{v},{k}\n" for u, v, k in zip(u_col, v_col, k_col))
     write_text(path, text)
+
+
+def _same_file(path: str, other: str) -> bool:
+    try:
+        return os.path.realpath(path) == os.path.realpath(other)
+    except ValueError:  # a NUL byte: write_text reports the path
+        return False
 
 
 def write_text(path: str, text: str) -> None:

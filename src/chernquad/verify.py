@@ -43,8 +43,8 @@ from .quadrature import (
     integrate_scalar,
     reduce_sum,
 )
-from .zoo import Surface, conformal_surface, flat_torus, poincare_octagon, sphere, torus_revolution
-from . import experiment
+from .zoo import Surface, conformal_surface, flat_torus, poincare_octagon, torus_revolution
+from . import experiment, zoo
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class CheckResult:
 
 
 def _zoo() -> tuple[Surface, ...]:
-    return (sphere(1.0), torus_revolution(2.0, 1.0), flat_torus(1.0, 1.0),
-            poincare_octagon())
+    return tuple(constructor() for constructor, _ in zoo.BUILTIN_KINDS.values())
 
 
 def _rel(a, b) -> np.ndarray:

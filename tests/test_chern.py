@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chernquad import chern, jets, quadrature, verify
+from chernquad import chern, quadrature, verify
 from chernquad.chern import ChernResult, chern_number, curvature_sample, stokes_residual
-from chernquad.curvature import (connection_difference, connection_form, curvature_report_grid,
-                                 exact_one_form, gauss_curvature)
+from chernquad.curvature import (OneForm, connection_difference, connection_form,
+                                 curvature_report_grid, gauss_curvature)
 from chernquad.errors import NonFiniteValueError, PeriodicityError
 from chernquad.metric import (
     Point2,
@@ -97,19 +97,21 @@ def test_stokes_residual_of_connection_difference_vanishes():
 
 
 def test_stokes_residual_of_exact_form_vanishes():
+    # d(sin u cos v) on the 64 x 64 nodes of the periodic square
     dom = RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi,
                      periodic_u=True, periodic_v=True)
-    form = exact_one_form(dom, lambda u, v: jets.sin(u) * jets.cos(v), 64, 64)
+    us, vs, _ = build_nodes(dom, QuadratureSpec(64, 64))
+    u, v = us.reshape(64, 64), vs.reshape(64, 64)
+    form = OneForm(eta_u=np.cos(u) * np.cos(v), eta_v=-np.sin(u) * np.sin(v))
     assert stokes_residual(form, dom) < 1e-10
 
 
 def test_stokes_residual_rejects_nonperiodic_charts():
     surf = sphere(1.0)  # periodic in v only
     dom = RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi, periodic_v=True)
-    form = exact_one_form(
-        RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi,
-                   periodic_u=True, periodic_v=True),
-        lambda u, v: jets.sin(u), 16, 16)
+    # d(sin u) on a 16 x 16 grid; the chart check comes before any value is read
+    u = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)[:, None]
+    form = OneForm(eta_u=np.cos(u) + np.zeros((16, 16)), eta_v=np.zeros((16, 16)))
     with pytest.raises(PeriodicityError):
         stokes_residual(form, surf.domain)
     with pytest.raises(PeriodicityError):

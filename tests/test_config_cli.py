@@ -383,13 +383,19 @@ v_max = 1
     (["chern", "--surface", "sphere", "--resolution", "99999999999999999999x8"], None),
     (["chern", "--surface", "poincare_octagon", "--resolution",
       "4611686018427387904x8"], None),
+    (["chern", "--surface", "sphere", "--out", "same.csv", "--grid-out", "./same.csv"], None),
+    (["report"], "[surface]\nkind = sphere\n[output]\npath = same.csv\n"
+                 "grid_path = ./same.csv\n"),
+    (["compare", "--surface", "sphere", "--mode", "twist"], None),
 ], ids=["metric_overflow", "metric_not_spd", "nonpositive_factor", "factor_domain",
         "param_overflow", "perturb_overflow", "grid_out_missing_dir", "out_missing_dir",
         "grid_out_is_dir", "config_path_missing_dir", "config_grid_path_missing_dir",
-        "resolution_past_int64", "resolution_past_array_size"])
+        "resolution_past_int64", "resolution_past_array_size", "out_is_grid_out",
+        "config_path_is_grid_path", "compare_not_fully_periodic"])
 def test_bad_inputs_exit_one_without_traceback(argv, config, tmp_path):
     if config is not None:
         argv = argv + ["--config", _write(tmp_path, config)]
+    files = sorted(tmp_path.iterdir())
     proc = subprocess.run([sys.executable, "-m", "chernquad.cli", *argv], cwd=tmp_path,
                           env=_subprocess_env(), capture_output=True, text=True,
                           timeout=120)
@@ -398,6 +404,29 @@ def test_bad_inputs_exit_one_without_traceback(argv, config, tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr  # no numpy warnings
     assert proc.stdout == ""
+    assert sorted(tmp_path.iterdir()) == files  # no report or grid written
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["compare", "--surface", "sphere", "--mode", "twist"],
+     "[compare] comparison requires a fully periodic domain"),
+    (["compare", "--surface", "poincare_octagon", "--mode", "perturb"],
+     "[compare] comparison requires a fully periodic domain"),
+    (["chern", "--surface", "sphere", "--out", "same.csv", "--grid-out", "./same.csv"],
+     "[output] path and grid_path name the same file"),
+], ids=["compare_sphere", "compare_octagon", "out_is_grid_out"])
+def test_config_conflicts_are_rejected_before_any_quadrature(argv, message, tmp_path,
+                                                            monkeypatch, capsys):
+    def refuse(surface, spec=None):
+        raise AssertionError("a Chern number was computed")
+
+    monkeypatch.setattr(experiment, "chern_number", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"chernquad: error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("resolution", ["99999999999999999999x8", "4611686018427387904x8"])

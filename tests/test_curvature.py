@@ -1,4 +1,4 @@
-"""Christoffels, curvature oracles, connection forms, and the two-form."""
+"""Curvature oracles, connection forms, the two-form, and sampled one-forms."""
 
 import dataclasses
 import math
@@ -6,17 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from chernquad import jets
-from chernquad.chern import curvature_sample
-from chernquad.complex_structure import TangentVector
+from chernquad.chern import curvature_sample, stokes_residual
 from chernquad.curvature import (
-    christoffels,
+    OneForm,
     connection_difference,
     connection_form,
-    curvature_operator,
     curvature_report_grid,
     curvature_two_form,
-    exact_one_form,
     fd_curl,
     gauss_curvature,
 )
@@ -25,11 +21,10 @@ from chernquad.metric import (
     Point2,
     RectDomain,
     conformal_scale,
-    eval_metric_jet,
     metric_field_from_expressions,
     scalar_field_from_expression,
 )
-from chernquad.quadrature import QuadratureSpec
+from chernquad.quadrature import QuadratureSpec, build_nodes
 from chernquad.zoo import BUILTIN_KINDS, flat_torus, poincare_octagon, sphere, torus_revolution
 
 
@@ -38,25 +33,6 @@ TWO_PI = 2 * math.pi
 
 def _periodic_square():
     return RectDomain(0.0, TWO_PI, 0.0, TWO_PI, periodic_u=True, periodic_v=True)
-
-
-# --- Christoffel symbols -----------------------------------------------------
-
-def test_sphere_christoffels_closed_form():
-    # ds^2 = du^2 + sin(u)^2 dv^2: Gamma^u_vv = -sin u cos u, Gamma^v_uv = cot u
-    surf = sphere(1.0)
-    u = 1.1
-    jet = eval_metric_jet(surf.field, Point2(u, 0.5))
-    gamma = christoffels(jet).gamma
-    assert gamma[0, 1, 1] == pytest.approx(-math.sin(u) * math.cos(u), rel=1e-12)
-    assert gamma[1, 0, 1] == pytest.approx(math.cos(u) / math.sin(u), rel=1e-12)
-    assert gamma[1, 1, 0] == gamma[1, 0, 1]  # symmetric lower pair
-    assert gamma[0, 0, 0] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_flat_metric_christoffels_vanish():
-    jet = eval_metric_jet(flat_torus(2.0, 3.0).field, Point2(1.0, 1.0))
-    assert christoffels(jet).gamma == pytest.approx(np.zeros((2, 2, 2)), abs=1e-15)
 
 
 # --- Gauss curvature oracles -------------------------------------------------
@@ -94,39 +70,15 @@ def test_two_curvature_routes_agree_off_oracle():
             curvature_two_form(field, p).k, rel=1e-8, abs=1e-8)
 
 
-# --- curvature operator ------------------------------------------------------
-
-def test_curvature_operator_symmetries():
-    surf = torus_revolution(2.0, 1.0)
-    p = Point2(0.8, 1.3)
-    rng = np.random.default_rng(2)
-    x = TangentVector(*rng.normal(size=2))
-    y = TangentVector(*rng.normal(size=2))
-    z = TangentVector(*rng.normal(size=2))
-    rxy = curvature_operator(surf.field, p, x, y, z)
-    ryx = curvature_operator(surf.field, p, y, x, z)
-    assert (rxy.x1, rxy.x2) == pytest.approx((-ryx.x1, -ryx.x2), abs=1e-12)
-    rxx = curvature_operator(surf.field, p, x, x, z)
-    assert (rxx.x1, rxx.x2) == pytest.approx((0.0, 0.0), abs=1e-12)
-
-
-def test_curvature_operator_recovers_k():
-    # g(R(du, dv)dv, du) = K det g
-    surf = sphere(1.0)
-    p = Point2(0.9, 0.4)
-    du, dv = TangentVector(1.0, 0.0), TangentVector(0.0, 1.0)
-    r = curvature_operator(surf.field, p, du, dv, dv)
-    jet = eval_metric_jet(surf.field, p)
-    g = jet.value
-    num = g.g11 * r.x1 + g.g12 * r.x2
-    assert num / g.det == pytest.approx(gauss_curvature(surf.field, p), rel=1e-12)
-
-
 # --- connection form and two-form ---------------------------------------------
 
 def test_sphere_connection_form_calibration():
     # in the frame e1 = d_theta, e2 = J e1 the only nonzero coefficient is
-    # b_phi = cos(theta); this pins the global sign convention
+    # b_phi = cos(theta); this pins the global sign convention.  The
+    # structure equations fix the kernel's sign, and this test and the
+    # sphere's two-form and Chern number pin both routes: the unit sphere
+    # must give b_v = +cos(theta), two_form_coeff = +sin(theta) and Chern
+    # number +2 for the chart orientation du^dv
     surf = sphere(1.0)
     theta = math.pi / 3
     form = connection_form(surf.field, Point2(theta, 1.0))
@@ -260,11 +212,49 @@ def test_curl_of_connection_difference_matches_two_form_change():
     assert errs[0] / errs[1] > 3.0 and errs[1] / errs[2] > 3.0
 
 
+def _grid(dom, n_u, n_v):
+    """u and v on the nodes of the chart, as (n_u, n_v) arrays."""
+    us, vs, _ = build_nodes(dom, QuadratureSpec(n_u, n_v))
+    return us.reshape(n_u, n_v), vs.reshape(n_u, n_v)
+
+
 def test_exact_one_form_has_zero_curl():
+    # d(sin u cos v): on a square grid both central differences carry the
+    # same factor sin(h)/h, so the curl cancels to rounding
     dom = _periodic_square()
-    form = exact_one_form(dom, lambda u, v: jets.sin(u) * jets.cos(v), 64, 64)
+    u, v = _grid(dom, 64, 64)
+    form = OneForm(eta_u=np.cos(u) * np.cos(v), eta_v=-np.sin(u) * np.sin(v))
     assert np.max(np.abs(fd_curl(form, dom))) < 1e-3
-    # and the sampled components are the analytic gradient
-    uu, vv = np.meshgrid(form.us, form.vs, indexing="ij")
-    assert form.eta_u == pytest.approx(np.cos(uu) * np.cos(vv), abs=1e-14)
-    assert form.eta_v == pytest.approx(-np.sin(uu) * np.sin(vv), abs=1e-14)
+
+
+def _sinc(x):
+    return math.sin(x) / x
+
+
+# a 2pi x 4pi chart at 64 x 32 nodes: the steps are 2pi/64 and 4pi/32, so a
+# swapped n_u and n_v would take both steps wrong by a factor of 2
+_WIDE = RectDomain(0.0, TWO_PI, 0.0, 2 * TWO_PI, periodic_u=True, periodic_v=True)
+_H_U, _H_V = TWO_PI / 64, 2 * TWO_PI / 32
+
+
+def test_fd_curl_of_gradient_on_a_non_square_grid():
+    # d(sin u cos(v/2)): the central differences of the two components carry
+    # sinc(h_u) and sinc(h_v/2), so the curl is exactly
+    # -cos u sin(v/2) (sinc(h_u) - sinc(h_v/2)) / 2, the truncation error
+    u, v = _grid(_WIDE, 64, 32)
+    form = OneForm(eta_u=np.cos(u) * np.cos(v / 2), eta_v=-0.5 * np.sin(u) * np.sin(v / 2))
+    curl = fd_curl(form, _WIDE)
+    gap = _sinc(_H_U) - _sinc(_H_V / 2)
+    assert np.max(np.abs(curl)) <= 0.5 * abs(gap) + 1e-14
+    assert np.max(np.abs(curl + 0.5 * np.cos(u) * np.sin(v / 2) * gap)) < 1e-13
+    assert stokes_residual(form, _WIDE) < 1e-10
+
+
+def test_fd_curl_of_a_non_closed_form_on_a_non_square_grid():
+    # eta = (sin(v/2), sin u) has d eta = (cos u - cos(v/2)/2) du^dv; the
+    # central differences read it as cos u sinc(h_u) - cos(v/2) sinc(h_v/2) / 2
+    u, v = _grid(_WIDE, 64, 32)
+    curl = fd_curl(OneForm(eta_u=np.sin(v / 2), eta_v=np.sin(u)), _WIDE)
+    want = np.cos(u) * _sinc(_H_U) - 0.5 * np.cos(v / 2) * _sinc(_H_V / 2)
+    assert np.max(np.abs(curl - want)) < 1e-13
+    assert np.max(np.abs(curl - (np.cos(u) - 0.5 * np.cos(v / 2)))) < 1e-2
