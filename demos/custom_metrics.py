@@ -18,8 +18,7 @@ from chernquad import (
     load_config,
 )
 from chernquad import experiment
-from chernquad.metric import PolygonDomain
-from chernquad.zoo import octagon_vertices
+from chernquad.metric import OctagonDomain
 
 # a conformally flat torus: K integrates to zero whatever the factor
 dom = RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi,
@@ -31,8 +30,7 @@ result = chern_number(bumpy)
 print(f"{bumpy.name}: raw = {result.raw:+.3e}, rounded = {result.rounded}")
 
 # the hyperbolic octagon metric, written as expressions
-octo = custom_surface("handwritten_octagon",
-                      PolygonDomain(octagon_vertices()),
+octo = custom_surface("handwritten_octagon", OctagonDomain(),
                       "4/(1 - u^2 - v^2)^2", "0", "4/(1 - u^2 - v^2)^2")
 result = chern_number(octo)
 print(f"{octo.name}: raw = {result.raw:+.15f}, rounded = {result.rounded}")

@@ -8,7 +8,8 @@ A config describes exactly one experiment.  Sections:
     expressions ``g11``/``g12``/``g22`` (quoted strings in the
     expression grammar) on ``domain = rect`` (bounds ``u_min`` ...
     ``v_max`` and ``periodic_u``/``periodic_v`` flags) or
-    ``domain = octagon`` (the geodesic octagon chart).
+    ``domain = octagon`` (the fixed geodesic octagon chart, which takes
+    none of the rect keys).
 ``[quadrature]``
     ``n_u``/``n_v`` node counts.  The rules follow the domain: the
     trapezoid rule on periodic axes, Gauss-Legendre otherwise.
@@ -181,15 +182,15 @@ def _surface_from(cp) -> tuple[str, dict, Optional[CustomSurfaceSpec]]:
     if kind != "custom":
         raise ConfigError(f"[surface] unknown kind {kind!r}")
 
-    known = ("name", "domain", "g11", "g12", "g22",
-             *_RECT_KEYS, "periodic_u", "periodic_v")
-    _reject_unknown("surface", opts, known)
-    for comp in ("g11", "g12", "g22"):
-        if comp not in opts:
-            raise ConfigError(f"[surface] custom metric requires {comp}")
     domain_kind = _strip_quotes(opts.get("domain", "rect"))
     if domain_kind not in ("rect", "octagon"):
         raise ConfigError(f"[surface] domain must be rect or octagon, got {domain_kind!r}")
+    # the octagon chart is fixed: bounds and periodic flags belong to rect
+    rect_keys = (*_RECT_KEYS, "periodic_u", "periodic_v") if domain_kind == "rect" else ()
+    _reject_unknown("surface", opts, ("name", "domain", "g11", "g12", "g22", *rect_keys))
+    for comp in ("g11", "g12", "g22"):
+        if comp not in opts:
+            raise ConfigError(f"[surface] custom metric requires {comp}")
     bounds = (0.0, 1.0, 0.0, 1.0)
     if domain_kind == "rect":
         missing = [k for k in _RECT_KEYS if k not in opts]

@@ -16,8 +16,8 @@ two-form and K * sqrt(det g) by two independent closed-form routes on
 plain arrays of jet channels:
 
 * Cartan.  The coframe theta1 = a du + c dv, theta2 = d dv is dual to
-  (e1, e2).  Its jets come from the field's ``coframe`` when it has one
-  (exact for the builtin surfaces), else from the Cholesky factor of
+  (e1, e2).  Its jets are the metric jet's ``coframe`` when it carries
+  one (exact for the builtin surfaces), else the Cholesky factor of
   the metric jets, a = sqrt(E), c = F/a, d = sqrt(EG - F^2)/a.  The
   structure equations (do Carmo, *Differential Forms and
   Applications*, ch. 5) give b_u = (d_u c - d_v a)/d and
@@ -234,11 +234,9 @@ def _alpha_max(mjet: MetricJet, det) -> float:
     return worst
 
 
-def _kernel(field: MetricField, mjet: MetricJet, us, vs) -> CurvatureReport:
-    coframe = _cholesky_coframe(mjet) if field.coframe is None else field.coframe(us, vs)
-    b_u, b_v, two_form = _cartan(*coframe)
+def _kernel(mjet: MetricJet, shape) -> CurvatureReport:
+    b_u, b_v, two_form = _cartan(*(mjet.coframe or _cholesky_coframe(mjet)))
     k, det = _brioschi_k(mjet)
-    shape = np.broadcast(us, vs).shape
     return CurvatureReport(*(np.broadcast_to(c, shape)
                              for c in (k, np.sqrt(det), two_form, b_u, b_v)),
                            _alpha_max(mjet, det))
@@ -265,7 +263,7 @@ def connection_form(field: MetricField, p: Point2) -> ConnectionForm:
 
 def curvature_two_form(field: MetricField, p: Point2) -> CurvatureReport:
     """The grid kernel's report at one point, with the domain check."""
-    rep = _kernel(field, eval_metric_jet(field, p), p.u, p.v)
+    rep = _kernel(eval_metric_jet(field, p), ())
     return CurvatureReport(*(float(c) for c in astuple(rep)))
 
 
@@ -273,7 +271,7 @@ def curvature_report_grid(field: MetricField, us: np.ndarray,
                           vs: np.ndarray) -> CurvatureReport:
     """Vectorized CurvatureReport; array channels shaped like the input."""
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
-    return _kernel(field, eval_metric_grid(field, us, vs), us, vs)
+    return _kernel(eval_metric_grid(field, us, vs), np.broadcast(us, vs).shape)
 
 
 def connection_difference(sample: CurvatureSample,

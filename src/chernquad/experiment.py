@@ -26,14 +26,13 @@ from .chern import chern_number, stokes_residual
 from .config import CustomSurfaceSpec, ExperimentConfig
 from .curvature import CurvatureSample, connection_difference
 from .errors import ConfigError
-from .metric import PolygonDomain, RectDomain
+from .metric import OctagonDomain, RectDomain
 from .quadrature import QuadratureSpec
 from .zoo import (
     Surface,
     conformal_surface,
     custom_surface,
     make_surface,
-    octagon_vertices,
     perturbed_surface,
     twisted_surface,
 )
@@ -85,7 +84,7 @@ class Report:
 
 def _custom_domain(spec: CustomSurfaceSpec):
     if spec.domain_kind == "octagon":
-        return PolygonDomain(octagon_vertices())
+        return OctagonDomain()
     u0, u1, v0, v1 = spec.bounds
     try:
         return RectDomain(u0, u1, v0, v1,
@@ -189,7 +188,7 @@ def _write_grid(path: str, sample: CurvatureSample) -> None:
     """K * sqrt(det g) on the quadrature nodes of ``sample``, as JSON
     arrays or CSV rows (numeric fields never need CSV quoting).  The
     nodes of a rectangle chart are a u-major product grid, so each
-    distinct u and v is formatted once and repeated; polygon nodes are
+    distinct u and v is formatted once and repeated; octagon nodes are
     formatted one by one."""
     k_col = _format(sample.k_area)
     if isinstance(sample.domain, RectDomain):

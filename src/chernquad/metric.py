@@ -1,12 +1,14 @@
 """Chart domains and metric tensor fields with second-order jets.
 
 A surface is presented by a single chart: a parameter domain (rectangle
-with optional periodic axes, or a geodesic polygon of the Poincare
-disk) together with a smooth field of symmetric positive-definite 2x2
-matrices.  Every field evaluation returns a :class:`MetricJet`, the
-metric components as :class:`~chernquad.jets.Jet2` values, so
-downstream curvature formulas get first and second metric derivatives
-that are exact to rounding.
+with optional periodic axes, or the regular geodesic octagon of the
+Poincare disk) together with a smooth field of symmetric
+positive-definite 2x2 matrices.  Every field evaluation returns a
+:class:`MetricJet`, the metric components as
+:class:`~chernquad.jets.Jet2` values, so downstream curvature formulas
+get first and second metric derivatives that are exact to rounding.  A
+builtin evaluator also puts its exact coframe on the jet, computed from
+the same subexpressions as the metric it factors.
 
 Transformations produce new fields from old ones:
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 from numpy.random import Generator, default_rng
@@ -68,8 +70,10 @@ class RectDomain:
     periodic_v: bool = False
 
     def __post_init__(self):
-        if not (self.u_min < self.u_max and self.v_min < self.v_max):
-            raise ValueError("degenerate rectangle: need u_min < u_max and v_min < v_max")
+        du, dv = self.u_max - self.u_min, self.v_max - self.v_min
+        if not (du > 0.0 and dv > 0.0 and du * dv < math.inf):  # NaN fails each test
+            raise ValueError("degenerate rectangle: need u_min < u_max, v_min < v_max "
+                             "and a finite area")
 
     @property
     def fully_periodic(self) -> bool:
@@ -93,46 +97,29 @@ class RectDomain:
         return us, vs
 
 
-def _segments_cross(a, b, c, d) -> bool:
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    return (o1 * o2 < 0) and (o3 * o4 < 0)
+def octagon_vertices() -> tuple[Point2, ...]:
+    """Vertices of the regular hyperbolic octagon with angle sum 2*pi.  Its
+    central right triangle has hypotenuse c with cosh c = cot(pi/8)
+    cot(alpha/2) = 3 + 2 sqrt(2) at alpha = pi/4, so rho = tanh(c/2) = 2^(-1/4)."""
+    rho = 2.0 ** -0.25
+    return tuple(
+        Point2(rho * math.cos(k * math.pi / 4.0), rho * math.sin(k * math.pi / 4.0))
+        for k in range(8))
 
 
 @dataclass(frozen=True)
-class PolygonDomain:
-    """Geodesic polygon of the Poincare disk chart.
+class OctagonDomain:
+    """The regular geodesic octagon of the Poincare disk chart.
 
-    The vertices lie strictly inside the unit disk, and the sides are
-    not chords but the circular arcs orthogonal to the unit circle
-    through consecutive vertices, i.e. hyperbolic geodesics.  Those arcs
-    bow toward the disk center, so the region is a strict subset of the
-    straight-edge polygon on the same vertices.  The region must be
-    star-shaped about the vertex centroid (true for the regular
-    fundamental domains this package ships).
+    Its vertices (``octagon_vertices``) lie strictly inside the unit
+    disk, and its sides are not chords but the circular arcs orthogonal
+    to the unit circle through consecutive vertices, i.e. hyperbolic
+    geodesics.  Those arcs bow toward the disk center, so the region is a
+    strict subset of the straight-edge octagon on the same vertices, and
+    it is star-shaped about the vertex centroid.
     """
 
-    vertices: tuple[Point2, ...]
-
-    def __post_init__(self):
-        verts = self.vertices
-        if len(verts) < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        for p in verts:
-            if p.u * p.u + p.v * p.v >= 1.0:
-                raise ValueError("polygon vertices must lie strictly inside the unit disk")
-        n = len(verts)
-        pts = [(p.u, p.v) for p in verts]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(i - j) in (1, n - 1):
-                    continue
-                if _segments_cross(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]):
-                    raise ValueError("polygon must be simple (non-self-intersecting)")
-        edge_arcs(self)  # fail fast on degenerate edges
+    vertices: ClassVar[tuple[Point2, ...]] = octagon_vertices()
 
     @property
     def centroid(self) -> Point2:
@@ -157,23 +144,12 @@ class PolygonDomain:
             total -= arc.radius * arc.radius * (phi - math.sin(phi)) / 2.0
         return total
 
-    def _inside_chords(self, p: Point2) -> bool:
-        # crossing-number test, strict interior
-        inside = False
-        n = len(self.vertices)
-        for i in range(n):
-            a, b = self.vertices[i], self.vertices[(i + 1) % n]
-            if (a.v > p.v) != (b.v > p.v):
-                x_cross = a.u + (p.v - a.v) * (b.u - a.u) / (b.v - a.v)
-                if p.u < x_cross:
-                    inside = not inside
-        return inside
-
     def contains(self, p: Point2) -> bool:
-        if not self._inside_chords(p):
+        """Strictly inside: in the unit disk and outside every edge circle
+        (each circle bounds a hyperbolic half-plane whose far side holds
+        the region, and the octagon is their intersection)."""
+        if p.u * p.u + p.v * p.v >= 1.0:
             return False
-        # interior points lie outside every edge circle (each circle
-        # bounds a hyperbolic half-plane whose far side holds the region)
         for arc in edge_arcs(self):
             du, dv = p.u - arc.cu, p.v - arc.cv
             if du * du + dv * dv <= arc.radius * arc.radius:
@@ -181,7 +157,7 @@ class PolygonDomain:
         return True
 
     def sample_interior(self, rng: Generator, n: int):
-        """Rejection-sample n points inside the polygon shrunk about its
+        """Rejection-sample n points inside the octagon shrunk about its
         centroid by ``1 - INTERIOR_MARGIN``."""
         c = self.centroid
         scale = 1.0 - INTERIOR_MARGIN
@@ -195,8 +171,7 @@ class PolygonDomain:
             v = rng.uniform(lo_v, hi_v)
             # p sits in the scaled region iff its preimage under the
             # scaling about the centroid sits in the full region
-            q = Point2(c.u + (u - c.u) / scale, c.v + (v - c.v) / scale)
-            if (q.u * q.u + q.v * q.v) < 1.0 and self.contains(q):
+            if self.contains(Point2(c.u + (u - c.u) / scale, c.v + (v - c.v) / scale)):
                 us.append(u)
                 vs.append(v)
         return np.array(us), np.array(vs)
@@ -214,7 +189,7 @@ class EdgeArc:
 
 
 @functools.lru_cache(maxsize=None)
-def edge_arcs(domain: PolygonDomain) -> tuple[EdgeArc, ...]:
+def edge_arcs(domain: OctagonDomain) -> tuple[EdgeArc, ...]:
     """Per-edge circles orthogonal to the unit circle.
 
     The circle through an interior point p and its inversion p/|p|^2 is
@@ -228,8 +203,6 @@ def edge_arcs(domain: PolygonDomain) -> tuple[EdgeArc, ...]:
     for k in range(len(verts)):
         p, q = verts[k], verts[(k + 1) % len(verts)]
         det = 4.0 * (p.u * q.v - p.v * q.u)
-        if abs(det) < 1e-14:
-            raise ValueError("geodesic edge through the disk center has no arc form")
         rp = p.u * p.u + p.v * p.v + 1.0
         rq = q.u * q.u + q.v * q.v + 1.0
         cu = (2.0 * q.v * rp - 2.0 * p.v * rq) / det
@@ -241,7 +214,7 @@ def edge_arcs(domain: PolygonDomain) -> tuple[EdgeArc, ...]:
     return tuple(arcs)
 
 
-ParamDomain = Union[RectDomain, PolygonDomain]
+ParamDomain = Union[RectDomain, OctagonDomain]
 
 
 def _finite_min(values) -> str:
@@ -282,15 +255,26 @@ class MetricTensor:
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric components with their first and second chart derivatives.
+    """Metric components with their first and second chart derivatives,
+    and optionally an exact coframe.
 
     The mixed partial is a single jet channel, so the two differentiation
     orders agree identically for closed-form evaluators.
+
+    ``coframe``, when given, holds the jets (a, c, d) of the coframe
+    theta1 = a du + c dv, theta2 = d dv with a, d > 0, so that a^2 = g11,
+    a*c = g12 and c^2 + d^2 = g22.  theta2 must have no du term: then
+    e1 = du/a is the frame of the Cholesky coframe the curvature kernel
+    builds when ``coframe`` is None, and connection forms from either
+    source live in one frame.  A closed-form coframe spares the kernel
+    the square roots of the metric jets, which lose accuracy where det g
+    degenerates (the sphere's poles).
     """
 
     g11: Jet2
     g12: Jet2
     g22: Jet2
+    coframe: tuple[Jet2, Jet2, Jet2] | None = dataclass_field(default=None, compare=False)
 
     @property
     def value(self) -> MetricTensor:
@@ -298,28 +282,17 @@ class MetricJet:
 
 
 MetricEvaluator = Callable[[Channel, Channel], MetricJet]
-CoframeEvaluator = Callable[[Channel, Channel], tuple[Jet2, Jet2, Jet2]]
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """A metric evaluator over a chart domain, and optionally its coframe.
+    """A metric evaluator over a chart domain.
 
     ``evaluator`` must be a pure function accepting floats or arrays.
-    ``coframe``, when given, is a pure function of the same kind
-    returning the jets (a, c, d) of the coframe theta1 = a du + c dv,
-    theta2 = d dv with a, d > 0, so that a^2 = g11, a*c = g12 and
-    c^2 + d^2 = g22.  theta2 must have no du term: then e1 = du/a is
-    the frame of the Cholesky coframe the curvature kernel builds when
-    ``coframe`` is None, and connection forms from either source live
-    in one frame.  A closed-form coframe spares the kernel the square
-    roots of the metric jets, which lose accuracy where det g degenerates
-    (the sphere's poles).
     """
 
     domain: ParamDomain
     evaluator: MetricEvaluator = dataclass_field(repr=False)
-    coframe: CoframeEvaluator | None = dataclass_field(default=None, repr=False)
 
 
 def eval_metric_jet(field: MetricField, p: Point2) -> MetricJet:

@@ -4,8 +4,8 @@ The chart picks the rule.  Rectangles take a tensor-product rule whose
 axis rules follow the domain's periodicity: the trapezoid rule on a
 periodic axis (uniform nodes, spectrally accurate for smooth periodic
 integrands) and Gauss-Legendre otherwise, which keeps nodes off
-boundary seams such as the sphere poles.  Geodesic polygons are a fan
-of curved sectors about the vertex centroid: each sector is the image
+boundary seams such as the sphere poles.  The geodesic octagon is a
+fan of curved sectors about the vertex centroid: each sector is the image
 of the unit square under
 (s, t) -> centroid + s * (arc(t) - centroid), integrated by a tensor
 Gauss-Legendre rule against the exact Jacobian, which keeps the region
@@ -36,19 +36,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import ParamDomain, PolygonDomain, RectDomain, edge_arcs
+from .metric import OctagonDomain, ParamDomain, RectDomain, edge_arcs
 
 _SUM_CHUNK = 1 << 14  # values per list that reduce_sum hands to math.fsum
 
 MIN_NODES = 8
-MAX_NODES = np.iinfo(np.intp).max // 256  # bytes: 4 float64 channels, 8 polygon sectors
+MAX_NODES = np.iinfo(np.intp).max // 256  # bytes: 4 float64 channels, 8 octagon sectors
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Node counts per axis; the domain picks the rule (see build_nodes).
 
-    On polygons ``n_u`` and ``n_v`` are the radial and arc Gauss node
+    On the octagon ``n_u`` and ``n_v`` are the radial and arc Gauss node
     counts per fan sector.
     """
 
@@ -190,7 +190,7 @@ def _axis_rule(periodic: bool, lo: float, hi: float, n: int):
     return lo + half * (x + 1.0), half * w
 
 
-def _sector_nodes(domain: PolygonDomain, n_s: int, n_t: int):
+def _sector_nodes(domain: OctagonDomain, n_s: int, n_t: int):
     c = domain.centroid
     x_s, w_s = _axis_rule(False, 0.0, 1.0, n_s)
     x_t, w_t = _axis_rule(False, 0.0, 1.0, n_t)

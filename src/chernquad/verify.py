@@ -216,13 +216,12 @@ def check_metric_independence(seed: int) -> CheckResult:
 
 def check_quadrature(seed: int) -> CheckResult:
     problems = []
-    from .zoo import octagon_vertices
-    from .metric import PolygonDomain, RectDomain
+    from .metric import OctagonDomain, RectDomain
 
     domains = (
         flat_torus(1.0, 1.0).domain,
         RectDomain(0.0, 1.0, -1.0, 2.0),
-        PolygonDomain(octagon_vertices()),
+        OctagonDomain(),
     )
     for dom in domains:
         us, vs, ws = build_nodes(dom, QuadratureSpec(16, 16))

@@ -17,16 +17,18 @@ kinds
     2^(-1/4)) in the unit-disk chart with g = 4 / (1 - u^2 - v^2)^2 * I;
     K = -1; hyperbolic area 4*pi; Chern -2.
 
-Each builtin field also supplies its coframe theta1 = a du + c dv,
-theta2 = d dv in closed form (see ``MetricField``): a = R, c = 0,
-d = R sin u for the sphere; a = r, c = 0, d = R + r cos u for the torus;
-constant a, d and c = 0 for the flat torus; a = d = 2 / (1 - u^2 - v^2),
-c = 0 for the octagon.  theta2 has no du term, so e1 = du/a is the frame
-of the Cholesky coframe that derived and custom fields get.  The
+Each builtin evaluator also puts its coframe theta1 = a du + c dv,
+theta2 = d dv on the metric jet it returns (see ``MetricJet``), built
+from the same subexpression as the metric: a = R, c = 0, d = R sin u
+for the sphere; a = r, c = 0, d = R + r cos u for the torus; constant
+a, d and c = 0 for the flat torus; a = d = 2 / (1 - u^2 - v^2), c = 0
+for the octagon.  theta2 has no du term, so e1 = du/a is the frame of
+the Cholesky coframe that derived and custom fields get.  The
 curvature kernel's two-form then never takes a square root of a metric
 jet, and the sphere's stays accurate to rounding up to the poles.
 Constant metric and coframe components are scalar-channel jets such as
-``Jet2(r * r)``, which the kernel broadcasts over the nodes.
+``Jet2(r * r)``, which the kernel broadcasts over the nodes.  The
+octagon's chart is ``metric.OctagonDomain``.
 
 ``BUILTIN_KINDS`` is the one table of these kinds: it maps each to its
 constructor and its parameter keys, and drives ``make_surface``, the
@@ -34,7 +36,7 @@ constructor and its parameter keys, and drives ``make_surface``, the
 defaults live only in the constructor signatures.  ``conformal_surface``,
 ``perturbed_surface`` and ``twisted_surface`` (the pullback by
 ``metric.twist_metric``) derive the second metric of a ``compare`` run
-from a surface; they set no coframe.
+from a surface; their jets carry no coframe.
 """
 
 from __future__ import annotations
@@ -50,9 +52,8 @@ from .jets import Jet2
 from .metric import (
     MetricField,
     MetricJet,
+    OctagonDomain,
     ParamDomain,
-    Point2,
-    PolygonDomain,
     RectDomain,
     conformal_scale,
     metric_field_from_expressions,
@@ -85,38 +86,34 @@ class Surface:
 
 
 def sphere(radius: float = 1.0) -> Surface:
-    if radius <= 0:
-        raise ValueError("sphere radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("sphere radius must be positive and finite")
     r2 = radius * radius
     domain = RectDomain(0.0, math.pi, 0.0, TWO_PI, periodic_u=False, periodic_v=True)
 
     def evaluator(u, v):
         s = jets.sin(jets.var_u(u))
-        return MetricJet(Jet2(r2), Jet2(0.0), r2 * s * s)
+        return MetricJet(Jet2(r2), Jet2(0.0), r2 * s * s,
+                         coframe=(Jet2(radius), Jet2(0.0), radius * s))
 
-    def coframe(u, v):
-        return Jet2(radius), Jet2(0.0), radius * jets.sin(jets.var_u(u))
-
-    field = MetricField(domain=domain, evaluator=evaluator, coframe=coframe)
+    field = MetricField(domain=domain, evaluator=evaluator)
     return Surface(name=f"sphere(R={radius:g})", field=field, expected_chern=2,
                    analytic_k=lambda u, v: np.broadcast_to(1.0 / r2, np.shape(u)),
                    reference_resolution=(64, 128))
 
 
 def torus_revolution(big_radius: float = 2.0, small_radius: float = 1.0) -> Surface:
-    if not big_radius > small_radius > 0:
-        raise ValueError("torus of revolution needs R > r > 0")
+    if not math.inf > big_radius > small_radius > 0.0:
+        raise ValueError("torus of revolution needs finite R > r > 0")
     domain = RectDomain(0.0, TWO_PI, 0.0, TWO_PI, periodic_u=True, periodic_v=True)
     r, R = small_radius, big_radius
 
     def evaluator(u, v):
         ring = R + r * jets.cos(jets.var_u(u))
-        return MetricJet(Jet2(r * r), Jet2(0.0), ring * ring)
+        return MetricJet(Jet2(r * r), Jet2(0.0), ring * ring,
+                         coframe=(Jet2(r), Jet2(0.0), ring))
 
-    def coframe(u, v):
-        return Jet2(r), Jet2(0.0), R + r * jets.cos(jets.var_u(u))
-
-    field = MetricField(domain=domain, evaluator=evaluator, coframe=coframe)
+    field = MetricField(domain=domain, evaluator=evaluator)
     return Surface(name=f"torus_revolution(R={R:g},r={r:g})", field=field,
                    expected_chern=0,
                    analytic_k=lambda u, v: np.cos(u) / (r * (R + r * np.cos(u))),
@@ -124,49 +121,33 @@ def torus_revolution(big_radius: float = 2.0, small_radius: float = 1.0) -> Surf
 
 
 def flat_torus(a: float = 1.0, b: float = 1.0) -> Surface:
-    if a <= 0 or b <= 0:
-        raise ValueError("flat torus needs positive side scales")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError("flat torus needs positive finite side scales")
     domain = RectDomain(0.0, TWO_PI, 0.0, TWO_PI, periodic_u=True, periodic_v=True)
 
     def evaluator(u, v):
-        return MetricJet(Jet2(a * a), Jet2(0.0), Jet2(b * b))
+        return MetricJet(Jet2(a * a), Jet2(0.0), Jet2(b * b),
+                         coframe=(Jet2(a), Jet2(0.0), Jet2(b)))
 
-    def coframe(u, v):
-        return Jet2(a), Jet2(0.0), Jet2(b)
-
-    field = MetricField(domain=domain, evaluator=evaluator, coframe=coframe)
+    field = MetricField(domain=domain, evaluator=evaluator)
     return Surface(name=f"flat_torus(a={a:g},b={b:g})", field=field, expected_chern=0,
                    analytic_k=lambda u, v: np.zeros(np.shape(u)),
                    reference_resolution=(64, 64))
 
 
-def octagon_vertices() -> tuple[Point2, ...]:
-    """Vertices of the regular hyperbolic octagon with angle sum 2*pi.  Its
-    central right triangle has hypotenuse c with cosh c = cot(pi/8)
-    cot(alpha/2) = 3 + 2 sqrt(2) at alpha = pi/4, so rho = tanh(c/2) = 2^(-1/4)."""
-    rho = 2.0 ** -0.25
-    return tuple(
-        Point2(rho * math.cos(k * math.pi / 4.0), rho * math.sin(k * math.pi / 4.0))
-        for k in range(8))
-
-
 def poincare_octagon() -> Surface:
     # the geodesic octagon is the true fundamental domain, whose
     # hyperbolic area 4*pi carries the Chern number -2
-    domain = PolygonDomain(octagon_vertices())
+    domain = OctagonDomain()
 
     def evaluator(u, v):
         su, sv = jets.var_u(u), jets.var_v(v)
         s = 1.0 - su * su - sv * sv
         h = 4.0 / (s * s)
-        return MetricJet(h, Jet2(0.0), h)
+        scale = 2.0 / s
+        return MetricJet(h, Jet2(0.0), h, coframe=(scale, Jet2(0.0), scale))
 
-    def coframe(u, v):
-        su, sv = jets.var_u(u), jets.var_v(v)
-        scale = 2.0 / (1.0 - su * su - sv * sv)
-        return scale, Jet2(0.0), scale
-
-    field = MetricField(domain=domain, evaluator=evaluator, coframe=coframe)
+    field = MetricField(domain=domain, evaluator=evaluator)
     return Surface(name="poincare_octagon", field=field, expected_chern=-2,
                    analytic_k=lambda u, v: np.full(np.shape(u), -1.0),
                    reference_resolution=(32, 32))

@@ -112,6 +112,8 @@ def test_malformed_overrides_rejected(tmp_path, override):
      "domain = rect\n", "u_min"),
     ("[surface]\nkind = sphere\n[output]\nformat = yaml\n", "format"),
     ("[surface]\nkind = sphere\n[compare]\nmode = conformal\n", "factor"),
+    ("[surface]\nkind = custom\ng11 = \"1\"\ng12 = \"0\"\ng22 = \"1\"\n"
+     "domain = octagon\nu_min = 5\n", "unknown key 'u_min'"),
 ])
 def test_semantic_errors_name_the_problem(tmp_path, text, fragment):
     path = _write(tmp_path, text)
@@ -387,11 +389,17 @@ v_max = 1
     (["report"], "[surface]\nkind = sphere\n[output]\npath = same.csv\n"
                  "grid_path = ./same.csv\n"),
     (["compare", "--surface", "sphere", "--mode", "twist"], None),
+    (["report"], _BAD_METRIC_CFG.format(g11="1").replace("v_max = 1", "v_max = inf")),
+    (["report"], _BAD_METRIC_CFG.format(g11="1").replace("v_min = 0", "v_min = -1e308")
+                                                .replace("v_max = 1", "v_max = 1e308")),
+    (["report"], _BAD_METRIC_CFG.format(g11="1").replace("u_max = 1", "u_max = 1e200")
+                                                .replace("v_max = 1", "v_max = 1e200")),
 ], ids=["metric_overflow", "metric_not_spd", "nonpositive_factor", "factor_domain",
         "param_overflow", "perturb_overflow", "grid_out_missing_dir", "out_missing_dir",
         "grid_out_is_dir", "config_path_missing_dir", "config_grid_path_missing_dir",
         "resolution_past_int64", "resolution_past_array_size", "out_is_grid_out",
-        "config_path_is_grid_path", "compare_not_fully_periodic"])
+        "config_path_is_grid_path", "compare_not_fully_periodic", "rect_side_infinite",
+        "rect_side_overflows", "rect_area_overflows"])
 def test_bad_inputs_exit_one_without_traceback(argv, config, tmp_path):
     if config is not None:
         argv = argv + ["--config", _write(tmp_path, config)]
@@ -414,7 +422,9 @@ def test_bad_inputs_exit_one_without_traceback(argv, config, tmp_path):
      "[compare] comparison requires a fully periodic domain"),
     (["chern", "--surface", "sphere", "--out", "same.csv", "--grid-out", "./same.csv"],
      "[output] path and grid_path name the same file"),
-], ids=["compare_sphere", "compare_octagon", "out_is_grid_out"])
+    (["chern", "--surface", "sphere", "--param", "R=nan"],
+     "[surface] sphere radius must be positive and finite"),
+], ids=["compare_sphere", "compare_octagon", "out_is_grid_out", "param_nan"])
 def test_config_conflicts_are_rejected_before_any_quadrature(argv, message, tmp_path,
                                                             monkeypatch, capsys):
     def refuse(surface, spec=None):

@@ -17,7 +17,9 @@ from chernquad.curvature import (
     gauss_curvature,
 )
 from chernquad.errors import DomainMismatchError, PeriodicityError
+from chernquad import jets
 from chernquad.metric import (
+    MetricField,
     Point2,
     RectDomain,
     conformal_scale,
@@ -25,7 +27,8 @@ from chernquad.metric import (
     scalar_field_from_expression,
 )
 from chernquad.quadrature import QuadratureSpec, build_nodes
-from chernquad.zoo import BUILTIN_KINDS, flat_torus, poincare_octagon, sphere, torus_revolution
+from chernquad.zoo import (BUILTIN_KINDS, conformal_surface, flat_torus, perturbed_surface,
+                           poincare_octagon, sphere, torus_revolution, twisted_surface)
 
 
 TWO_PI = 2 * math.pi
@@ -150,10 +153,10 @@ def test_sphere_two_form_is_exact_up_to_the_poles(radius):
 ], ids=[*BUILTIN_KINDS, "sphere_R3", "thin_torus", "flat_torus_1x2"])
 def test_builtin_coframe_reproduces_its_metric(make):
     field = make().field
-    assert field.coframe is not None
     us, vs = field.domain.sample_interior(np.random.default_rng(8), 40)
     mjet = field.evaluator(us, vs)
-    a, c, d = field.coframe(us, vs)
+    assert mjet.coframe is not None
+    a, c, d = mjet.coframe
     # a^2 = E, a*c = F, c^2 + d^2 = G through second derivatives
     for got, want in ((a * a, mjet.g11), (a * c, mjet.g12), (c * c + d * d, mjet.g22)):
         for channel in ("val", "du", "dv", "duu", "duv", "dvv"):
@@ -162,9 +165,43 @@ def test_builtin_coframe_reproduces_its_metric(make):
             assert np.all(np.abs(x - y) <= 1e-13 * (1.0 + np.abs(y))), channel
     # theta2 = d dv, so the exact and the Cholesky coframes share e1 = du/a
     exact = curvature_report_grid(field, us, vs)
-    cholesky = curvature_report_grid(dataclasses.replace(field, coframe=None), us, vs)
+    twin = MetricField(field.domain, lambda u, v: dataclasses.replace(field.evaluator(u, v),
+                                                                      coframe=None))
+    cholesky = curvature_report_grid(twin, us, vs)
     assert np.max(np.abs(exact.b_u - cholesky.b_u)) <= 1e-13
     assert np.max(np.abs(exact.b_v - cholesky.b_v)) <= 1e-13
+
+
+@pytest.mark.parametrize("make,name", [(lambda: torus_revolution(2.0, 1.0), "cos"),
+                                       (lambda: sphere(1.0), "sin")],
+                         ids=["torus", "sphere"])
+def test_builtin_metric_and_coframe_share_one_evaluation(make, name, monkeypatch):
+    # the coframe rides on the metric jet, so a grid call takes the
+    # trigonometric jet of u once, not once for the metric and once more
+    # for its coframe
+    field = make().field
+    calls = []
+    original = getattr(jets, name)
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(jets, name, counting)
+    curvature_report_grid(field, np.array([0.5, 1.0, 2.0]), np.array([0.0, 1.0, 3.0]))
+    assert len(calls) == 1
+
+
+def test_derived_and_expression_fields_carry_no_coframe():
+    fields = [metric_field_from_expressions(_periodic_square(), "2 + sin(u)", "0", "1")]
+    for kind in ("sphere", "torus_revolution", "flat_torus"):
+        base = BUILTIN_KINDS[kind][0]()
+        fields += [conformal_surface(base, "exp(0.6*sin(u))").field,
+                   perturbed_surface(base, 1, 0.1).field,
+                   twisted_surface(base, 0.3).field]
+    us, vs = np.array([0.5, 1.0, 2.0]), np.array([0.0, 1.0, 3.0])
+    for field in fields:
+        assert field.evaluator(us, vs).coframe is None
 
 
 # --- connection differences ---------------------------------------------------

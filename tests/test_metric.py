@@ -13,8 +13,8 @@ from chernquad.errors import (
 )
 from chernquad.metric import (
     MetricTensor,
+    OctagonDomain,
     Point2,
-    PolygonDomain,
     RectDomain,
     conformal_scale,
     edge_arcs,
@@ -26,7 +26,7 @@ from chernquad.metric import (
     twist_metric,
 )
 from chernquad.verify import _fd_jet
-from chernquad.zoo import flat_torus, octagon_vertices, sphere, torus_revolution
+from chernquad.zoo import flat_torus, sphere, torus_revolution
 
 
 # --- domains ---------------------------------------------------------------
@@ -47,51 +47,14 @@ def test_rect_sample_interior_respects_margins():
     assert np.all((vs >= 0.0) & (vs < 2 * math.pi))
 
 
-def test_polygon_validation():
-    with pytest.raises(ValueError):
-        PolygonDomain((Point2(0, 0), Point2(1, 0)))
-    with pytest.raises(ValueError):
-        PolygonDomain((Point2(0, 0), Point2(2.0, 0), Point2(0, 0.5)))  # outside disk
-    bowtie = (Point2(-0.5, -0.5), Point2(0.5, 0.5),
-              Point2(0.5, -0.5), Point2(-0.5, 0.5))
-    with pytest.raises(ValueError):
-        PolygonDomain(bowtie)
-
-
-def _chord_ring_area(dom, chords=4096):
-    """Shoelace area of the polygon through ``chords`` points per edge arc."""
-    pts = []
-    for arc in edge_arcs(dom):
-        phi = arc.phi0 + arc.dphi * np.linspace(0.0, 1.0, chords + 1)[:-1]
-        pts.append(np.column_stack([arc.cu + arc.radius * np.cos(phi),
-                                    arc.cv + arc.radius * np.sin(phi)]))
-    x, y = np.concatenate(pts).T
-    return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 def _vertex_shoelace(dom):
     x = np.array([p.u for p in dom.vertices])
     y = np.array([p.v for p in dom.vertices])
     return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def test_polygon_shoelace_area_and_contains():
-    square = PolygonDomain((Point2(-0.5, -0.5), Point2(0.5, -0.5),
-                            Point2(0.5, 0.5), Point2(-0.5, 0.5)))
-    assert square.area() == pytest.approx(_chord_ring_area(square), rel=1e-6)
-    assert _vertex_shoelace(square) == pytest.approx(1.0)
-    assert square.area() < 1.0
-    assert square.contains(Point2(0.0, 0.0))
-    assert not square.contains(Point2(0.7, 0.0))
-    # inside the chord u = 0.5 but outside the arc, whose nearest point
-    # to the center is at u ~ 0.382
-    assert not square.contains(Point2(0.45, 0.0))
-    us, vs = square.sample_interior(np.random.default_rng(1), 200)
-    assert np.all(np.abs(us) < 0.5) and np.all(np.abs(vs) < 0.5)
-
-
 def test_geodesic_octagon_edges_are_orthogonal_circles():
-    dom = PolygonDomain(octagon_vertices())
+    dom = OctagonDomain()
     arcs = edge_arcs(dom)
     assert len(arcs) == 8
     verts = dom.vertices
@@ -106,7 +69,7 @@ def test_geodesic_octagon_edges_are_orthogonal_circles():
 
 
 def test_geodesic_octagon_is_strict_subset_of_chords():
-    curved = PolygonDomain(octagon_vertices())
+    curved = OctagonDomain()
     assert curved.area() < _vertex_shoelace(curved)
     # a point just inside the chord midpoint lies between arc and chord
     a, b = curved.vertices[0], curved.vertices[1]
@@ -118,9 +81,13 @@ def test_geodesic_octagon_is_strict_subset_of_chords():
         assert curved.contains(Point2(u, v))
 
 
-def test_geodesic_edge_through_center_rejected():
-    with pytest.raises(ValueError):
-        PolygonDomain((Point2(-0.5, 0.0), Point2(0.5, 0.0), Point2(0.0, 0.5)))
+def test_octagon_contains_stops_at_its_vertices():
+    # along each vertex direction the region ends at the vertex radius
+    # 2^(-1/4), where two edge circles meet
+    dom = OctagonDomain()
+    for vertex in dom.vertices:
+        assert dom.contains(Point2(0.999 * vertex.u, 0.999 * vertex.v))
+        assert not dom.contains(Point2(1.001 * vertex.u, 1.001 * vertex.v))
 
 
 # --- tensors and fields ----------------------------------------------------

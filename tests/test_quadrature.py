@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chernquad.metric import Point2, PolygonDomain, RectDomain
+from chernquad.metric import OctagonDomain, Point2, RectDomain
 from chernquad.quadrature import (
     QuadratureSpec,
     _axis_rule,
@@ -15,7 +15,6 @@ from chernquad.quadrature import (
     integrate_scalar,
     reduce_sum,
 )
-from chernquad.zoo import octagon_vertices
 
 TWO_PI = 2 * math.pi
 
@@ -38,9 +37,7 @@ def test_for_domain_picks_rules_from_periodicity():
 @pytest.mark.parametrize("domain", [
     RectDomain(0.0, TWO_PI, 0.0, TWO_PI, periodic_u=True, periodic_v=True),
     RectDomain(0.0, math.pi, 0.0, TWO_PI, periodic_v=True),
-    PolygonDomain(octagon_vertices()),
-    PolygonDomain((Point2(-0.5, -0.5), Point2(0.5, -0.5),
-                   Point2(0.5, 0.5), Point2(-0.5, 0.5))),
+    OctagonDomain(),
 ])
 def test_weights_positive_and_sum_to_measure(domain):
     spec = QuadratureSpec(16, 16)
@@ -112,7 +109,7 @@ def test_gauss_rule_matches_40_digit_reference(n):
 def test_geodesic_octagon_weight_sum_matches_chord_limit():
     # independent oracle: polygonalize every arc into 4096 chords and take
     # the shoelace area of the resulting near-curved polygon
-    dom = PolygonDomain(octagon_vertices())
+    dom = OctagonDomain()
     from chernquad.metric import edge_arcs
     pts = []
     for arc in edge_arcs(dom):
@@ -129,7 +126,7 @@ def test_geodesic_octagon_weight_sum_matches_chord_limit():
 
 
 def test_geodesic_weight_sum_independent_of_resolution():
-    dom = PolygonDomain(octagon_vertices())
+    dom = OctagonDomain()
     sums = [reduce_sum(build_nodes(dom, QuadratureSpec(n, n))[2])
             for n in (8, 16, 32)]
     assert sums[0] == pytest.approx(sums[2], rel=1e-14)

@@ -9,12 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from chernquad.metric import PolygonDomain, RectDomain, edge_arcs
+from chernquad.metric import OctagonDomain, RectDomain, edge_arcs, octagon_vertices
 from chernquad.quadrature import QuadratureSpec, build_nodes, reduce_sum
 from chernquad.zoo import (
     flat_torus,
     make_surface,
-    octagon_vertices,
     poincare_octagon,
     sphere,
     torus_revolution,
@@ -24,14 +23,22 @@ from chernquad.zoo import (
 # --- constructors and validation ---------------------------------------------
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        sphere(0.0)
-    with pytest.raises(ValueError):
-        torus_revolution(1.0, 1.0)  # needs R > r
-    with pytest.raises(ValueError):
-        torus_revolution(2.0, -1.0)
-    with pytest.raises(ValueError):
-        flat_torus(0.0, 1.0)
+    bad = [
+        lambda: sphere(0.0),
+        lambda: sphere(math.nan),
+        lambda: sphere(math.inf),
+        lambda: torus_revolution(1.0, 1.0),  # needs R > r
+        lambda: torus_revolution(2.0, -1.0),
+        lambda: torus_revolution(math.inf, 1.0),
+        lambda: torus_revolution(math.nan, 1.0),
+        lambda: torus_revolution(2.0, math.nan),
+        lambda: flat_torus(0.0, 1.0),
+        lambda: flat_torus(math.nan, 1.0),
+        lambda: flat_torus(1.0, math.inf),
+    ]
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_make_surface_dispatch_and_errors():
@@ -52,7 +59,7 @@ def test_domain_shapes():
     assert torus_revolution(2.0, 1.0).domain.fully_periodic
     assert flat_torus(1.0, 1.0).domain.fully_periodic
     octo = poincare_octagon().domain
-    assert isinstance(octo, PolygonDomain)
+    assert isinstance(octo, OctagonDomain)
 
 
 def test_analytic_k_fields():

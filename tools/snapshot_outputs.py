@@ -1,0 +1,94 @@
+"""Record the observable output of a fixed command set, for byte-identity checks.
+
+Usage: python3 tools/snapshot_outputs.py OUTDIR
+
+Runs each command below in its own subprocess, from a fresh temporary
+working directory, against the ``src/`` and ``demos/`` of the checkout
+that holds this script.  For a command named NAME it writes
+``NAME.out``, ``NAME.err`` and ``NAME.rc`` (stdout, stderr and exit
+code) into OUTDIR, and copies each file the command left in its working
+directory (grid dumps) as ``NAME.<file>``.  Two checkouts produce
+byte-identical output exactly when ``diff -r`` of their snapshots is
+empty.  A run takes about 20 s on a 2-core machine, so it stays out
+of the test suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CLI = (sys.executable, "-m", "chernquad.cli")
+BUILTINS = ("sphere", "torus_revolution", "flat_torus", "poincare_octagon")
+COMPARE_MODES = {
+    "conformal": ("--factor", "exp(0.6*sin(u))"),
+    "perturb": (),
+    "twist": (),
+}
+
+
+def commands() -> list[tuple[str, tuple[str, ...]]]:
+    cmds = []
+    for kind in BUILTINS:
+        for fmt in ("csv", "json"):
+            cmds.append((f"chern_{kind}_{fmt}",
+                         CLI + ("chern", "--surface", kind, "--format", fmt,
+                                "--grid-out", f"grid.{fmt}")))
+    cmds += [
+        ("chern_sphere_256x512", CLI + ("chern", "--surface", "sphere", "--resolution",
+                                        "256x512", "--grid-out", "grid.csv")),
+        ("chern_octagon_64x64", CLI + ("chern", "--surface", "poincare_octagon",
+                                       "--resolution", "64x64")),
+        ("chern_torus_1024x1024", CLI + ("chern", "--surface", "torus_revolution",
+                                         "--resolution", "1024x1024")),
+    ]
+    for kind, fmt in (("torus_revolution", "csv"), ("flat_torus", "json")):
+        for mode, extra in COMPARE_MODES.items():
+            for res in ("64x64", "256x256"):
+                cmds.append((f"compare_{kind}_{mode}_{res}",
+                             CLI + ("compare", "--surface", kind, "--mode", mode, *extra,
+                                    "--resolution", res, "--format", fmt,
+                                    "--grid-out", f"grid.{fmt}")))
+    cmds += [
+        ("compare_twist_amplitude_1e8",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "twist",
+                "--amplitude", "1e8", "--resolution", "32x32")),
+        ("compare_perturb_amplitude_1e300",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "perturb",
+                "--amplitude", "1e300", "--resolution", "32x32")),
+    ]
+    for cfg in sorted((ROOT / "demos" / "configs").glob("*.cfg")):
+        cmds.append((f"report_{cfg.stem}", CLI + ("report", "--config", str(cfg))))
+    for seed in ("0", "7"):
+        cmds.append((f"verify_seed_{seed}", CLI + ("verify", "--seed", seed)))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        cmds.append((f"demo_{demo.stem}", (sys.executable, str(demo))))
+    return cmds
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 1
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for name, cmd in commands():
+        with tempfile.TemporaryDirectory() as cwd:
+            proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True)
+            (outdir / f"{name}.out").write_bytes(proc.stdout)
+            (outdir / f"{name}.err").write_bytes(proc.stderr)
+            (outdir / f"{name}.rc").write_text(f"{proc.returncode}\n")
+            for left in sorted(Path(cwd).iterdir()):
+                shutil.copyfile(left, outdir / f"{name}.{left.name}")
+        print(f"{proc.returncode}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
