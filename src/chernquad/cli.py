@@ -28,7 +28,8 @@ import re
 import sys
 
 from . import experiment, verify, zoo
-from .config import COMPARE_KEYS, CompareSpec, ExperimentConfig, OutputSpec, load_config
+from .config import (ExperimentConfig, OutputSpec, builtin_surface, derived_surface,
+                     load_config, quadrature_spec)
 from .errors import ConfigError, GeometryError
 from .expressions import ExprError
 
@@ -97,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="surface vs derived metric")
     _add_surface_flags(compare)
-    compare.add_argument("--mode", required=True, choices=tuple(COMPARE_KEYS))
-    compare.add_argument("--factor", default="", metavar="EXPR",
+    compare.add_argument("--mode", required=True, choices=tuple(zoo.COMPARE_MODES))
+    compare.add_argument("--factor", default=None, metavar="EXPR",
                          help="conformal factor expression, e.g. 'exp(0.6*sin(u))'")
     compare.add_argument("--seed", type=int, default=None,
                          help="perturbation seed (mode perturb)")
@@ -131,18 +132,22 @@ def _cmd_list() -> int:
     return 0
 
 
-def _config_from_flags(args, compare=None) -> ExperimentConfig:
+def _config_from_flags(args) -> ExperimentConfig:
+    # load_config's builders; a compare flag the mode does not read is ignored
     n_u = n_v = None
     if args.resolution:
         n_u, n_v = _parse_resolution(args.resolution)
-    return ExperimentConfig(
-        surface_kind=args.surface,
-        surface_params=_parse_params(args.param),
-        n_u=n_u, n_v=n_v,
-        compare=compare,
-        output=OutputSpec(format=args.format, path=args.out,
-                          grid_path=args.grid_out),
-        timings=args.timings)
+    surface = builtin_surface(args.surface, _parse_params(args.param))
+    spec = quadrature_spec(surface, n_u, n_v)
+    other = None
+    if args.command == "compare":
+        keys = zoo.COMPARE_MODES[args.mode][1]
+        params = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+        other = derived_surface(surface, args.mode, params)
+    return ExperimentConfig(surface, spec, other,
+                            OutputSpec(format=args.format, path=args.out,
+                                       grid_path=args.grid_out),
+                            args.timings)
 
 
 def _emit(report: experiment.Report, output: OutputSpec) -> int:
@@ -167,11 +172,8 @@ def main(argv=None) -> int:
             return _cmd_list()
         if args.command == "verify":
             return _cmd_verify(args.seed)
-        if args.command == "chern":
+        if args.command in ("chern", "compare"):
             config = _config_from_flags(args)
-        elif args.command == "compare":
-            config = _config_from_flags(args, compare=CompareSpec.for_mode(
-                args.mode, args.factor, args.seed, args.amplitude))
         else:
             config = load_config(args.config, overrides=args.set)
             if args.timings:

@@ -1,6 +1,10 @@
 """Experiment configuration: flat INI-style files plus override strings.
 
-A config describes exactly one experiment.  Sections:
+A config holds the built experiment.  :func:`load_config` and the
+``chern``/``compare`` flags build it where the input is read, with the
+same builders (:func:`builtin_surface`, :func:`quadrature_spec` and
+:func:`derived_surface`), so a bad value such as a factor that does not
+parse is reported before any quadrature runs.  Sections:
 
 ``[surface]``
     ``kind`` names a builtin with its parameter keys, as ``chernquad
@@ -11,14 +15,15 @@ A config describes exactly one experiment.  Sections:
     ``domain = octagon`` (the fixed geodesic octagon chart, which takes
     none of the rect keys).
 ``[quadrature]``
-    ``n_u``/``n_v`` node counts.  The rules follow the domain: the
-    trapezoid rule on periodic axes, Gauss-Legendre otherwise.
+    ``n_u``/``n_v`` node counts, default the surface's reference
+    resolution.  The rules follow the domain: the trapezoid rule on
+    periodic axes, Gauss-Legendre otherwise.
 ``[compare]``
-    optional second metric: ``mode = conformal`` with ``factor``,
-    ``mode = perturb`` with ``seed`` and ``amplitude``, or
-    ``mode = twist`` with ``amplitude``, defaults as for the ``compare``
-    flags (:meth:`CompareSpec.for_mode`).  Only meaningful on fully
-    periodic domains, where the frame-difference one-form is global.
+    optional second metric, a ``mode`` of ``zoo.COMPARE_MODES``:
+    ``conformal`` with ``factor``, ``perturb`` with ``seed`` and
+    ``amplitude``, or ``twist`` with ``amplitude``, defaults as in the
+    constructors.  Only meaningful on fully periodic domains, where the
+    frame-difference one-form is global.
 ``[output]``
     ``format`` (``csv`` or ``json``), optional ``path`` (default
     stdout) and ``grid_path`` (curvature-density samples for external
@@ -33,59 +38,22 @@ offending section/key (parse errors keep configparser's line numbers).
 from __future__ import annotations
 
 import configparser
+import contextlib
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import ConfigError
-from .zoo import BUILTIN_KINDS
+from .metric import OctagonDomain, RectDomain
+from .quadrature import QuadratureSpec
+from .zoo import BUILTIN_KINDS, COMPARE_MODES, Surface, custom_surface, make_surface
 
 _SECTIONS = ("surface", "quadrature", "compare", "output")
-COMPARE_KEYS = {"conformal": ("factor",), "perturb": ("seed", "amplitude"),
-                "twist": ("amplitude",)}
 _RECT_KEYS = ("u_min", "u_max", "v_min", "v_max")
+_COMPARE_TYPES = {"seed": int, "amplitude": float}  # a factor is text
 _BOOL_STATES = {
     "1": True, "yes": True, "true": True, "on": True,
     "0": False, "no": False, "false": False, "off": False,
 }
-
-
-@dataclass(frozen=True)
-class CustomSurfaceSpec:
-    name: str
-    domain_kind: str  # "rect" | "octagon"
-    g11: str
-    g12: str
-    g22: str
-    bounds: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 1.0)
-    periodic_u: bool = False
-    periodic_v: bool = False
-
-
-@dataclass(frozen=True)
-class CompareSpec:
-    """The second metric of a comparison; build it with :meth:`for_mode`."""
-
-    mode: str  # "conformal" | "perturb" | "twist"
-    factor: str = ""
-    seed: int = 1  # the perturb defaults
-    amplitude: float = 0.1
-
-    @classmethod
-    def for_mode(cls, mode: str, factor: str = "", seed: Optional[int] = None,
-                 amplitude: Optional[float] = None) -> "CompareSpec":
-        """``mode`` with a default for each argument it reads that is left
-        None; the arguments it does not read are ignored."""
-        if mode == "conformal":
-            if not factor:
-                raise ConfigError("[compare] conformal mode requires factor")
-            return cls(mode, factor=factor)
-        if mode == "twist":
-            return cls(mode, amplitude=0.3 if amplitude is None else amplitude)
-        if mode != "perturb":
-            raise ConfigError(
-                f"[compare] mode must be conformal, perturb or twist, got {mode!r}")
-        return cls(mode, seed=cls.seed if seed is None else seed,
-                   amplitude=cls.amplitude if amplitude is None else amplitude)
 
 
 @dataclass(frozen=True)
@@ -97,17 +65,56 @@ class OutputSpec:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: a surface, a quadrature resolution, an optional
-    comparison metric and an output contract."""
+    """One built experiment: a surface, its quadrature, an optional second
+    metric on the same chart and an output contract."""
 
-    surface_kind: str
-    surface_params: Mapping[str, float] = field(default_factory=dict)
-    custom: Optional[CustomSurfaceSpec] = None
-    n_u: Optional[int] = None  # None falls back to the surface reference
-    n_v: Optional[int] = None
-    compare: Optional[CompareSpec] = None
+    surface: Surface
+    spec: QuadratureSpec
+    other: Optional[Surface] = None
     output: OutputSpec = field(default_factory=OutputSpec)
     timings: bool = False
+
+
+@contextlib.contextmanager
+def _reported_in(section: str, errors=Exception):
+    """Report ``errors`` raised inside the block as ConfigErrors of ``section``."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
+def builtin_surface(kind: str, params: Mapping[str, float]) -> Surface:
+    """``zoo.make_surface``; its errors become [surface] ConfigErrors."""
+    with _reported_in("surface"):
+        return make_surface(kind, params)
+
+
+def quadrature_spec(surface: Surface, n_u: Optional[int],
+                    n_v: Optional[int]) -> QuadratureSpec:
+    """The node counts, or the surface's reference resolution when None."""
+    if n_u is None:
+        n_u, n_v = surface.reference_resolution
+    with _reported_in("quadrature", ValueError):
+        return QuadratureSpec(n_u, n_v)
+
+
+def derived_surface(base: Surface, mode: str, params: Mapping[str, object]) -> Surface:
+    """The ``mode`` entry of ``zoo.COMPARE_MODES`` built on ``base``.  The mode,
+    its keys, the conformal factor and the fully periodic chart are checked
+    first, in that order; every error is a [compare] ConfigError."""
+    if mode not in COMPARE_MODES:
+        *head, last = COMPARE_MODES
+        raise ConfigError(f"[compare] mode must be {', '.join(head)} or {last}, "
+                          f"got {mode!r}")
+    constructor, keys = COMPARE_MODES[mode]
+    _reject_unknown("compare", params, keys)
+    if mode == "conformal" and not params.get("factor"):
+        raise ConfigError("[compare] conformal mode requires factor")
+    if not (isinstance(base.domain, RectDomain) and base.domain.fully_periodic):
+        raise ConfigError("[compare] comparison requires a fully periodic domain")
+    with _reported_in("compare"):
+        return constructor(base, **params)
 
 
 def _strip_quotes(raw: str) -> str:
@@ -117,18 +124,12 @@ def _strip_quotes(raw: str) -> str:
     return s
 
 
-def _as_float(section: str, key: str, raw: str) -> float:
+def _as_value(section: str, key: str, raw: str, kind=float):
     try:
-        return float(_strip_quotes(raw))
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-
-
-def _as_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(_strip_quotes(raw))
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
+        return kind(_strip_quotes(raw))
+    except ValueError:  # never raised for kind=str
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key}: expected {what}, got {raw!r}") from None
 
 
 def _as_bool(section: str, key: str, raw: str) -> bool:
@@ -142,13 +143,6 @@ def _reject_unknown(section: str, options: Mapping[str, str], known) -> None:
     extra = sorted(set(options) - set(known))
     if extra:
         raise ConfigError(f"[{section}] unknown key {extra[0]!r}")
-
-
-def new_parser() -> configparser.ConfigParser:
-    # interpolation off: '%' may appear inside expression strings
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str  # keys are case-sensitive (R vs r)
-    return cp
 
 
 def apply_overrides(cp: configparser.ConfigParser, overrides) -> None:
@@ -168,7 +162,7 @@ def apply_overrides(cp: configparser.ConfigParser, overrides) -> None:
         cp[section][key.strip()] = value.strip()
 
 
-def _surface_from(cp) -> tuple[str, dict, Optional[CustomSurfaceSpec]]:
+def _surface_from(cp) -> Surface:
     if not cp.has_section("surface"):
         raise ConfigError("missing [surface] section")
     opts = dict(cp["surface"])
@@ -177,8 +171,8 @@ def _surface_from(cp) -> tuple[str, dict, Optional[CustomSurfaceSpec]]:
         raise ConfigError("[surface] kind is required")
     if kind in BUILTIN_KINDS:
         _reject_unknown("surface", opts, BUILTIN_KINDS[kind][1])
-        params = {k: _as_float("surface", k, v) for k, v in opts.items()}
-        return kind, params, None
+        return builtin_surface(kind, {k: _as_value("surface", k, v)
+                                      for k, v in opts.items()})
     if kind != "custom":
         raise ConfigError(f"[surface] unknown kind {kind!r}")
 
@@ -191,75 +185,58 @@ def _surface_from(cp) -> tuple[str, dict, Optional[CustomSurfaceSpec]]:
     for comp in ("g11", "g12", "g22"):
         if comp not in opts:
             raise ConfigError(f"[surface] custom metric requires {comp}")
-    bounds = (0.0, 1.0, 0.0, 1.0)
     if domain_kind == "rect":
         missing = [k for k in _RECT_KEYS if k not in opts]
         if missing:
             raise ConfigError(f"[surface] rect domain requires {missing[0]}")
-        bounds = tuple(_as_float("surface", k, opts[k]) for k in _RECT_KEYS)
-    spec = CustomSurfaceSpec(
-        name=_strip_quotes(opts.get("name", "custom")),
-        domain_kind=domain_kind,
-        g11=_strip_quotes(opts["g11"]),
-        g12=_strip_quotes(opts["g12"]),
-        g22=_strip_quotes(opts["g22"]),
-        bounds=bounds,
-        periodic_u=_as_bool("surface", "periodic_u", opts.get("periodic_u", "false")),
-        periodic_v=_as_bool("surface", "periodic_v", opts.get("periodic_v", "false")),
-    )
-    return "custom", {}, spec
+        bounds = [_as_value("surface", k, opts[k]) for k in _RECT_KEYS]
+        flags = {k: _as_bool("surface", k, opts.get(k, "false"))
+                 for k in ("periodic_u", "periodic_v")}
+    with _reported_in("surface"):
+        domain = RectDomain(*bounds, **flags) if domain_kind == "rect" else OctagonDomain()
+        return custom_surface(_strip_quotes(opts.get("name", "custom")), domain,
+                              *(_strip_quotes(opts[k]) for k in ("g11", "g12", "g22")))
 
 
-def _compare_from(cp) -> Optional[CompareSpec]:
+def _compare_from(cp, base: Surface) -> Optional[Surface]:
     if not cp.has_section("compare"):
         return None
     opts = dict(cp["compare"])
     mode = _strip_quotes(opts.pop("mode", ""))
-    if mode in COMPARE_KEYS:
-        _reject_unknown("compare", opts, COMPARE_KEYS[mode])
-    return CompareSpec.for_mode(
-        mode, factor=_strip_quotes(opts.get("factor", "")),
-        seed=_as_int("compare", "seed", opts["seed"]) if "seed" in opts else None,
-        amplitude=(_as_float("compare", "amplitude", opts["amplitude"])
-                   if "amplitude" in opts else None))
+    params = {k: _as_value("compare", k, v, _COMPARE_TYPES.get(k, str))
+              for k, v in opts.items()}
+    return derived_surface(base, mode, params)
 
 
 def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
     for section in cp.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-    kind, params, custom = _surface_from(cp)
+    surface = _surface_from(cp)
 
-    n_u = n_v = None
-    if cp.has_section("quadrature"):
-        opts = dict(cp["quadrature"])
-        _reject_unknown("quadrature", opts, ("n_u", "n_v"))
-        if "n_u" in opts:
-            n_u = _as_int("quadrature", "n_u", opts["n_u"])
-        if "n_v" in opts:
-            n_v = _as_int("quadrature", "n_v", opts["n_v"])
+    opts = dict(cp["quadrature"]) if cp.has_section("quadrature") else {}
+    _reject_unknown("quadrature", opts, ("n_u", "n_v"))
+    n_u, n_v = (_as_value("quadrature", k, opts[k], int) if k in opts else None
+                for k in ("n_u", "n_v"))
     if (n_u is None) != (n_v is None):
         raise ConfigError("[quadrature] n_u and n_v must be given together")
+    spec = quadrature_spec(surface, n_u, n_v)
 
-    output = OutputSpec()
-    if cp.has_section("output"):
-        opts = dict(cp["output"])
-        _reject_unknown("output", opts, ("format", "path", "grid_path"))
-        fmt = _strip_quotes(opts.get("format", "csv"))
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"[output] format must be csv or json, got {fmt!r}")
-        output = OutputSpec(format=fmt,
-                            path=_strip_quotes(opts.get("path", "")),
-                            grid_path=_strip_quotes(opts.get("grid_path", "")))
+    opts = dict(cp["output"]) if cp.has_section("output") else {}
+    _reject_unknown("output", opts, ("format", "path", "grid_path"))
+    fmt = _strip_quotes(opts.get("format", "csv"))
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"[output] format must be csv or json, got {fmt!r}")
+    output = OutputSpec(fmt, *(_strip_quotes(opts.get(k, ""))
+                               for k in ("path", "grid_path")))
 
-    return ExperimentConfig(surface_kind=kind, surface_params=params, custom=custom,
-                            n_u=n_u, n_v=n_v,
-                            compare=_compare_from(cp), output=output)
+    return ExperimentConfig(surface, spec, _compare_from(cp, surface), output)
 
 
 def load_config(path: str, overrides=()) -> ExperimentConfig:
     """Read one experiment config file, apply overrides, validate."""
-    cp = new_parser()
+    cp = configparser.ConfigParser(interpolation=None)  # '%' may occur in expressions
+    cp.optionxform = str  # keys are case-sensitive (R vs r)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             cp.read_file(handle, source=path)

@@ -50,8 +50,8 @@ import numpy as np
 from . import jets
 from .errors import DomainMismatchError, PeriodicityError
 from .jets import Jet2, partial_jet
-from .metric import (MetricField, MetricJet, ParamDomain, Point2, RectDomain,
-                     eval_metric_grid, eval_metric_jet)
+from .metric import (MetricField, MetricJet, ParamDomain, Point2, RectDomain, check_spd,
+                     eval_metric_jet)
 from .quadrature import QuadratureSpec
 
 
@@ -187,10 +187,9 @@ def _connection_coeffs(g, det, inv, gamma):
 # the closed-form kernel: plain arithmetic on jet channels (scalar or array)
 
 
-def _brioschi_k(mjet: MetricJet):
+def _brioschi_k(mjet: MetricJet, det):
     """K = (det M1 - det M2) / det(g)^2 with both determinants expanded."""
     e, f, g = mjet.g11, mjet.g12, mjet.g22
-    det = e.val * g.val - f.val * f.val
     # M1 = [[top, p, q], [s, E, F], [t, F, G]]; M2 = [[0, h, k], [h, E, F], [k, F, G]]
     top = -0.5 * e.dvv + f.duv - 0.5 * g.duu
     p, q = 0.5 * e.du, f.du - 0.5 * e.dv
@@ -198,7 +197,7 @@ def _brioschi_k(mjet: MetricJet):
     h, k = 0.5 * e.dv, 0.5 * g.du
     det_m1 = top * det - p * (s * g.val - f.val * t) + q * (s * f.val - e.val * t)
     det_m2 = k * (h * f.val - e.val * k) - h * (h * g.val - f.val * k)
-    return (det_m1 - det_m2) / (det * det), det
+    return (det_m1 - det_m2) / (det * det)
 
 
 def _cartan(a: Jet2, c: Jet2, d: Jet2):
@@ -212,11 +211,10 @@ def _cartan(a: Jet2, c: Jet2, d: Jet2):
     return b_u, b_v, -(b_v_du - b_u_dv)
 
 
-def _cholesky_coframe(mjet: MetricJet):
+def _cholesky_coframe(mjet: MetricJet, det: Jet2):
     a = jets.sqrt(mjet.g11)
     inv_a = jets.reciprocal(a)
-    return (a, mjet.g12 * inv_a,
-            jets.sqrt(mjet.g11 * mjet.g22 - mjet.g12 * mjet.g12) * inv_a)
+    return a, mjet.g12 * inv_a, jets.sqrt(det) * inv_a
 
 
 def _alpha_max(mjet: MetricJet, det) -> float:
@@ -235,8 +233,13 @@ def _alpha_max(mjet: MetricJet, det) -> float:
 
 
 def _kernel(mjet: MetricJet, shape) -> CurvatureReport:
-    b_u, b_v, two_form = _cartan(*(mjet.coframe or _cholesky_coframe(mjet)))
-    k, det = _brioschi_k(mjet)
+    # det g once: a jet where the Cholesky coframe needs it, with the same .val
+    e, f, g = mjet.g11, mjet.g12, mjet.g22
+    det_jet = None if mjet.coframe else e * g - f * f
+    det = e.val * g.val - f.val * f.val if det_jet is None else det_jet.val
+    check_spd(e.val, g.val, det)  # before any square root
+    b_u, b_v, two_form = _cartan(*(mjet.coframe or _cholesky_coframe(mjet, det_jet)))
+    k = _brioschi_k(mjet, det)
     return CurvatureReport(*(np.broadcast_to(c, shape)
                              for c in (k, np.sqrt(det), two_form, b_u, b_v)),
                            _alpha_max(mjet, det))
@@ -271,7 +274,7 @@ def curvature_report_grid(field: MetricField, us: np.ndarray,
                           vs: np.ndarray) -> CurvatureReport:
     """Vectorized CurvatureReport; array channels shaped like the input."""
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
-    return _kernel(eval_metric_grid(field, us, vs), np.broadcast(us, vs).shape)
+    return _kernel(field.evaluator(us, vs), np.broadcast(us, vs).shape)
 
 
 def connection_difference(sample: CurvatureSample,

@@ -1,11 +1,14 @@
-"""Run one configured experiment and serialize the report.
+"""Run one built experiment and serialize the report.
 
-A report is a single row of named values: the Chern computation for the
-configured surface, plus comparison columns when a second metric is
-requested.  Column order is fixed, floats print with 17 significant
-digits, and summation order upstream is deterministic, so the same
-config yields byte-identical CSV or JSON.  ``runtime_ms`` is opt-in
-(``timings``) because wall-clock noise would break that guarantee.
+``run`` only computes and reports: the configuration it takes already
+holds the surface, its quadrature and the optional second metric (see
+``config``).  A report is a single row of named values: the Chern
+computation for the surface, plus comparison columns when a second
+metric is given.  Column order is fixed, floats print with 17
+significant digits, and summation order upstream is deterministic, so
+the same config yields byte-identical CSV or JSON.  ``runtime_ms`` is
+opt-in (``timings``) because wall-clock noise would break that
+guarantee.
 
 Each metric is evaluated once per node set: the comparison columns and
 the grid dump read the curvature samples that ``chern_number`` keeps in
@@ -23,19 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chern import chern_number, stokes_residual
-from .config import CustomSurfaceSpec, ExperimentConfig
+from .config import ExperimentConfig
 from .curvature import CurvatureSample, connection_difference
 from .errors import ConfigError
-from .metric import OctagonDomain, RectDomain
-from .quadrature import QuadratureSpec
-from .zoo import (
-    Surface,
-    conformal_surface,
-    custom_surface,
-    make_surface,
-    perturbed_surface,
-    twisted_surface,
-)
+from .metric import RectDomain
 
 BASE_FIELDS = ("surface", "n_u", "n_v", "raw_chern", "rounded", "residual",
                "max_curvature_identity_residual")
@@ -82,68 +76,18 @@ class Report:
         return self.to_json() if fmt == "json" else self.to_csv()
 
 
-def _custom_domain(spec: CustomSurfaceSpec):
-    if spec.domain_kind == "octagon":
-        return OctagonDomain()
-    u0, u1, v0, v1 = spec.bounds
-    try:
-        return RectDomain(u0, u1, v0, v1,
-                          periodic_u=spec.periodic_u, periodic_v=spec.periodic_v)
-    except ValueError as exc:
-        raise ConfigError(f"[surface] {exc}") from None
-
-
-def build_surface(config: ExperimentConfig) -> Surface:
-    try:
-        if config.custom is not None:
-            spec = config.custom
-            return custom_surface(spec.name, _custom_domain(spec),
-                                  spec.g11, spec.g12, spec.g22)
-        return make_surface(config.surface_kind, config.surface_params)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"[surface] {exc}") from None
-
-
-def _quadrature_spec(config: ExperimentConfig, surface: Surface) -> QuadratureSpec:
-    n_u, n_v = surface.reference_resolution
-    if config.n_u is not None:
-        n_u, n_v = config.n_u, config.n_v
-    try:
-        return QuadratureSpec(n_u, n_v)
-    except ValueError as exc:
-        raise ConfigError(f"[quadrature] {exc}") from None
-
-
-def derived_surface(base: Surface, compare) -> Surface:
-    """The second surface of a comparison; its errors become ConfigError."""
-    try:
-        if compare.mode == "conformal":
-            return conformal_surface(base, compare.factor)
-        if compare.mode == "perturb":
-            return perturbed_surface(base, compare.seed, compare.amplitude)
-        return twisted_surface(base, compare.amplitude)
-    except Exception as exc:
-        raise ConfigError(f"[compare] {exc}") from None
-
-
 def run(config: ExperimentConfig) -> Report:
-    """Execute the experiment described by ``config``.
+    """Compute and report the experiment ``config`` holds.
 
-    Raises :class:`ConfigError` for semantic config problems, and a
-    GeometryError or ExprError met while evaluating; numerical
-    non-convergence is reported in the row and via ``flagged``, never
-    raised.
+    Raises :class:`ConfigError` when the report and the grid dump would
+    write one file or a path cannot be written, and a GeometryError or
+    ExprError met while evaluating; numerical non-convergence is
+    reported in the row and via ``flagged``, never raised.
     """
     output = config.output
     if output.path and output.grid_path and _same_file(output.path, output.grid_path):
         raise ConfigError("[output] path and grid_path name the same file")
-    surface = build_surface(config)
-    spec = _quadrature_spec(config, surface)
-    if config.compare is not None and not (isinstance(surface.domain, RectDomain)
-                                           and surface.domain.fully_periodic):
-        raise ConfigError("[compare] comparison requires a fully periodic domain")
+    surface, spec, other = config.surface, config.spec, config.other
     start = time.perf_counter()
 
     result = chern_number(surface, spec=spec)
@@ -159,8 +103,7 @@ def run(config: ExperimentConfig) -> Report:
     }
     flagged = not result.converged
 
-    if config.compare is not None:
-        other = derived_surface(surface, config.compare)
+    if other is not None:
         result_prime = chern_number(other, spec=spec)
         eta = connection_difference(result.sample, result_prime.sample)
         fieldnames = BASE_FIELDS + COMPARE_FIELDS

@@ -222,13 +222,30 @@ def _finite_min(values) -> str:
     return f"{np.min(finite):.3e}" if finite.size else "n/a"
 
 
+def check_spd(g11: Channel, g22: Channel, det: Channel) -> None:
+    """Raise SpdViolationError, naming the finite minima and counting the
+    non-finite nodes, unless g11 > 0 and det > SPD_TOL * g11 * g22: det over
+    g11 g22 is sin^2 of the angle between the chart axes, whatever the scale.
+    Where g11 g22 overflows, det > SPD_TOL decides (so inf reaches the
+    curvature's non-finite check)."""
+    scale = g11 * g22
+    ok = det > SPD_TOL * scale
+    if not np.all(ok):
+        ok = ok | (~np.isfinite(scale) & (det > SPD_TOL))
+    if not (np.all(np.asarray(g11) > 0.0) and np.all(ok)):
+        finite = np.isfinite(g11) & np.isfinite(det)
+        bad = finite.size - np.count_nonzero(finite)
+        raise SpdViolationError(
+            f"metric is not positive definite (min g11 {_finite_min(g11)}, "
+            f"min det {_finite_min(det)}"
+            + (f"; not finite at {bad} of {finite.size} nodes)" if bad else ")"))
+
+
 @dataclass(frozen=True)
 class MetricTensor:
     """Symmetric positive-definite 2x2 matrix (components, not a field).
 
-    Components may be floats or arrays; positive-definiteness is checked
-    elementwise at construction (g11 > 0 and det > SPD_TOL); the error
-    names the finite minima and counts the non-finite nodes.
+    Components may be floats or arrays; construction runs ``check_spd``.
     """
 
     g11: Channel
@@ -236,14 +253,7 @@ class MetricTensor:
     g22: Channel
 
     def __post_init__(self):
-        det = self.g11 * self.g22 - self.g12 * self.g12
-        if not (np.all(np.asarray(self.g11) > 0.0) and np.all(np.asarray(det) > SPD_TOL)):
-            finite = np.isfinite(self.g11) & np.isfinite(det)
-            bad = finite.size - np.count_nonzero(finite)
-            raise SpdViolationError(
-                f"metric is not positive definite (min g11 {_finite_min(self.g11)}, "
-                f"min det {_finite_min(det)}"
-                + (f"; not finite at {bad} of {finite.size} nodes)" if bad else ")"))
+        check_spd(self.g11, self.g22, self.det)
 
     @property
     def det(self) -> Channel:
@@ -301,13 +311,6 @@ def eval_metric_jet(field: MetricField, p: Point2) -> MetricJet:
         raise PointOutsideDomainError(f"point ({p.u}, {p.v}) is outside the chart domain")
     jet = field.evaluator(p.u, p.v)
     jet.value  # noqa: B018 - constructing MetricTensor runs the SPD check
-    return jet
-
-
-def eval_metric_grid(field: MetricField, us: np.ndarray, vs: np.ndarray) -> MetricJet:
-    """Vectorized evaluation at points assumed to lie in the domain."""
-    jet = field.evaluator(np.asarray(us, dtype=float), np.asarray(vs, dtype=float))
-    jet.value
     return jet
 
 
@@ -426,7 +429,7 @@ def perturb_metric(field: MetricField, seed: int, amplitude: float) -> MetricFie
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     try:
         with np.errstate(all="ignore"):
-            eval_metric_grid(out, uu.ravel(), vv.ravel())
+            out.evaluator(uu.ravel(), vv.ravel()).value  # noqa: B018 - the SPD check
     except SpdViolationError as exc:
         raise SpdViolationError(
             f"perturbation (seed {seed}, amplitude {amplitude}) breaks positive "

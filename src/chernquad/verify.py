@@ -28,7 +28,7 @@ from .complex_structure import (
     metric_inner,
     parallelogram_residual,
 )
-from .config import CompareSpec, ExperimentConfig, OutputSpec
+from .config import ExperimentConfig, OutputSpec
 from .curvature import (
     connection_difference,
     curvature_report_grid,
@@ -195,10 +195,8 @@ def _torus_and_rescaling() -> tuple[ChernResult, ChernResult]:
 def check_metric_independence(seed: int) -> CheckResult:
     res, res_conformal = _torus_and_rescaling()
     base = torus_revolution(2.0, 1.0)
-    perturbed, twisted = (
-        chern_number(experiment.derived_surface(base, CompareSpec.for_mode(mode)),
-                     spec=res.sample.spec)
-        for mode in ("perturb", "twist"))
+    perturbed, twisted = (chern_number(derive(base), spec=res.sample.spec)
+                          for derive in (zoo.perturbed_surface, zoo.twisted_surface))
     others = (("conformal", res_conformal), ("perturbed", perturbed), ("twisted", twisted))
     details = []
     passed = True
@@ -285,11 +283,10 @@ def check_expressions(seed: int) -> CheckResult:
 
 
 def check_determinism(seed: int) -> CheckResult:
-    config = ExperimentConfig(
-        surface_kind="torus_revolution", surface_params={"R": 2.0, "r": 1.0},
-        n_u=32, n_v=32,
-        compare=CompareSpec(mode="perturb", seed=3, amplitude=0.05),
-        output=OutputSpec(format="csv"))
+    base = torus_revolution(2.0, 1.0)
+    config = ExperimentConfig(base, QuadratureSpec(32, 32),
+                              zoo.perturbed_surface(base, seed=3, amplitude=0.05),
+                              OutputSpec(format="csv"))
     first = experiment.run(config)
     second = experiment.run(config)
     same = (first.to_csv() == second.to_csv()

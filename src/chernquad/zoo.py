@@ -32,16 +32,20 @@ octagon's chart is ``metric.OctagonDomain``.
 
 ``BUILTIN_KINDS`` is the one table of these kinds: it maps each to its
 constructor and its parameter keys, and drives ``make_surface``, the
-``[surface]`` key check of configs and ``chernquad list``.  Parameter
-defaults live only in the constructor signatures.  ``conformal_surface``,
-``perturbed_surface`` and ``twisted_surface`` (the pullback by
-``metric.twist_metric``) derive the second metric of a ``compare`` run
-from a surface; their jets carry no coframe.
+``[surface]`` key check of configs and ``chernquad list``.  Each
+builtin rejects parameters whose metric scales (the squares and the det
+of its components) leave the normal float range.  ``COMPARE_MODES`` is
+the same table for the second metric of a comparison, derived from a
+surface by ``conformal_surface``, ``perturbed_surface`` or
+``twisted_surface`` (the pullback by ``metric.twist_metric``); their
+jets carry no coframe.  Parameter defaults of both tables live only in
+the constructor signatures.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -85,10 +89,20 @@ class Surface:
         return self.field.domain
 
 
+def _check_scales(name: str, *scales: tuple[str, float]) -> None:
+    """Metric scales (label, value) past the normal floats spoil every node."""
+    for label, scale in scales:
+        if not sys.float_info.min <= scale < math.inf:
+            raise ValueError(f"{name}: metric scale {label} = {scale:g} is outside "
+                             "the normal float range")
+
+
 def sphere(radius: float = 1.0) -> Surface:
     if not 0.0 < radius < math.inf:
         raise ValueError("sphere radius must be positive and finite")
     r2 = radius * radius
+    name = f"sphere(R={radius:g})"
+    _check_scales(name, ("R^2", r2), ("R^4", r2 * r2))
     domain = RectDomain(0.0, math.pi, 0.0, TWO_PI, periodic_u=False, periodic_v=True)
 
     def evaluator(u, v):
@@ -97,7 +111,7 @@ def sphere(radius: float = 1.0) -> Surface:
                          coframe=(Jet2(radius), Jet2(0.0), radius * s))
 
     field = MetricField(domain=domain, evaluator=evaluator)
-    return Surface(name=f"sphere(R={radius:g})", field=field, expected_chern=2,
+    return Surface(name=name, field=field, expected_chern=2,
                    analytic_k=lambda u, v: np.broadcast_to(1.0 / r2, np.shape(u)),
                    reference_resolution=(64, 128))
 
@@ -107,6 +121,10 @@ def torus_revolution(big_radius: float = 2.0, small_radius: float = 1.0) -> Surf
         raise ValueError("torus of revolution needs finite R > r > 0")
     domain = RectDomain(0.0, TWO_PI, 0.0, TWO_PI, periodic_u=True, periodic_v=True)
     r, R = small_radius, big_radius
+    name = f"torus_revolution(R={R:g},r={r:g})"
+    ring_min = r * (R - r)
+    _check_scales(name, ("r^2", r * r), ("(R+r)^2", (R + r) * (R + r)),
+                  ("r^2 (R-r)^2", ring_min * ring_min))
 
     def evaluator(u, v):
         ring = R + r * jets.cos(jets.var_u(u))
@@ -114,7 +132,7 @@ def torus_revolution(big_radius: float = 2.0, small_radius: float = 1.0) -> Surf
                          coframe=(Jet2(r), Jet2(0.0), ring))
 
     field = MetricField(domain=domain, evaluator=evaluator)
-    return Surface(name=f"torus_revolution(R={R:g},r={r:g})", field=field,
+    return Surface(name=name, field=field,
                    expected_chern=0,
                    analytic_k=lambda u, v: np.cos(u) / (r * (R + r * np.cos(u))),
                    reference_resolution=(128, 128))
@@ -123,6 +141,8 @@ def torus_revolution(big_radius: float = 2.0, small_radius: float = 1.0) -> Surf
 def flat_torus(a: float = 1.0, b: float = 1.0) -> Surface:
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError("flat torus needs positive finite side scales")
+    name = f"flat_torus(a={a:g},b={b:g})"
+    _check_scales(name, ("a^2", a * a), ("b^2", b * b), ("a^2 b^2", a * a * b * b))
     domain = RectDomain(0.0, TWO_PI, 0.0, TWO_PI, periodic_u=True, periodic_v=True)
 
     def evaluator(u, v):
@@ -130,7 +150,7 @@ def flat_torus(a: float = 1.0, b: float = 1.0) -> Surface:
                          coframe=(Jet2(a), Jet2(0.0), Jet2(b)))
 
     field = MetricField(domain=domain, evaluator=evaluator)
-    return Surface(name=f"flat_torus(a={a:g},b={b:g})", field=field, expected_chern=0,
+    return Surface(name=name, field=field, expected_chern=0,
                    analytic_k=lambda u, v: np.zeros(np.shape(u)),
                    reference_resolution=(64, 64))
 
@@ -153,21 +173,23 @@ def poincare_octagon() -> Surface:
                    reference_resolution=(32, 32))
 
 
-def conformal_surface(base: Surface, factor_text: str) -> Surface:
-    field = conformal_scale(base.field, scalar_field_from_expression(factor_text))
-    return Surface(name=f"{base.name}|conformal({factor_text})", field=field,
+def conformal_surface(base: Surface, factor: str = "") -> Surface:
+    if not factor:
+        raise ValueError("conformal mode requires factor")
+    field = conformal_scale(base.field, scalar_field_from_expression(factor))
+    return Surface(name=f"{base.name}|conformal({factor})", field=field,
                    expected_chern=base.expected_chern, analytic_k=None,
                    reference_resolution=base.reference_resolution)
 
 
-def perturbed_surface(base: Surface, seed: int, amplitude: float) -> Surface:
+def perturbed_surface(base: Surface, seed: int = 1, amplitude: float = 0.1) -> Surface:
     field = perturb_metric(base.field, seed, amplitude)
     return Surface(name=f"{base.name}|perturbed(seed={seed},amp={amplitude:g})",
                    field=field, expected_chern=base.expected_chern, analytic_k=None,
                    reference_resolution=base.reference_resolution)
 
 
-def twisted_surface(base: Surface, amplitude: float) -> Surface:
+def twisted_surface(base: Surface, amplitude: float = 0.3) -> Surface:
     field = twist_metric(base.field, amplitude)
     return Surface(name=f"{base.name}|twist({amplitude:g})", field=field,
                    expected_chern=base.expected_chern, analytic_k=None,
@@ -189,6 +211,12 @@ BUILTIN_KINDS = {
     "flat_torus": (flat_torus, {"a": "a", "b": "b"}),
     "poincare_octagon": (poincare_octagon, {}),
 }
+
+
+# mode -> (constructor, parameter keys) of the second metric of a comparison
+COMPARE_MODES = {"conformal": (conformal_surface, ("factor",)),
+                 "perturb": (perturbed_surface, ("seed", "amplitude")),
+                 "twist": (twisted_surface, ("amplitude",))}
 
 
 def make_surface(kind: str, params: Mapping[str, float] | None = None) -> Surface:

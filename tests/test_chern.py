@@ -47,6 +47,14 @@ def test_reference_chern_numbers(make, expected):
     assert result.max_identity_residual < 1e-9
 
 
+@pytest.mark.parametrize("radius", [1e-30, 1e-3, 1e-2, 1e30])
+def test_sphere_chern_number_does_not_depend_on_scale(radius):
+    # the SPD check compares det g with g11 * g22, not with a fixed 1e-12
+    result = chern_number(sphere(radius))
+    assert result.rounded == 2
+    assert result.residual < 1e-6
+
+
 def test_sphere_raw_value_tightens_with_resolution():
     surf = sphere(1.0)
     coarse = chern_number(surf, QuadratureSpec(16, 32))

@@ -13,8 +13,10 @@ import pytest
 
 import chernquad
 from chernquad import cli, experiment, zoo
-from chernquad.config import CompareSpec, ExperimentConfig, OutputSpec, load_config
+from chernquad.config import ExperimentConfig, derived_surface, load_config, quadrature_spec
 from chernquad.errors import ConfigError
+from chernquad.metric import RectDomain
+from chernquad.quadrature import QuadratureSpec
 
 BASE_HEADER = ("surface,n_u,n_v,raw_chern,rounded,residual,"
                "max_curvature_identity_residual")
@@ -51,10 +53,10 @@ n_v = 32
 format = json
 """)
     config = load_config(path)
-    assert config.surface_kind == "torus_revolution"
-    assert config.surface_params == {"R": 3.0, "r": 1.0}
-    assert (config.n_u, config.n_v) == (32, 32)
-    assert config.compare is None
+    assert config.surface.name == "torus_revolution(R=3,r=1)"
+    assert config.surface.field.evaluator(0.0, 0.0).g22.val == 16.0  # (R + r cos u)^2
+    assert config.spec == QuadratureSpec(32, 32)
+    assert config.other is None
     assert config.output.format == "json"
 
 
@@ -75,20 +77,20 @@ periodic_u = true
 periodic_v = true
 """)
     config = load_config(path)
-    assert config.surface_kind == "custom"
-    spec = config.custom
-    assert spec.name == "stretched" and spec.domain_kind == "rect"
-    assert spec.g11 == "2 + sin(u)"
-    assert spec.periodic_u and spec.periodic_v
-    assert spec.bounds[1] == pytest.approx(2 * math.pi)
+    surface = config.surface
+    assert surface.name == "stretched" and isinstance(surface.domain, RectDomain)
+    assert surface.field.evaluator(math.pi / 2, 0.0).g11.val == pytest.approx(3.0)
+    assert surface.domain.periodic_u and surface.domain.periodic_v
+    assert surface.domain.u_max == pytest.approx(2 * math.pi)
+    assert config.spec == QuadratureSpec(64, 64)  # the custom reference resolution
 
 
 def test_overrides_win_over_file_values(tmp_path):
     path = _write(tmp_path, "[surface]\nkind = sphere\nR = 1\n")
     config = load_config(path, overrides=["surface.R=4", "quadrature.n_u=16",
                                           "quadrature.n_v=16"])
-    assert config.surface_params["R"] == 4.0
-    assert (config.n_u, config.n_v) == (16, 16)
+    assert config.surface.name == "sphere(R=4)"
+    assert config.spec == QuadratureSpec(16, 16)
 
 
 @pytest.mark.parametrize("override", ["no_equals", "nodot=3", "bogus.key=1"])
@@ -136,7 +138,8 @@ def test_missing_file_is_config_error():
 # --- experiment runner ----------------------------------------------------------
 
 def test_run_reports_base_fields():
-    config = ExperimentConfig(surface_kind="sphere", surface_params={"R": 1.0})
+    surface = zoo.sphere(1.0)
+    config = ExperimentConfig(surface, quadrature_spec(surface, None, None))
     report = experiment.run(config)
     assert report.fieldnames == experiment.BASE_FIELDS
     assert report.row["rounded"] == 2
@@ -147,18 +150,15 @@ def test_run_reports_base_fields():
 
 
 def test_run_compare_adds_fields_and_checks_periodicity():
-    config = ExperimentConfig(
-        surface_kind="torus_revolution", n_u=32, n_v=32,
-        compare=CompareSpec(mode="twist", amplitude=0.3))
+    base = zoo.torus_revolution()
+    config = ExperimentConfig(base, QuadratureSpec(32, 32), zoo.twisted_surface(base, 0.3))
     report = experiment.run(config)
     assert report.fieldnames == experiment.BASE_FIELDS + experiment.COMPARE_FIELDS
     assert abs(report.row["delta_raw"]) < 1e-8
     assert report.row["stokes_residual"] < 1e-10
 
-    bad = ExperimentConfig(surface_kind="poincare_octagon",
-                           compare=CompareSpec(mode="twist", amplitude=0.3))
     with pytest.raises(ConfigError, match="fully periodic"):
-        experiment.run(bad)
+        derived_surface(zoo.poincare_octagon(), "twist", {"amplitude": 0.3})
 
 
 def test_run_custom_octagon_recovers_hyperbolic_chern(tmp_path):
@@ -178,7 +178,7 @@ g22 = "4/(1 - u^2 - v^2)^2"
 
 
 def test_timings_column_is_opt_in():
-    config = ExperimentConfig(surface_kind="flat_torus", n_u=16, n_v=16)
+    config = ExperimentConfig(zoo.flat_torus(), QuadratureSpec(16, 16))
     assert "runtime_ms" not in experiment.run(config).fieldnames
     config.timings = True
     report = experiment.run(config)
@@ -187,9 +187,9 @@ def test_timings_column_is_opt_in():
 
 
 def test_report_serialization_is_byte_identical():
-    config = ExperimentConfig(
-        surface_kind="torus_revolution", n_u=32, n_v=32,
-        compare=CompareSpec(mode="perturb", seed=1, amplitude=0.1))
+    base = zoo.torus_revolution()
+    config = ExperimentConfig(base, QuadratureSpec(32, 32),
+                              zoo.perturbed_surface(base, seed=1, amplitude=0.1))
     first = experiment.run(config)
     second = experiment.run(config)
     assert first.to_csv() == second.to_csv()
@@ -239,6 +239,34 @@ def test_compare_defaults_agree_between_flags_and_config(mode, explicit, tmp_pat
                            f"[quadrature]\nn_u = 32\nn_v = 32\n[compare]\nmode = {mode}\n")
     assert cli.main(["report", "--config", cfg]) == 0
     assert capsys.readouterr().out == from_flags
+
+
+@pytest.mark.parametrize("mode,flags,section", [
+    ("conformal", ["--factor", "exp(0.6*sin(u))"], 'factor = "exp(0.6*sin(u))"\n'),
+    ("perturb", ["--seed", "3", "--amplitude", "0.05"], "seed = 3\namplitude = 0.05\n"),
+    ("twist", ["--amplitude", "0.7"], "amplitude = 0.7\n"),
+])
+def test_compare_flags_and_config_build_the_same_experiment(mode, flags, section,
+                                                            tmp_path):
+    args = cli.build_parser().parse_args(
+        ["compare", "--surface", "torus_revolution", "--param", "R=3", "--mode", mode,
+         *flags, "--resolution", "16x24"])
+    from_flags = cli._config_from_flags(args)
+    cfg = _write(tmp_path, "[surface]\nkind = torus_revolution\nR = 3\n"
+                           "[quadrature]\nn_u = 16\nn_v = 24\n"
+                           f"[compare]\nmode = {mode}\n{section}")
+    from_file = load_config(cfg)
+    assert from_flags.surface.name == from_file.surface.name == "torus_revolution(R=3,r=1)"
+    assert from_flags.spec == from_file.spec == QuadratureSpec(16, 24)
+    assert from_flags.other.name == from_file.other.name
+    assert from_file.other.name.startswith("torus_revolution(R=3,r=1)|")
+
+
+def test_constant_conformal_factor_leaves_the_chern_number(capsys):
+    argv = ["compare", "--surface", "torus_revolution", "--mode", "conformal",
+            "--factor", "1e-7", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert abs(json.loads(capsys.readouterr().out)["delta_raw"]) < 1e-12
 
 
 def test_cli_chern_stdout_csv(capsys):
@@ -415,18 +443,54 @@ def test_bad_inputs_exit_one_without_traceback(argv, config, tmp_path):
     assert sorted(tmp_path.iterdir()) == files  # no report or grid written
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["compare", "--surface", "sphere", "--mode", "twist"],
+_PROBE_MESSAGE = (
+    "[compare] perturbation (seed 1, amplitude 1e+300) breaks positive definiteness on "
+    "the probe grid: metric is not positive definite (min g11 0.000e+00, min det n/a; "
+    "not finite at 4096 of 4096 nodes)")
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["compare", "--surface", "sphere", "--mode", "twist"], None,
      "[compare] comparison requires a fully periodic domain"),
-    (["compare", "--surface", "poincare_octagon", "--mode", "perturb"],
+    (["compare", "--surface", "poincare_octagon", "--mode", "perturb"], None,
      "[compare] comparison requires a fully periodic domain"),
+    (["compare", "--surface", "sphere", "--mode", "conformal"], None,
+     "[compare] conformal mode requires factor"),  # the factor is checked first
     (["chern", "--surface", "sphere", "--out", "same.csv", "--grid-out", "./same.csv"],
-     "[output] path and grid_path name the same file"),
-    (["chern", "--surface", "sphere", "--param", "R=nan"],
+     None, "[output] path and grid_path name the same file"),
+    (["chern", "--surface", "sphere", "--param", "R=nan"], None,
      "[surface] sphere radius must be positive and finite"),
-], ids=["compare_sphere", "compare_octagon", "out_is_grid_out", "param_nan"])
-def test_config_conflicts_are_rejected_before_any_quadrature(argv, message, tmp_path,
+    (["compare", "--surface", "torus_revolution", "--mode", "conformal",
+      "--factor", "sin("], None,
+     "[compare] expected a number, name, '(' or '-' at offset 4"),
+    (["compare", "--surface", "torus_revolution", "--mode", "perturb",
+      "--amplitude", "1e300", "--resolution", "32x32"], None, _PROBE_MESSAGE),
+    (["report"], "[surface]\nkind = torus_revolution\n[quadrature]\nn_u = 32\nn_v = 32\n"
+                 "[compare]\nmode = conformal\nfactor = \"exp(0.6*sin(u)\"\n",
+     "[compare] expected ')' at offset 14"),
+    (["chern", "--surface", "sphere", "--param", "R=1e200"], None,
+     "[surface] sphere(R=1e+200): metric scale R^2 = inf is outside the normal float "
+     "range"),
+    (["chern", "--surface", "sphere", "--param", "R=1e-200"], None,
+     "[surface] sphere(R=1e-200): metric scale R^2 = 0 is outside the normal float range"),
+    (["chern", "--surface", "torus_revolution", "--param", "R=1e200"], None,
+     "[surface] torus_revolution(R=1e+200,r=1): metric scale (R+r)^2 = inf is outside "
+     "the normal float range"),
+    (["chern", "--surface", "flat_torus", "--param", "a=1e200"], None,
+     "[surface] flat_torus(a=1e+200,b=1): metric scale a^2 = inf is outside the normal "
+     "float range"),
+], ids=["compare_sphere", "compare_octagon", "compare_sphere_no_factor", "out_is_grid_out",
+        "param_nan", "factor_syntax", "perturb_probe", "config_factor_syntax",
+        "sphere_param_overflow", "sphere_param_underflow", "torus_param_overflow",
+        "flat_torus_param_overflow"])
+def test_config_conflicts_are_rejected_before_any_quadrature(argv, config, message,
+                                                            tmp_path, tmp_path_factory,
                                                             monkeypatch, capsys):
+    if config is not None:
+        path = tmp_path_factory.mktemp("config") / "exp.cfg"
+        path.write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+
     def refuse(surface, spec=None):
         raise AssertionError("a Chern number was computed")
 
@@ -498,17 +562,18 @@ def test_failed_allocation_exits_one(monkeypatch, capsys):
     assert captured.out == ""
 
 
-def _count_metric_grid_calls(monkeypatch):
-    import chernquad.curvature
+def _count_sampled_nodes(monkeypatch):
+    """The node count of each block that ``curvature_sample`` evaluates."""
+    import chernquad.chern
 
     calls = []
-    original = chernquad.curvature.eval_metric_grid
+    original = chernquad.chern.curvature_report_grid
 
     def counting(field, us, vs):
         calls.append(np.size(us))
         return original(field, us, vs)
 
-    monkeypatch.setattr(chernquad.curvature, "eval_metric_grid", counting)
+    monkeypatch.setattr(chernquad.chern, "curvature_report_grid", counting)
     return calls
 
 
@@ -520,7 +585,7 @@ def _count_metric_grid_calls(monkeypatch):
 ], ids=["compare_conformal", "compare_twist", "chern"])
 def test_grid_out_ops_evaluate_each_metric_once(argv, expected, tmp_path, monkeypatch,
                                                 capsys):
-    calls = _count_metric_grid_calls(monkeypatch)
+    calls = _count_sampled_nodes(monkeypatch)
     grid = tmp_path / "grid.csv"
     assert cli.main(argv + ["--resolution", "32x32", "--grid-out", str(grid)]) == 0
     capsys.readouterr()
@@ -532,7 +597,7 @@ def test_verify_samples_the_torus_and_its_rescaling_once(monkeypatch):
     from chernquad import verify
 
     verify._torus_and_rescaling.cache_clear()
-    calls = _count_metric_grid_calls(monkeypatch)
+    calls = _count_sampled_nodes(monkeypatch)
     assert verify.check_conformal_invariance(5).passed
     assert verify.check_metric_independence(6).passed
     # torus, its rescaling, the perturbed and the twisted torus at 128^2

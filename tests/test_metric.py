@@ -17,8 +17,8 @@ from chernquad.metric import (
     Point2,
     RectDomain,
     conformal_scale,
+    check_spd,
     edge_arcs,
-    eval_metric_grid,
     eval_metric_jet,
     metric_field_from_expressions,
     perturb_metric,
@@ -101,6 +101,16 @@ def test_metric_tensor_rejects_indefinite():
     assert g.det == pytest.approx(7.0)
 
 
+def test_spd_check_does_not_depend_on_scale():
+    with pytest.raises(SpdViolationError):
+        MetricTensor(1.0, 1.0, 1.0)  # degenerate at any scale
+    MetricTensor(1e-8, 0.0, 1e-8)  # det 1e-16: small, but the axes are orthogonal
+    with pytest.raises(SpdViolationError):
+        MetricTensor(1e8, 1e8 * (1.0 - 1e-15), 1e8)  # nearly parallel axes
+    # where g11 * g22 overflows, the absolute det > SPD_TOL decides
+    check_spd(np.array([np.inf, 1.0]), np.ones(2), np.array([np.inf, 1.0]))
+
+
 def test_spd_error_names_the_finite_minimum_beside_a_nan():
     # dets: 1, NaN, -3; a NaN must not hide the negative determinant
     with pytest.raises(SpdViolationError) as err:
@@ -137,7 +147,8 @@ def test_grid_evaluation_matches_pointwise():
     surf = torus_revolution(2.0, 1.0)
     us = np.array([0.3, 1.0, 4.0])
     vs = np.array([0.1, 2.0, 5.0])
-    grid = eval_metric_grid(surf.field, us, vs)
+    grid = surf.field.evaluator(us, vs)
+    _ = grid.value  # MetricTensor constructor runs check_spd
     g11 = np.broadcast_to(grid.g11.val, us.shape)  # the torus' g11 is a scalar channel
     for i in range(3):
         jet = eval_metric_jet(surf.field, Point2(us[i], vs[i]))
@@ -251,8 +262,8 @@ def test_perturbation_stays_spd_on_probe_grid():
     perturbed = perturb_metric(surf.field, seed=2, amplitude=0.3)
     rng = np.random.default_rng(8)
     us, vs = surf.domain.sample_interior(rng, 100)
-    grid = eval_metric_grid(perturbed, us, vs)
-    _ = grid.value  # MetricTensor constructor re-checks SPD
+    grid = perturbed.evaluator(us, vs)
+    _ = grid.value  # MetricTensor constructor runs check_spd
 
 
 def test_perturbation_requires_rectangle():

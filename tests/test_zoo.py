@@ -41,6 +41,32 @@ def test_parameter_validation():
             make()
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: sphere(1e200), "sphere(R=1e+200): metric scale R^2 = inf"),
+    (lambda: sphere(1e-200), "sphere(R=1e-200): metric scale R^2 = 0"),
+    (lambda: sphere(1e80), "sphere(R=1e+80): metric scale R^4 = inf"),
+    (lambda: sphere(1e-80), "sphere(R=1e-80): metric scale R^4 = 9.99989e-321"),  # subnormal
+    (lambda: torus_revolution(1e200, 1.0), "torus_revolution(R=1e+200,r=1): metric "
+                                           "scale (R+r)^2 = inf"),
+    (lambda: torus_revolution(2.0, 1e-200), "torus_revolution(R=2,r=1e-200): metric "
+                                            "scale r^2 = 0"),
+    (lambda: torus_revolution(1e-100, 0.5e-100), "torus_revolution(R=1e-100,r=5e-101): "
+                                                 "metric scale r^2 (R-r)^2 = 0"),
+    (lambda: flat_torus(1e200, 1.0), "flat_torus(a=1e+200,b=1): metric scale a^2 = inf"),
+    (lambda: flat_torus(1.0, 1e-170), "flat_torus(a=1,b=1e-170): metric scale b^2 = 0"),
+    (lambda: flat_torus(1e100, 1e100), "flat_torus(a=1e+100,b=1e+100): metric scale "
+                                       "a^2 b^2 = inf"),
+], ids=["sphere_R2_over", "sphere_R2_under", "sphere_R4_over", "sphere_R4_subnormal",
+        "torus_ring_over", "torus_r2_under", "torus_det_under", "flat_a2_over",
+        "flat_b2_under", "flat_det_over"])
+def test_parameters_whose_metric_scales_leave_the_float_range_are_rejected(make, message):
+    # squares and dets past the normal floats would over- or underflow the
+    # metric at every node; the error names the surface and the scale
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message + " is outside the normal float range"
+
+
 def test_make_surface_dispatch_and_errors():
     surf = make_surface("sphere", {"R": 2.0})
     assert surf.name == "sphere(R=2)"

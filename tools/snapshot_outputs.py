@@ -62,8 +62,26 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
          CLI + ("compare", "--surface", "torus_revolution", "--mode", "perturb",
                 "--amplitude", "1e300", "--resolution", "32x32")),
     ]
+    # rejected inputs: their one error line is part of the contract
+    cmds += [
+        ("error_compare_factor_syntax",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "conformal",
+                "--factor", "sin(")),
+        ("error_compare_factor_missing",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "conformal")),
+        ("error_compare_sphere_twist",
+         CLI + ("compare", "--surface", "sphere", "--mode", "twist")),
+        ("error_compare_octagon_perturb",
+         CLI + ("compare", "--surface", "poincare_octagon", "--mode", "perturb")),
+        ("error_chern_unknown_param",
+         CLI + ("chern", "--surface", "sphere", "--param", "bogus=1")),
+    ]
     for cfg in sorted((ROOT / "demos" / "configs").glob("*.cfg")):
         cmds.append((f"report_{cfg.stem}", CLI + ("report", "--config", str(cfg))))
+    cmds.append(("report_torus_conformal_32x32",
+                 CLI + ("report", "--config",
+                        str(ROOT / "demos" / "configs" / "torus_conformal.cfg"),
+                        "--set", "quadrature.n_u=32", "--set", "quadrature.n_v=32")))
     for seed in ("0", "7"):
         cmds.append((f"verify_seed_{seed}", CLI + ("verify", "--seed", seed)))
     for demo in sorted((ROOT / "demos").glob("*.py")):
