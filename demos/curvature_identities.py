@@ -27,12 +27,12 @@ for kind in ("sphere", "torus_revolution", "flat_torus", "poincare_octagon"):
     worst_alpha = 0.0
     for u, v in zip(us, vs):
         p = Point2(float(u), float(v))
-        rep = curvature_two_form(surf.field, p)
+        rep = curvature_two_form(surf, p)
         worst_identity = max(worst_identity, rep.identity_residual())
         worst_christoffel = max(
             worst_christoffel,
-            abs(gauss_curvature(surf.field, p) - rep.k) / (1.0 + abs(rep.k)))
-        form = connection_form(surf.field, p)
+            abs(gauss_curvature(surf, p) - rep.k) / (1.0 + abs(rep.k)))
+        form = connection_form(surf, p)
         worst_alpha = max(worst_alpha, abs(form.alpha_u), abs(form.alpha_v))
     print(f"{surf.name:28s}  |two_form - K*area| {worst_identity:8.1e}   "
           f"|K - K_christoffel| {worst_christoffel:8.1e}   "
@@ -41,7 +41,7 @@ for kind in ("sphere", "torus_revolution", "flat_torus", "poincare_octagon"):
 # the sphere pins the sign convention: b_v = cos(theta), b_u = 0
 surf = make_surface("sphere")
 theta = np.pi / 3
-form = connection_form(surf.field, Point2(theta, 0.5))
+form = connection_form(surf, Point2(theta, 0.5))
 print()
 print(f"sphere connection form at theta = pi/3: b_u = {form.b_u:.3e}, "
       f"b_v = {form.b_v:.12f} (cos theta = {np.cos(theta):.12f})")

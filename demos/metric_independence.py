@@ -48,8 +48,8 @@ from chernquad import curvature_report_grid
 
 us = np.linspace(0.0, 2 * np.pi, 9)[:-1]
 vs = np.zeros_like(us)
-k_base = curvature_report_grid(base.field, us, vs).two_form_coeff
-k_conf = curvature_report_grid(variants[0].field, us, vs).two_form_coeff
+k_base = curvature_report_grid(base, us, vs).two_form_coeff
+k_conf = curvature_report_grid(variants[0], us, vs).two_form_coeff
 print("two-form coefficient along v = 0 (base vs conformal):")
 for u, a, b in zip(us, k_base, k_conf):
     print(f"  u = {u:5.2f}   {a:+.6f}   {b:+.6f}")

@@ -34,8 +34,9 @@ import numpy as np
 from .curvature import (CurvatureSample, OneForm, curvature_report_grid, fd_curl,
                         identity_residual)
 from .errors import NonFiniteValueError, PeriodicityError
-from .metric import MetricField, RectDomain
+from .metric import RectDomain
 from .quadrature import QuadratureSpec, build_nodes, reduce_sum
+from .zoo import Surface
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,17 +69,17 @@ class ChernResult:
     sample: CurvatureSample = dataclass_field(repr=False, compare=False)
 
 
-def curvature_sample(field: MetricField, spec: QuadratureSpec) -> CurvatureSample:
-    """One curvature pass over the quadrature nodes of the field's chart,
+def curvature_sample(surface: Surface, spec: QuadratureSpec) -> CurvatureSample:
+    """One curvature pass over the quadrature nodes of the surface's chart,
     in blocks of BLOCK_NODES nodes.  A non-finite two-form or
     K * sqrt(det g) raises NonFiniteValueError naming the first such node
     (numpy's own warnings are silenced)."""
-    us, vs, ws = build_nodes(field.domain, spec)
+    us, vs, ws = build_nodes(surface.domain, spec)
     alpha_max = max_residual = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, us.size, BLOCK_NODES):
             cut = slice(lo, lo + BLOCK_NODES)
-            block = curvature_report_grid(field, us[cut], vs[cut])
+            block = curvature_report_grid(surface, us[cut], vs[cut])
             if lo == 0:  # here, to reuse the first block's freed temporaries
                 channels = np.empty((4, us.size))  # two-form, K * area, b_u, b_v
             k_area = block.k * block.area_coeff
@@ -91,18 +92,18 @@ def curvature_sample(field: MetricField, spec: QuadratureSpec) -> CurvatureSampl
         if bad.size:
             raise NonFiniteValueError(f"{name} is {values[bad[0]]} at node (u, v) = "
                                       f"({us[bad[0]]:.17g}, {vs[bad[0]]:.17g})")
-    return CurvatureSample(domain=field.domain, spec=spec, us=us, vs=vs, weights=ws,
+    return CurvatureSample(domain=surface.domain, spec=spec, us=us, vs=vs, weights=ws,
                            two_form=channels[0], k_area=channels[1], b_u=channels[2],
                            b_v=channels[3], alpha_max=alpha_max,
                            max_identity_residual=max_residual)
 
 
-def chern_number(surface, spec: QuadratureSpec | None = None) -> ChernResult:
+def chern_number(surface: Surface, spec: QuadratureSpec | None = None) -> ChernResult:
     """(1 / 2*pi) * integral of the curvature two-form over the chart."""
     if spec is None:
         n_u, n_v = surface.reference_resolution
         spec = QuadratureSpec(n_u, n_v)
-    sample = curvature_sample(surface.field, spec)
+    sample = curvature_sample(surface, spec)
     raw = reduce_sum(sample.weights * sample.two_form) / TWO_PI
     raw_gauss = reduce_sum(sample.weights * sample.k_area) / TWO_PI
     rounded = int(round(raw))

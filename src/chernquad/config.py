@@ -50,10 +50,6 @@ from .zoo import BUILTIN_KINDS, COMPARE_MODES, Surface, custom_surface, make_sur
 _SECTIONS = ("surface", "quadrature", "compare", "output")
 _RECT_KEYS = ("u_min", "u_max", "v_min", "v_max")
 _COMPARE_TYPES = {"seed": int, "amplitude": float}  # a factor is text
-_BOOL_STATES = {
-    "1": True, "yes": True, "true": True, "on": True,
-    "0": False, "no": False, "false": False, "off": False,
-}
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,9 @@ def _as_value(section: str, key: str, raw: str, kind=float):
 
 def _as_bool(section: str, key: str, raw: str) -> bool:
     s = _strip_quotes(raw).lower()
-    if s not in _BOOL_STATES:
+    if s not in configparser.ConfigParser.BOOLEAN_STATES:
         raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-    return _BOOL_STATES[s]
+    return configparser.ConfigParser.BOOLEAN_STATES[s]
 
 
 def _reject_unknown(section: str, options: Mapping[str, str], known) -> None:

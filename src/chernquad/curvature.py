@@ -11,9 +11,10 @@ is the coefficient of i * curv(nabla) against du^dv and must reproduce
 K * sqrt(det g) pointwise; integrating it (or K * sqrt(det g)) against
 the chart quadrature and dividing by 2*pi gives the first Chern number.
 
-``curvature_report_grid`` is the vectorized kernel.  It takes the
-two-form and K * sqrt(det g) by two independent closed-form routes on
-plain arrays of jet channels:
+Every entry point takes a ``zoo.Surface`` and reads only its
+``domain`` and ``evaluator``.  ``curvature_report_grid`` is the
+vectorized kernel.  It takes the two-form and K * sqrt(det g) by two
+independent closed-form routes on plain arrays of jet channels:
 
 * Cartan.  The coframe theta1 = a du + c dv, theta2 = d dv is dual to
   (e1, e2).  Its jets are the metric jet's ``coframe`` when it carries
@@ -50,9 +51,9 @@ import numpy as np
 from . import jets
 from .errors import DomainMismatchError, PeriodicityError
 from .jets import Jet2, partial_jet
-from .metric import (MetricField, MetricJet, ParamDomain, Point2, RectDomain, check_spd,
-                     eval_metric_jet)
+from .metric import MetricJet, ParamDomain, Point2, RectDomain, check_spd, eval_metric_jet
 from .quadrature import QuadratureSpec
+from .zoo import Surface
 
 
 @dataclass(frozen=True)
@@ -233,10 +234,11 @@ def _alpha_max(mjet: MetricJet, det) -> float:
 
 
 def _kernel(mjet: MetricJet, shape) -> CurvatureReport:
-    # det g once: a jet where the Cholesky coframe needs it, with the same .val
+    # det g once: a jet where the Cholesky coframe needs it, with the same .val;
+    # an array even from scalar channels, so a det^2 that underflows divides to nan
     e, f, g = mjet.g11, mjet.g12, mjet.g22
     det_jet = None if mjet.coframe else e * g - f * f
-    det = e.val * g.val - f.val * f.val if det_jet is None else det_jet.val
+    det = np.asarray(e.val * g.val - f.val * f.val if det_jet is None else det_jet.val)
     check_spd(e.val, g.val, det)  # before any square root
     b_u, b_v, two_form = _cartan(*(mjet.coframe or _cholesky_coframe(mjet, det_jet)))
     k = _brioschi_k(mjet, det)
@@ -249,32 +251,32 @@ def _kernel(mjet: MetricJet, shape) -> CurvatureReport:
 # public entry points
 
 
-def gauss_curvature(field: MetricField, p: Point2) -> float:
+def gauss_curvature(surface: Surface, p: Point2) -> float:
     """Sectional curvature of the chart plane, K = g(R(X,Y)Y, X) /
     (g(X,X) g(Y,Y) - g(X,Y)^2) with X = du, Y = dv."""
-    mjet = eval_metric_jet(field, p)
+    mjet = eval_metric_jet(surface, p)
     g, det, _, gamma = _inverse_and_gamma(mjet)
     return float(_curvature_k(g, det, gamma))
 
 
-def connection_form(field: MetricField, p: Point2) -> ConnectionForm:
-    mjet = eval_metric_jet(field, p)
+def connection_form(surface: Surface, p: Point2) -> ConnectionForm:
+    mjet = eval_metric_jet(surface, p)
     g, det, inv, gamma = _inverse_and_gamma(mjet)
     b_u, b_v, alpha_u, alpha_v = _connection_coeffs(g, det, inv, gamma)
     return ConnectionForm(float(b_u.val), float(b_v.val), float(alpha_u), float(alpha_v))
 
 
-def curvature_two_form(field: MetricField, p: Point2) -> CurvatureReport:
+def curvature_two_form(surface: Surface, p: Point2) -> CurvatureReport:
     """The grid kernel's report at one point, with the domain check."""
-    rep = _kernel(eval_metric_jet(field, p), ())
+    rep = _kernel(eval_metric_jet(surface, p), ())
     return CurvatureReport(*(float(c) for c in astuple(rep)))
 
 
-def curvature_report_grid(field: MetricField, us: np.ndarray,
+def curvature_report_grid(surface: Surface, us: np.ndarray,
                           vs: np.ndarray) -> CurvatureReport:
     """Vectorized CurvatureReport; array channels shaped like the input."""
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
-    return _kernel(field.evaluator(us, vs), np.broadcast(us, vs).shape)
+    return _kernel(surface.evaluator(us, vs), np.broadcast(us, vs).shape)
 
 
 def connection_difference(sample: CurvatureSample,
@@ -285,7 +287,7 @@ def connection_difference(sample: CurvatureSample,
     Both connection forms are taken in the unitary frames built over the
     same base direction du, so their difference is a global real 1-form.
     imag_max is max(max|alpha|, max|alpha'|), the larger hermiticity
-    residual of the two fields (not max|alpha - alpha'|).
+    residual of the two metrics (not max|alpha - alpha'|).
     """
     if (sample.domain, sample.spec) != (sample_prime.domain, sample_prime.spec):
         raise DomainMismatchError("connection_difference needs samples on the same nodes")

@@ -1,27 +1,14 @@
-"""Chart domains and metric tensor fields with second-order jets.
+"""Chart domains and metric tensors with second-order jets.
 
-A surface is presented by a single chart: a parameter domain (rectangle
-with optional periodic axes, or the regular geodesic octagon of the
-Poincare disk) together with a smooth field of symmetric
-positive-definite 2x2 matrices.  Every field evaluation returns a
-:class:`MetricJet`, the metric components as
+A surface (``zoo.Surface``) is presented by a single chart: a parameter
+domain (rectangle with optional periodic axes, or the regular geodesic
+octagon of the Poincare disk) together with a ``MetricEvaluator``, a
+smooth field of symmetric positive-definite 2x2 matrices.  Every
+evaluation returns a :class:`MetricJet`, the metric components as
 :class:`~chernquad.jets.Jet2` values, so downstream curvature formulas
 get first and second metric derivatives that are exact to rounding.  A
 builtin evaluator also puts its exact coframe on the jet, computed from
 the same subexpressions as the metric it factors.
-
-Transformations produce new fields from old ones:
-
-``twist_metric``
-    the pullback of g by the twist (u, v) -> (u, v + a sin u), whose
-    Jacobian determinant is 1 for every amplitude a, with jets propagated
-    by the chain rule through second order; composing second-order
-    Taylor data is what makes the pulled-back second derivatives exact.
-``conformal_scale``
-    f * g for a strictly positive scalar factor with jets.
-``perturb_metric``
-    e^(a*psi) * g plus a symmetric low-frequency trigonometric
-    off-diagonal term, seed-deterministic, validated SPD on a probe grid.
 
 Evaluators are pure functions of (u, v) and accept floats or numpy
 arrays; grid sampling costs one vectorized pass.
@@ -32,20 +19,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, ClassVar, Union
+from typing import TYPE_CHECKING, Callable, ClassVar, Union
 
 import numpy as np
-from numpy.random import Generator, default_rng
+from numpy.random import Generator
 
-from . import jets
-from .errors import (
-    DomainMismatchError,
-    NonpositiveFactorError,
-    PointOutsideDomainError,
-    SpdViolationError,
-)
-from .expressions import eval_jet, parse
+from .errors import PointOutsideDomainError, SpdViolationError
 from .jets import Channel, Jet2
+
+if TYPE_CHECKING:
+    from .zoo import Surface
 
 SPD_TOL = 1e-12
 
@@ -294,161 +277,10 @@ class MetricJet:
 MetricEvaluator = Callable[[Channel, Channel], MetricJet]
 
 
-@dataclass(frozen=True)
-class MetricField:
-    """A metric evaluator over a chart domain.
-
-    ``evaluator`` must be a pure function accepting floats or arrays.
-    """
-
-    domain: ParamDomain
-    evaluator: MetricEvaluator = dataclass_field(repr=False)
-
-
-def eval_metric_jet(field: MetricField, p: Point2) -> MetricJet:
-    """Evaluate a field at a point, with domain and SPD checks."""
-    if not field.domain.contains(p):
+def eval_metric_jet(surface: Surface, p: Point2) -> MetricJet:
+    """Evaluate a surface's metric at a point, with domain and SPD checks."""
+    if not surface.domain.contains(p):
         raise PointOutsideDomainError(f"point ({p.u}, {p.v}) is outside the chart domain")
-    jet = field.evaluator(p.u, p.v)
+    jet = surface.evaluator(p.u, p.v)
     jet.value  # noqa: B018 - constructing MetricTensor runs the SPD check
     return jet
-
-
-# ---------------------------------------------------------------------------
-# the twist pullback
-
-
-def _compose_scalar(h: Jet2, dp: Jet2, dq: Jet2) -> Jet2:
-    # h holds the Taylor data of a scalar at the image point; dp, dq are
-    # the centered component jets of the map.  Evaluating the order-2
-    # Taylor polynomial in jet arithmetic is the order-2 chain rule.
-    return (h.val + h.du * dp + h.dv * dq
-            + 0.5 * h.duu * dp * dp + h.duv * dp * dq + 0.5 * h.dvv * dq * dq)
-
-
-def twist_metric(field: MetricField, amplitude: float) -> MetricField:
-    """The pullback of ``field`` by the twist (u, v) -> (u, v + a sin u).
-
-    The twist is a degree-one self-map of any chart periodic in v.  Its
-    Jacobian has columns (1, s) and (0, 1) with s = a cos u, so its
-    determinant is 1 for every amplitude and the pullback
-    (D phi)^T g(phi(p)) (D phi) is
-    (g11 + 2 s g12 + s^2 g22, g12 + s g22, g22) at the image point.
-    """
-    a = float(amplitude)
-
-    def evaluator(u, v):
-        su, sv = jets.var_u(u), jets.var_v(v)
-        q = sv + a * jets.sin(su)
-        base = field.evaluator(su.val, q.val)
-        dp, dq = su - su.val, q - q.val
-        h11 = _compose_scalar(base.g11, dp, dq)
-        h12 = _compose_scalar(base.g12, dp, dq)
-        h22 = _compose_scalar(base.g22, dp, dq)
-        s = a * jets.cos(su)
-        return MetricJet(h11 + 2.0 * s * h12 + s * s * h22, h12 + s * h22, h22)
-
-    return MetricField(domain=field.domain, evaluator=evaluator)
-
-
-# ---------------------------------------------------------------------------
-# conformal scaling and seeded perturbations
-
-ScalarJetField = Callable[[Channel, Channel], Jet2]
-
-
-def scalar_field_from_expression(text: str) -> ScalarJetField:
-    ast = parse(text)
-    return lambda u, v: eval_jet(ast, u, v)
-
-
-def conformal_scale(field: MetricField, factor: ScalarJetField) -> MetricField:
-    """f * g for a strictly positive scalar factor with jets."""
-
-    def evaluator(u, v):
-        base = field.evaluator(u, v)
-        f = factor(u, v)
-        if np.any(np.asarray(f.val) <= 0.0):
-            raise NonpositiveFactorError("conformal factor must be strictly positive")
-        return MetricJet(f * base.g11, f * base.g12, f * base.g22)
-
-    return MetricField(domain=field.domain, evaluator=evaluator)
-
-
-def _trig_sum(terms, u: Jet2, v: Jet2) -> Jet2:
-    out = Jet2(0.0)
-    for coeff, ku, kv, phase in terms:
-        out = out + coeff * jets.sin(ku * u + kv * v + phase)
-    return out
-
-
-def _draw_trig_terms(rng: Generator, n_terms: int):
-    coeffs = rng.uniform(-1.0, 1.0, size=n_terms)
-    coeffs = coeffs / np.sum(np.abs(coeffs))
-    freqs = rng.integers(0, 3, size=(n_terms, 2))
-    # avoid constant terms: force at least one nonzero frequency
-    for i in range(n_terms):
-        if freqs[i, 0] == 0 and freqs[i, 1] == 0:
-            freqs[i, 0] = 1
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_terms)
-    return [(float(coeffs[i]), int(freqs[i, 0]), int(freqs[i, 1]), float(phases[i]))
-            for i in range(n_terms)]
-
-
-PROBE_GRID = 64
-
-
-def perturb_metric(field: MetricField, seed: int, amplitude: float) -> MetricField:
-    """e^(a*psi) * g plus an off-diagonal a*chi*sqrt(g11*g22)/2 term.
-
-    psi and chi are seed-deterministic sums of low-frequency (|k| <= 2)
-    trigonometric terms with unit l1 coefficient norm, so the domain
-    periodicity is preserved and amplitude 0 returns an identical field.
-    The result is validated SPD on a PROBE_GRID x PROBE_GRID grid.
-    """
-    if not isinstance(field.domain, RectDomain):
-        raise DomainMismatchError("perturb_metric expects a rectangle chart domain")
-    rng = default_rng(seed)
-    psi_terms = _draw_trig_terms(rng, 3)
-    chi_terms = _draw_trig_terms(rng, 2)
-    a = float(amplitude)
-
-    def evaluator(u, v):
-        base = field.evaluator(u, v)
-        su, sv = jets.var_u(u), jets.var_v(v)
-        scale = jets.exp(a * _trig_sum(psi_terms, su, sv))
-        off = a * 0.5 * _trig_sum(chi_terms, su, sv) * jets.sqrt(base.g11 * base.g22)
-        return MetricJet(scale * base.g11, scale * base.g12 + off, scale * base.g22)
-
-    out = MetricField(domain=field.domain, evaluator=evaluator)
-    dom = field.domain
-    us = np.linspace(dom.u_min, dom.u_max, PROBE_GRID + 1)[:-1] if dom.periodic_u else \
-        np.linspace(dom.u_min, dom.u_max, PROBE_GRID + 2)[1:-1]
-    vs = np.linspace(dom.v_min, dom.v_max, PROBE_GRID + 1)[:-1] if dom.periodic_v else \
-        np.linspace(dom.v_min, dom.v_max, PROBE_GRID + 2)[1:-1]
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    try:
-        with np.errstate(all="ignore"):
-            out.evaluator(uu.ravel(), vv.ravel()).value  # noqa: B018 - the SPD check
-    except SpdViolationError as exc:
-        raise SpdViolationError(
-            f"perturbation (seed {seed}, amplitude {amplitude}) breaks positive "
-            f"definiteness on the probe grid: {exc}") from exc
-    return out
-
-
-# ---------------------------------------------------------------------------
-# builtin evaluator helper
-
-
-def metric_field_from_expressions(domain: ParamDomain, g11: str, g12: str,
-                                  g22: str) -> MetricField:
-    """Build a field whose components are parsed expressions in u and v."""
-    asts = [parse(g11), parse(g12), parse(g22)]
-
-    def evaluator(u, v):
-        return MetricJet(eval_jet(asts[0], u, v),
-                         eval_jet(asts[1], u, v),
-                         eval_jet(asts[2], u, v))
-
-    return MetricField(domain=domain, evaluator=evaluator)

@@ -98,7 +98,7 @@ def check_curvature_identity(seed: int) -> CheckResult:
     worst = 0.0
     for surf in _zoo():
         us, vs = surf.domain.sample_interior(rng, 100)
-        worst = max(worst, curvature_report_grid(surf.field, us, vs).identity_residual())
+        worst = max(worst, curvature_report_grid(surf, us, vs).identity_residual())
     passed = worst < 1e-5
     return CheckResult("curvature_identity", passed,
                        f"max |two_form - K*area| residual {worst:.2e} (tol 1e-5)")
@@ -110,8 +110,8 @@ def check_curvature_oracles(seed: int) -> CheckResult:
     worst_analytic = 0.0
     for surf in _zoo():
         us, vs = surf.domain.sample_interior(rng, 100)
-        k = curvature_report_grid(surf.field, us, vs).k
-        k_c = np.array([gauss_curvature(surf.field, Point2(u, v)) for u, v in zip(us, vs)])
+        k = curvature_report_grid(surf, us, vs).k
+        k_c = np.array([gauss_curvature(surf, Point2(u, v)) for u, v in zip(us, vs)])
         worst_pair = max(worst_pair, float(np.max(_rel(k, k_c))))
         if surf.analytic_k is not None:
             worst_analytic = max(worst_analytic,
@@ -159,19 +159,17 @@ def check_bundle_isomorphism(seed: int) -> CheckResult:
 
 def check_conformal_invariance(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    from .metric import conformal_scale, scalar_field_from_expression
-
     surf = torus_revolution(2.0, 1.0)
     worst_j = 0.0
     for _ in range(5):
         a = rng.uniform(-0.8, 0.8)
         b = rng.uniform(-0.8, 0.8)
         text = f"exp({a!r}*sin(u) + {b!r}*cos(v))"
-        scaled = conformal_scale(surf.field, scalar_field_from_expression(text))
+        scaled = conformal_surface(surf, text)
         us, vs = surf.domain.sample_interior(rng, 200)
         for u, v in zip(us, vs):
             p = Point2(float(u), float(v))
-            j = complex_structure(eval_metric_jet(surf.field, p).value)
+            j = complex_structure(eval_metric_jet(surf, p).value)
             j_f = complex_structure(eval_metric_jet(scaled, p).value)
             worst_j = max(worst_j, float(np.max(np.abs(j.m - j_f.m))))
 

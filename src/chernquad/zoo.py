@@ -23,7 +23,7 @@ from the same subexpression as the metric: a = R, c = 0, d = R sin u
 for the sphere; a = r, c = 0, d = R + r cos u for the torus; constant
 a, d and c = 0 for the flat torus; a = d = 2 / (1 - u^2 - v^2), c = 0
 for the octagon.  theta2 has no du term, so e1 = du/a is the frame of
-the Cholesky coframe that derived and custom fields get.  The
+the Cholesky coframe that derived and custom surfaces get.  The
 curvature kernel's two-form then never takes a square root of a metric
 jet, and the sphere's stays accurate to rounding up to the poles.
 Constant metric and coframe components are scalar-channel jets such as
@@ -33,60 +33,66 @@ octagon's chart is ``metric.OctagonDomain``.
 ``BUILTIN_KINDS`` is the one table of these kinds: it maps each to its
 constructor and its parameter keys, and drives ``make_surface``, the
 ``[surface]`` key check of configs and ``chernquad list``.  Each
-builtin rejects parameters whose metric scales (the squares and the det
-of its components) leave the normal float range.  ``COMPARE_MODES`` is
-the same table for the second metric of a comparison, derived from a
-surface by ``conformal_surface``, ``perturbed_surface`` or
-``twisted_surface`` (the pullback by ``metric.twist_metric``); their
-jets carry no coframe.  Parameter defaults of both tables live only in
-the constructor signatures.
+builtin rejects parameters whose metric scales (the squares of its
+components, its det and the det squared that the Brioschi formula
+divides by) leave the normal float range.
+
+``COMPARE_MODES`` is the same table for the second metric of a
+comparison.  Each of its constructors builds an evaluator on its base's
+and keeps the base's chart, expected Chern number and reference
+resolution, but not its closed-form K:
+
+``conformal_surface``
+    f * g for a strictly positive factor f, an expression in u and v.
+``perturbed_surface``
+    e^(a*psi) * g plus a symmetric low-frequency trigonometric
+    off-diagonal term, seed-deterministic, validated SPD on a probe grid.
+``twisted_surface``
+    the pullback of g by the twist (u, v) -> (u, v + a sin u), whose
+    Jacobian determinant is 1 for every amplitude a, with jets propagated
+    by the chain rule through second order; composing second-order
+    Taylor data is what makes the pulled-back second derivatives exact.
+
+``custom_surface`` takes the metric components as expressions.  Derived
+and expression jets carry no coframe.  Parameter defaults of both tables
+live only in the constructor signatures.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from . import jets
+from .errors import DomainMismatchError, NonpositiveFactorError, SpdViolationError
+from .expressions import eval_jet, parse
 from .jets import Jet2
-from .metric import (
-    MetricField,
-    MetricJet,
-    OctagonDomain,
-    ParamDomain,
-    RectDomain,
-    conformal_scale,
-    metric_field_from_expressions,
-    perturb_metric,
-    scalar_field_from_expression,
-    twist_metric,
-)
+from .metric import MetricEvaluator, MetricJet, OctagonDomain, ParamDomain, RectDomain
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class Surface:
-    """A named chart-with-metric plus its known invariants.
+    """A named chart with its metric evaluator, plus known invariants.
 
+    ``evaluator`` must be a pure function accepting floats or arrays.
     ``expected_chern`` and ``analytic_k`` are None when unknown (custom
-    fields).  ``reference_resolution`` is the (n_u, n_v) at which the
+    surfaces).  ``reference_resolution`` is the (n_u, n_v) at which the
     expected Chern number is reproduced well inside the acceptance band.
     """
 
     name: str
-    field: MetricField
+    domain: ParamDomain
+    evaluator: MetricEvaluator = field(repr=False)
     expected_chern: int | None
     analytic_k: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     reference_resolution: tuple[int, int]
-
-    @property
-    def domain(self) -> ParamDomain:
-        return self.field.domain
 
 
 def _check_scales(name: str, *scales: tuple[str, float]) -> None:
@@ -101,8 +107,9 @@ def sphere(radius: float = 1.0) -> Surface:
     if not 0.0 < radius < math.inf:
         raise ValueError("sphere radius must be positive and finite")
     r2 = radius * radius
+    r4 = r2 * r2
     name = f"sphere(R={radius:g})"
-    _check_scales(name, ("R^2", r2), ("R^4", r2 * r2))
+    _check_scales(name, ("R^2", r2), ("R^4", r4), ("R^8", r4 * r4))
     domain = RectDomain(0.0, math.pi, 0.0, TWO_PI, periodic_u=False, periodic_v=True)
 
     def evaluator(u, v):
@@ -110,8 +117,7 @@ def sphere(radius: float = 1.0) -> Surface:
         return MetricJet(Jet2(r2), Jet2(0.0), r2 * s * s,
                          coframe=(Jet2(radius), Jet2(0.0), radius * s))
 
-    field = MetricField(domain=domain, evaluator=evaluator)
-    return Surface(name=name, field=field, expected_chern=2,
+    return Surface(name=name, domain=domain, evaluator=evaluator, expected_chern=2,
                    analytic_k=lambda u, v: np.broadcast_to(1.0 / r2, np.shape(u)),
                    reference_resolution=(64, 128))
 
@@ -122,18 +128,18 @@ def torus_revolution(big_radius: float = 2.0, small_radius: float = 1.0) -> Surf
     domain = RectDomain(0.0, TWO_PI, 0.0, TWO_PI, periodic_u=True, periodic_v=True)
     r, R = small_radius, big_radius
     name = f"torus_revolution(R={R:g},r={r:g})"
-    ring_min = r * (R - r)
+    ring_min, ring_max = r * (R - r), r * (R + r)  # the range of sqrt(det g)
+    det_min, det_max = ring_min * ring_min, ring_max * ring_max
     _check_scales(name, ("r^2", r * r), ("(R+r)^2", (R + r) * (R + r)),
-                  ("r^2 (R-r)^2", ring_min * ring_min))
+                  ("r^2 (R-r)^2", det_min), ("r^4 (R+r)^4", det_max * det_max),
+                  ("r^4 (R-r)^4", det_min * det_min))
 
     def evaluator(u, v):
         ring = R + r * jets.cos(jets.var_u(u))
         return MetricJet(Jet2(r * r), Jet2(0.0), ring * ring,
                          coframe=(Jet2(r), Jet2(0.0), ring))
 
-    field = MetricField(domain=domain, evaluator=evaluator)
-    return Surface(name=name, field=field,
-                   expected_chern=0,
+    return Surface(name=name, domain=domain, evaluator=evaluator, expected_chern=0,
                    analytic_k=lambda u, v: np.cos(u) / (r * (R + r * np.cos(u))),
                    reference_resolution=(128, 128))
 
@@ -142,15 +148,16 @@ def flat_torus(a: float = 1.0, b: float = 1.0) -> Surface:
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError("flat torus needs positive finite side scales")
     name = f"flat_torus(a={a:g},b={b:g})"
-    _check_scales(name, ("a^2", a * a), ("b^2", b * b), ("a^2 b^2", a * a * b * b))
+    det = a * a * b * b
+    _check_scales(name, ("a^2", a * a), ("b^2", b * b), ("a^2 b^2", det),
+                  ("a^4 b^4", det * det))
     domain = RectDomain(0.0, TWO_PI, 0.0, TWO_PI, periodic_u=True, periodic_v=True)
 
     def evaluator(u, v):
         return MetricJet(Jet2(a * a), Jet2(0.0), Jet2(b * b),
                          coframe=(Jet2(a), Jet2(0.0), Jet2(b)))
 
-    field = MetricField(domain=domain, evaluator=evaluator)
-    return Surface(name=name, field=field, expected_chern=0,
+    return Surface(name=name, domain=domain, evaluator=evaluator, expected_chern=0,
                    analytic_k=lambda u, v: np.zeros(np.shape(u)),
                    reference_resolution=(64, 64))
 
@@ -158,7 +165,6 @@ def flat_torus(a: float = 1.0, b: float = 1.0) -> Surface:
 def poincare_octagon() -> Surface:
     # the geodesic octagon is the true fundamental domain, whose
     # hyperbolic area 4*pi carries the Chern number -2
-    domain = OctagonDomain()
 
     def evaluator(u, v):
         su, sv = jets.var_u(u), jets.var_v(v)
@@ -167,41 +173,141 @@ def poincare_octagon() -> Surface:
         scale = 2.0 / s
         return MetricJet(h, Jet2(0.0), h, coframe=(scale, Jet2(0.0), scale))
 
-    field = MetricField(domain=domain, evaluator=evaluator)
-    return Surface(name="poincare_octagon", field=field, expected_chern=-2,
-                   analytic_k=lambda u, v: np.full(np.shape(u), -1.0),
+    return Surface(name="poincare_octagon", domain=OctagonDomain(), evaluator=evaluator,
+                   expected_chern=-2, analytic_k=lambda u, v: np.full(np.shape(u), -1.0),
                    reference_resolution=(32, 32))
 
 
+# ---------------------------------------------------------------------------
+# derived surfaces: each keeps its base's chart, Chern number and resolution
+
+
 def conformal_surface(base: Surface, factor: str = "") -> Surface:
+    """f * g for the strictly positive scalar factor f = ``factor``."""
     if not factor:
         raise ValueError("conformal mode requires factor")
-    field = conformal_scale(base.field, scalar_field_from_expression(factor))
-    return Surface(name=f"{base.name}|conformal({factor})", field=field,
-                   expected_chern=base.expected_chern, analytic_k=None,
-                   reference_resolution=base.reference_resolution)
+    ast = parse(factor)
+
+    def evaluator(u, v):
+        g = base.evaluator(u, v)
+        f = eval_jet(ast, u, v)
+        if np.any(np.asarray(f.val) <= 0.0):
+            raise NonpositiveFactorError("conformal factor must be strictly positive")
+        return MetricJet(f * g.g11, f * g.g12, f * g.g22)
+
+    return replace(base, name=f"{base.name}|conformal({factor})", evaluator=evaluator,
+                   analytic_k=None)
+
+
+def _trig_sum(terms, u: Jet2, v: Jet2) -> Jet2:
+    out = Jet2(0.0)
+    for coeff, ku, kv, phase in terms:
+        out = out + coeff * jets.sin(ku * u + kv * v + phase)
+    return out
+
+
+def _draw_trig_terms(rng: Generator, n_terms: int):
+    coeffs = rng.uniform(-1.0, 1.0, size=n_terms)
+    coeffs = coeffs / np.sum(np.abs(coeffs))
+    freqs = rng.integers(0, 3, size=(n_terms, 2))
+    # avoid constant terms: force at least one nonzero frequency
+    for i in range(n_terms):
+        if freqs[i, 0] == 0 and freqs[i, 1] == 0:
+            freqs[i, 0] = 1
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_terms)
+    return [(float(coeffs[i]), int(freqs[i, 0]), int(freqs[i, 1]), float(phases[i]))
+            for i in range(n_terms)]
+
+
+PROBE_GRID = 64
 
 
 def perturbed_surface(base: Surface, seed: int = 1, amplitude: float = 0.1) -> Surface:
-    field = perturb_metric(base.field, seed, amplitude)
-    return Surface(name=f"{base.name}|perturbed(seed={seed},amp={amplitude:g})",
-                   field=field, expected_chern=base.expected_chern, analytic_k=None,
-                   reference_resolution=base.reference_resolution)
+    """e^(a*psi) * g plus an off-diagonal a*chi*sqrt(g11*g22)/2 term.
+
+    psi and chi are seed-deterministic sums of low-frequency (|k| <= 2)
+    trigonometric terms with unit l1 coefficient norm, so the domain
+    periodicity is preserved and amplitude 0 returns an identical metric.
+    The result is validated SPD on a PROBE_GRID x PROBE_GRID grid.
+    """
+    dom = base.domain
+    if not isinstance(dom, RectDomain):
+        raise DomainMismatchError("perturbed_surface expects a rectangle chart domain")
+    rng = default_rng(seed)
+    psi_terms = _draw_trig_terms(rng, 3)
+    chi_terms = _draw_trig_terms(rng, 2)
+    a = float(amplitude)
+
+    def evaluator(u, v):
+        g = base.evaluator(u, v)
+        su, sv = jets.var_u(u), jets.var_v(v)
+        scale = jets.exp(a * _trig_sum(psi_terms, su, sv))
+        off = a * 0.5 * _trig_sum(chi_terms, su, sv) * jets.sqrt(g.g11 * g.g22)
+        return MetricJet(scale * g.g11, scale * g.g12 + off, scale * g.g22)
+
+    us = np.linspace(dom.u_min, dom.u_max, PROBE_GRID + 1)[:-1] if dom.periodic_u else \
+        np.linspace(dom.u_min, dom.u_max, PROBE_GRID + 2)[1:-1]
+    vs = np.linspace(dom.v_min, dom.v_max, PROBE_GRID + 1)[:-1] if dom.periodic_v else \
+        np.linspace(dom.v_min, dom.v_max, PROBE_GRID + 2)[1:-1]
+    uu, vv = np.meshgrid(us, vs, indexing="ij")
+    try:
+        with np.errstate(all="ignore"):
+            evaluator(uu.ravel(), vv.ravel()).value  # noqa: B018 - the SPD check
+    except SpdViolationError as exc:
+        raise SpdViolationError(
+            f"perturbation (seed {seed}, amplitude {amplitude}) breaks positive "
+            f"definiteness on the probe grid: {exc}") from exc
+    return replace(base, name=f"{base.name}|perturbed(seed={seed},amp={amplitude:g})",
+                   evaluator=evaluator, analytic_k=None)
+
+
+def _compose_scalar(h: Jet2, dp: Jet2, dq: Jet2) -> Jet2:
+    # h holds the Taylor data of a scalar at the image point; dp, dq are
+    # the centered component jets of the map.  Evaluating the order-2
+    # Taylor polynomial in jet arithmetic is the order-2 chain rule.
+    return (h.val + h.du * dp + h.dv * dq
+            + 0.5 * h.duu * dp * dp + h.duv * dp * dq + 0.5 * h.dvv * dq * dq)
 
 
 def twisted_surface(base: Surface, amplitude: float = 0.3) -> Surface:
-    field = twist_metric(base.field, amplitude)
-    return Surface(name=f"{base.name}|twist({amplitude:g})", field=field,
-                   expected_chern=base.expected_chern, analytic_k=None,
-                   reference_resolution=base.reference_resolution)
+    """The pullback of the metric by the twist (u, v) -> (u, v + a sin u).
+
+    The twist is a degree-one self-map of any chart periodic in v.  Its
+    Jacobian has columns (1, s) and (0, 1) with s = a cos u, so its
+    determinant is 1 for every amplitude and the pullback
+    (D phi)^T g(phi(p)) (D phi) is
+    (g11 + 2 s g12 + s^2 g22, g12 + s g22, g22) at the image point.
+    """
+    a = float(amplitude)
+
+    def evaluator(u, v):
+        su, sv = jets.var_u(u), jets.var_v(v)
+        q = sv + a * jets.sin(su)
+        g = base.evaluator(su.val, q.val)
+        dp, dq = su - su.val, q - q.val
+        h11 = _compose_scalar(g.g11, dp, dq)
+        h12 = _compose_scalar(g.g12, dp, dq)
+        h22 = _compose_scalar(g.g22, dp, dq)
+        s = a * jets.cos(su)
+        return MetricJet(h11 + 2.0 * s * h12 + s * s * h22, h12 + s * h22, h22)
+
+    return replace(base, name=f"{base.name}|twist({amplitude:g})", evaluator=evaluator,
+                   analytic_k=None)
 
 
 def custom_surface(name: str, domain: ParamDomain, g11: str, g12: str,
                    g22: str) -> Surface:
-    field = metric_field_from_expressions(domain, g11, g12, g22)
+    """A surface whose metric components are parsed expressions in u and v."""
+    asts = [parse(g11), parse(g12), parse(g22)]
+
+    def evaluator(u, v):
+        return MetricJet(eval_jet(asts[0], u, v),
+                         eval_jet(asts[1], u, v),
+                         eval_jet(asts[2], u, v))
+
     n = 64 if isinstance(domain, RectDomain) else 32
-    return Surface(name=name, field=field, expected_chern=None, analytic_k=None,
-                   reference_resolution=(n, n))
+    return Surface(name=name, domain=domain, evaluator=evaluator, expected_chern=None,
+                   analytic_k=None, reference_resolution=(n, n))
 
 
 # kind -> (constructor, {parameter key: constructor argument})

@@ -11,24 +11,10 @@ from chernquad.chern import ChernResult, chern_number, curvature_sample, stokes_
 from chernquad.curvature import (OneForm, connection_difference, connection_form,
                                  curvature_report_grid, gauss_curvature)
 from chernquad.errors import NonFiniteValueError, PeriodicityError
-from chernquad.metric import (
-    Point2,
-    RectDomain,
-    conformal_scale,
-    eval_metric_jet,
-    perturb_metric,
-    scalar_field_from_expression,
-    twist_metric,
-)
+from chernquad.metric import Point2, RectDomain, eval_metric_jet
 from chernquad.quadrature import QuadratureSpec, build_nodes
-from chernquad.zoo import (custom_surface, flat_torus, perturbed_surface, poincare_octagon,
-                           sphere, torus_revolution, twisted_surface)
-
-
-def _dup(surface, field):
-    """The same surface with a replacement metric field."""
-    import dataclasses
-    return dataclasses.replace(surface, field=field)
+from chernquad.zoo import (conformal_surface, custom_surface, flat_torus, perturbed_surface,
+                           poincare_octagon, sphere, torus_revolution, twisted_surface)
 
 
 @pytest.mark.parametrize("make,expected", [
@@ -84,21 +70,21 @@ def test_chern_number_is_metric_independent():
     spec = QuadratureSpec(128, 128)
     base = chern_number(surf, spec)
     variants = [
-        conformal_scale(surf.field, scalar_field_from_expression("exp(0.6*sin(u))")),
-        perturb_metric(surf.field, seed=1, amplitude=0.1),
-        twist_metric(surf.field, 0.3),
+        conformal_surface(surf, "exp(0.6*sin(u))"),
+        perturbed_surface(surf, seed=1, amplitude=0.1),
+        twisted_surface(surf, 0.3),
     ]
-    for field in variants:
-        other = chern_number(_dup(surf, field), spec)
+    for variant in variants:
+        other = chern_number(variant, spec)
         assert other.rounded == base.rounded == 0
         assert abs(other.raw - base.raw) < 1e-6
 
 
 def test_stokes_residual_of_connection_difference_vanishes():
     surf = torus_revolution(2.0, 1.0)
-    scaled = conformal_scale(surf.field, scalar_field_from_expression("exp(0.6*sin(u))"))
+    scaled = conformal_surface(surf, "exp(0.6*sin(u))")
     spec = QuadratureSpec(128, 128)
-    eta = connection_difference(curvature_sample(surf.field, spec),
+    eta = connection_difference(curvature_sample(surf, spec),
                                 curvature_sample(scaled, spec))
     assert stokes_residual(eta, surf.domain) < 1e-10
     assert eta.imag_max < 1e-12
@@ -156,11 +142,11 @@ def test_grid_kernel_matches_the_christoffel_oracle(make):
     # the Cartan and Brioschi kernel against the Jet2 Christoffel route
     surf = make()
     us, vs = surf.domain.sample_interior(np.random.default_rng(7), 40)
-    rep = curvature_report_grid(surf.field, us, vs)
+    rep = curvature_report_grid(surf, us, vs)
     for i, (u, v) in enumerate(zip(us, vs)):
         p = Point2(float(u), float(v))
-        form = connection_form(surf.field, p)
-        k_area = gauss_curvature(surf.field, p) * math.sqrt(eval_metric_jet(surf.field, p).value.det)
+        form = connection_form(surf, p)
+        k_area = gauss_curvature(surf, p) * math.sqrt(eval_metric_jet(surf, p).value.det)
         for got, want in ((rep.b_u[i], form.b_u), (rep.b_v[i], form.b_v),
                           (rep.two_form_coeff[i], k_area), (rep.k[i] * rep.area_coeff[i], k_area)):
             assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (u, v, got, want)
@@ -198,11 +184,11 @@ def test_non_finite_error_names_the_same_node_for_any_block_size(monkeypatch):
     for block in (chern.BLOCK_NODES, 1000, 7):
         monkeypatch.setattr(chern, "BLOCK_NODES", block)
         with pytest.raises(NonFiniteValueError) as info:
-            curvature_sample(surf.field, spec)
+            curvature_sample(surf, spec)
         messages.append(str(info.value))
     us, vs, _ = build_nodes(dom, spec)
     with np.errstate(all="ignore"):  # one unblocked pass as the reference
-        two_form = curvature_report_grid(surf.field, us, vs).two_form_coeff
+        two_form = curvature_report_grid(surf, us, vs).two_form_coeff
     first = np.flatnonzero(~np.isfinite(two_form))[0]
     assert messages[0].endswith(f"at node (u, v) = ({us[first]:.17g}, {vs[first]:.17g})")
     assert messages == [messages[0]] * 3

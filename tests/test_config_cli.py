@@ -54,7 +54,7 @@ format = json
 """)
     config = load_config(path)
     assert config.surface.name == "torus_revolution(R=3,r=1)"
-    assert config.surface.field.evaluator(0.0, 0.0).g22.val == 16.0  # (R + r cos u)^2
+    assert config.surface.evaluator(0.0, 0.0).g22.val == 16.0  # (R + r cos u)^2
     assert config.spec == QuadratureSpec(32, 32)
     assert config.other is None
     assert config.output.format == "json"
@@ -79,7 +79,7 @@ periodic_v = true
     config = load_config(path)
     surface = config.surface
     assert surface.name == "stretched" and isinstance(surface.domain, RectDomain)
-    assert surface.field.evaluator(math.pi / 2, 0.0).g11.val == pytest.approx(3.0)
+    assert surface.evaluator(math.pi / 2, 0.0).g11.val == pytest.approx(3.0)
     assert surface.domain.periodic_u and surface.domain.periodic_v
     assert surface.domain.u_max == pytest.approx(2 * math.pi)
     assert config.spec == QuadratureSpec(64, 64)  # the custom reference resolution
@@ -422,12 +422,19 @@ v_max = 1
                                                 .replace("v_max = 1", "v_max = 1e308")),
     (["report"], _BAD_METRIC_CFG.format(g11="1").replace("u_max = 1", "u_max = 1e200")
                                                 .replace("v_max = 1", "v_max = 1e200")),
+    # constant components: det g = 1e-200 is normal, but the det^2 that the
+    # Brioschi formula divides by underflows to 0
+    (["report"], "[surface]\nkind = custom\ndomain = octagon\ng11 = 1e-100\ng12 = 0\n"
+                 "g22 = 1e-100\n[quadrature]\nn_u = 32\nn_v = 32\n"),
+    (["chern", "--surface", "flat_torus", "--param", "a=1e-60", "--param", "b=1e-60"],
+     None),
 ], ids=["metric_overflow", "metric_not_spd", "nonpositive_factor", "factor_domain",
         "param_overflow", "perturb_overflow", "grid_out_missing_dir", "out_missing_dir",
         "grid_out_is_dir", "config_path_missing_dir", "config_grid_path_missing_dir",
         "resolution_past_int64", "resolution_past_array_size", "out_is_grid_out",
         "config_path_is_grid_path", "compare_not_fully_periodic", "rect_side_infinite",
-        "rect_side_overflows", "rect_area_overflows"])
+        "rect_side_overflows", "rect_area_overflows", "custom_det_squared_underflow",
+        "flat_torus_det_squared_underflow"])
 def test_bad_inputs_exit_one_without_traceback(argv, config, tmp_path):
     if config is not None:
         argv = argv + ["--config", _write(tmp_path, config)]
@@ -479,10 +486,20 @@ _PROBE_MESSAGE = (
     (["chern", "--surface", "flat_torus", "--param", "a=1e200"], None,
      "[surface] flat_torus(a=1e+200,b=1): metric scale a^2 = inf is outside the normal "
      "float range"),
+    # the squared dets that the Brioschi formula divides by
+    (["chern", "--surface", "sphere", "--param", "R=1e39"], None,
+     "[surface] sphere(R=1e+39): metric scale R^8 = inf is outside the normal float range"),
+    (["chern", "--surface", "torus_revolution", "--param", "R=1e39", "--param", "r=5e38"],
+     None, "[surface] torus_revolution(R=1e+39,r=5e+38): metric scale r^4 (R+r)^4 = inf "
+           "is outside the normal float range"),
+    (["chern", "--surface", "flat_torus", "--param", "a=1e-60", "--param", "b=1e-60"], None,
+     "[surface] flat_torus(a=1e-60,b=1e-60): metric scale a^4 b^4 = 0 is outside the "
+     "normal float range"),
 ], ids=["compare_sphere", "compare_octagon", "compare_sphere_no_factor", "out_is_grid_out",
         "param_nan", "factor_syntax", "perturb_probe", "config_factor_syntax",
         "sphere_param_overflow", "sphere_param_underflow", "torus_param_overflow",
-        "flat_torus_param_overflow"])
+        "flat_torus_param_overflow", "sphere_det_squared_overflow",
+        "torus_det_squared_overflow", "flat_torus_det_squared_underflow"])
 def test_config_conflicts_are_rejected_before_any_quadrature(argv, config, message,
                                                             tmp_path, tmp_path_factory,
                                                             monkeypatch, capsys):

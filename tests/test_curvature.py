@@ -18,17 +18,11 @@ from chernquad.curvature import (
 )
 from chernquad.errors import DomainMismatchError, PeriodicityError
 from chernquad import jets
-from chernquad.metric import (
-    MetricField,
-    Point2,
-    RectDomain,
-    conformal_scale,
-    metric_field_from_expressions,
-    scalar_field_from_expression,
-)
+from chernquad.metric import Point2, RectDomain
 from chernquad.quadrature import QuadratureSpec, build_nodes
-from chernquad.zoo import (BUILTIN_KINDS, conformal_surface, flat_torus, perturbed_surface,
-                           poincare_octagon, sphere, torus_revolution, twisted_surface)
+from chernquad.zoo import (BUILTIN_KINDS, conformal_surface, custom_surface, flat_torus,
+                           perturbed_surface, poincare_octagon, sphere, torus_revolution,
+                           twisted_surface)
 
 
 TWO_PI = 2 * math.pi
@@ -55,22 +49,21 @@ def test_gauss_curvature_against_analytic(make, expected):
     for u, v in zip(us, vs):
         p = Point2(float(u), float(v))
         want = expected(u, v)
-        assert gauss_curvature(surf.field, p) == pytest.approx(want, rel=1e-9, abs=1e-9)
-        assert curvature_two_form(surf.field, p).k == pytest.approx(
+        assert gauss_curvature(surf, p) == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert curvature_two_form(surf, p).k == pytest.approx(
             want, rel=1e-9, abs=1e-9)
 
 
 def test_two_curvature_routes_agree_off_oracle():
     # a metric with no closed-form K on file: both routes must still agree
     dom = _periodic_square()
-    field = metric_field_from_expressions(
-        dom, "2 + sin(u)*cos(v)", "0.3*sin(u+v)", "3 + cos(u)")
+    surf = custom_surface("custom", dom, "2 + sin(u)*cos(v)", "0.3*sin(u+v)", "3 + cos(u)")
     rng = np.random.default_rng(1)
     us, vs = dom.sample_interior(rng, 50)
     for u, v in zip(us, vs):
         p = Point2(float(u), float(v))
-        assert gauss_curvature(field, p) == pytest.approx(
-            curvature_two_form(field, p).k, rel=1e-8, abs=1e-8)
+        assert gauss_curvature(surf, p) == pytest.approx(
+            curvature_two_form(surf, p).k, rel=1e-8, abs=1e-8)
 
 
 # --- connection form and two-form ---------------------------------------------
@@ -84,7 +77,7 @@ def test_sphere_connection_form_calibration():
     # number +2 for the chart orientation du^dv
     surf = sphere(1.0)
     theta = math.pi / 3
-    form = connection_form(surf.field, Point2(theta, 1.0))
+    form = connection_form(surf, Point2(theta, 1.0))
     assert form.b_u == pytest.approx(0.0, abs=1e-13)
     assert form.b_v == pytest.approx(math.cos(theta), rel=1e-12)
     assert abs(form.alpha_u) < 1e-13 and abs(form.alpha_v) < 1e-13
@@ -95,7 +88,7 @@ def test_two_form_matches_k_times_area_pointwise():
         rng = np.random.default_rng(3)
         us, vs = surf.domain.sample_interior(rng, 40)
         for u, v in zip(us, vs):
-            rep = curvature_two_form(surf.field, Point2(float(u), float(v)))
+            rep = curvature_two_form(surf, Point2(float(u), float(v)))
             assert rep.identity_residual() < 1e-10
             assert rep.two_form_coeff == pytest.approx(
                 rep.k * rep.area_coeff, rel=1e-9, abs=1e-12)
@@ -105,9 +98,9 @@ def test_grid_report_matches_pointwise_report():
     surf = torus_revolution(2.0, 1.0)
     us = np.array([0.2, 1.0, 3.3])
     vs = np.array([0.7, 2.0, 4.1])
-    grid = curvature_report_grid(surf.field, us, vs)
+    grid = curvature_report_grid(surf, us, vs)
     for i in range(3):
-        single = curvature_two_form(surf.field, Point2(us[i], vs[i]))
+        single = curvature_two_form(surf, Point2(us[i], vs[i]))
         assert grid.k[i] == pytest.approx(single.k, rel=1e-14)
         assert grid.two_form_coeff[i] == pytest.approx(single.two_form_coeff, rel=1e-13)
 
@@ -116,14 +109,13 @@ def test_conformal_flat_metric_curvature_closed_form():
     # g = e^(2 lam) I has K sqrt(det g) = -(lam_uu + lam_vv); with
     # lam = 0.2 sin(u) + 0.1 cos(2 v) the laplacian is explicit
     dom = _periodic_square()
-    flat = metric_field_from_expressions(dom, "1", "0", "1")
-    factor = scalar_field_from_expression("exp(2*(0.2*sin(u) + 0.1*cos(2*v)))")
-    field = conformal_scale(flat, factor)
+    flat = custom_surface("flat", dom, "1", "0", "1")
+    surf = conformal_surface(flat, "exp(2*(0.2*sin(u) + 0.1*cos(2*v)))")
     rng = np.random.default_rng(4)
     us, vs = dom.sample_interior(rng, 30)
     for u, v in zip(us, vs):
         lap = -0.2 * math.sin(u) - 0.4 * math.cos(2 * v)
-        rep = curvature_two_form(field, Point2(float(u), float(v)))
+        rep = curvature_two_form(surf, Point2(float(u), float(v)))
         assert rep.two_form_coeff == pytest.approx(-lap, rel=1e-10, abs=1e-10)
 
 
@@ -135,7 +127,7 @@ def test_sphere_two_form_is_exact_up_to_the_poles(radius):
     # the Gauss nodes nearest the poles have sin u ~ 7e-5, where the
     # metric-jet route loses about 1/sin^2 u of its accuracy
     mpmath = pytest.importorskip("mpmath")
-    sample = curvature_sample(sphere(radius).field, QuadratureSpec(256, 512))
+    sample = curvature_sample(sphere(radius), QuadratureSpec(256, 512))
     us, two_form = sample.us, sample.two_form
     near = (us < 0.05) | (us > math.pi - 0.05)
     assert near.any()
@@ -152,9 +144,9 @@ def test_sphere_two_form_is_exact_up_to_the_poles(radius):
     lambda: sphere(3.0), lambda: torus_revolution(3.0, 0.5), lambda: flat_torus(1.0, 2.0),
 ], ids=[*BUILTIN_KINDS, "sphere_R3", "thin_torus", "flat_torus_1x2"])
 def test_builtin_coframe_reproduces_its_metric(make):
-    field = make().field
-    us, vs = field.domain.sample_interior(np.random.default_rng(8), 40)
-    mjet = field.evaluator(us, vs)
+    surf = make()
+    us, vs = surf.domain.sample_interior(np.random.default_rng(8), 40)
+    mjet = surf.evaluator(us, vs)
     assert mjet.coframe is not None
     a, c, d = mjet.coframe
     # a^2 = E, a*c = F, c^2 + d^2 = G through second derivatives
@@ -164,9 +156,9 @@ def test_builtin_coframe_reproduces_its_metric(make):
             y = np.broadcast_to(getattr(want, channel), us.shape)
             assert np.all(np.abs(x - y) <= 1e-13 * (1.0 + np.abs(y))), channel
     # theta2 = d dv, so the exact and the Cholesky coframes share e1 = du/a
-    exact = curvature_report_grid(field, us, vs)
-    twin = MetricField(field.domain, lambda u, v: dataclasses.replace(field.evaluator(u, v),
-                                                                      coframe=None))
+    exact = curvature_report_grid(surf, us, vs)
+    twin = dataclasses.replace(surf, evaluator=lambda u, v: dataclasses.replace(
+        surf.evaluator(u, v), coframe=None))
     cholesky = curvature_report_grid(twin, us, vs)
     assert np.max(np.abs(exact.b_u - cholesky.b_u)) <= 1e-13
     assert np.max(np.abs(exact.b_v - cholesky.b_v)) <= 1e-13
@@ -179,7 +171,7 @@ def test_builtin_metric_and_coframe_share_one_evaluation(make, name, monkeypatch
     # the coframe rides on the metric jet, so a grid call takes the
     # trigonometric jet of u once, not once for the metric and once more
     # for its coframe
-    field = make().field
+    surf = make()
     calls = []
     original = getattr(jets, name)
 
@@ -188,20 +180,20 @@ def test_builtin_metric_and_coframe_share_one_evaluation(make, name, monkeypatch
         return original(x)
 
     monkeypatch.setattr(jets, name, counting)
-    curvature_report_grid(field, np.array([0.5, 1.0, 2.0]), np.array([0.0, 1.0, 3.0]))
+    curvature_report_grid(surf, np.array([0.5, 1.0, 2.0]), np.array([0.0, 1.0, 3.0]))
     assert len(calls) == 1
 
 
 def test_derived_and_expression_fields_carry_no_coframe():
-    fields = [metric_field_from_expressions(_periodic_square(), "2 + sin(u)", "0", "1")]
+    surfaces = [custom_surface("custom", _periodic_square(), "2 + sin(u)", "0", "1")]
     for kind in ("sphere", "torus_revolution", "flat_torus"):
         base = BUILTIN_KINDS[kind][0]()
-        fields += [conformal_surface(base, "exp(0.6*sin(u))").field,
-                   perturbed_surface(base, 1, 0.1).field,
-                   twisted_surface(base, 0.3).field]
+        surfaces += [conformal_surface(base, "exp(0.6*sin(u))"),
+                     perturbed_surface(base, 1, 0.1),
+                     twisted_surface(base, 0.3)]
     us, vs = np.array([0.5, 1.0, 2.0]), np.array([0.0, 1.0, 3.0])
-    for field in fields:
-        assert field.evaluator(us, vs).coframe is None
+    for surf in surfaces:
+        assert surf.evaluator(us, vs).coframe is None
 
 
 # --- connection differences ---------------------------------------------------
@@ -210,22 +202,22 @@ def test_connection_difference_requires_matching_periodic_charts():
     torus = torus_revolution(2.0, 1.0)
     shifted_chart = RectDomain(0.0, math.pi, 0.0, TWO_PI,
                                periodic_u=True, periodic_v=True)
-    other = metric_field_from_expressions(shifted_chart, "1", "0", "1")
+    other = custom_surface("other", shifted_chart, "1", "0", "1")
     spec = QuadratureSpec(16, 16)
-    torus_sample = curvature_sample(torus.field, spec)
+    torus_sample = curvature_sample(torus, spec)
     with pytest.raises(DomainMismatchError):
         connection_difference(torus_sample, curvature_sample(other, spec))
     with pytest.raises(DomainMismatchError):
-        connection_difference(torus_sample, curvature_sample(torus.field, QuadratureSpec(16, 32)))
+        connection_difference(torus_sample, curvature_sample(torus, QuadratureSpec(16, 32)))
     cap = sphere(1.0)
-    cap_sample = curvature_sample(cap.field, QuadratureSpec(16, 16))
+    cap_sample = curvature_sample(cap, QuadratureSpec(16, 16))
     with pytest.raises(PeriodicityError):
         connection_difference(cap_sample, cap_sample)
 
 
 def test_connection_difference_of_field_with_itself_vanishes():
     surf = torus_revolution(2.0, 1.0)
-    sample = curvature_sample(surf.field, QuadratureSpec(16, 16))
+    sample = curvature_sample(surf, QuadratureSpec(16, 16))
     eta = connection_difference(sample, sample)
     assert np.max(np.abs(eta.eta_u)) == 0.0
     assert np.max(np.abs(eta.eta_v)) == 0.0
@@ -235,10 +227,10 @@ def test_connection_difference_of_field_with_itself_vanishes():
 def test_curl_of_connection_difference_matches_two_form_change():
     # two_form = -curl(b), so d eta = (i curv)' - (i curv) pointwise
     surf = torus_revolution(2.0, 1.0)
-    scaled = conformal_scale(surf.field, scalar_field_from_expression("exp(0.3*sin(u))"))
+    scaled = conformal_surface(surf, "exp(0.3*sin(u))")
     errs = []
     for n in (64, 128, 256):
-        base = curvature_sample(surf.field, QuadratureSpec(n, n))
+        base = curvature_sample(surf, QuadratureSpec(n, n))
         other = curvature_sample(scaled, QuadratureSpec(n, n))
         eta = connection_difference(base, other)
         assert eta.imag_max < 1e-12

@@ -1,4 +1,4 @@
-"""Domains, metric fields, jets of metrics, and field transformations."""
+"""Domains, metric tensors, jets of metrics, and derived surfaces."""
 
 import math
 
@@ -16,17 +16,20 @@ from chernquad.metric import (
     OctagonDomain,
     Point2,
     RectDomain,
-    conformal_scale,
     check_spd,
     edge_arcs,
     eval_metric_jet,
-    metric_field_from_expressions,
-    perturb_metric,
-    scalar_field_from_expression,
-    twist_metric,
 )
 from chernquad.verify import _fd_jet
-from chernquad.zoo import flat_torus, sphere, torus_revolution
+from chernquad.zoo import (
+    conformal_surface,
+    custom_surface,
+    flat_torus,
+    perturbed_surface,
+    sphere,
+    torus_revolution,
+    twisted_surface,
+)
 
 
 # --- domains ---------------------------------------------------------------
@@ -90,7 +93,7 @@ def test_octagon_contains_stops_at_its_vertices():
         assert not dom.contains(Point2(1.001 * vertex.u, 1.001 * vertex.v))
 
 
-# --- tensors and fields ----------------------------------------------------
+# --- tensors and surfaces ----------------------------------------------------
 
 def test_metric_tensor_rejects_indefinite():
     with pytest.raises(SpdViolationError):
@@ -122,8 +125,8 @@ def test_spd_error_names_the_finite_minimum_beside_a_nan():
 def test_eval_metric_jet_checks_domain():
     surf = sphere(1.0)
     with pytest.raises(PointOutsideDomainError):
-        eval_metric_jet(surf.field, Point2(-0.1, 0.0))
-    jet = eval_metric_jet(surf.field, Point2(math.pi / 3, 1.0))
+        eval_metric_jet(surf, Point2(-0.1, 0.0))
+    jet = eval_metric_jet(surf, Point2(math.pi / 3, 1.0))
     assert jet.value.g11 == pytest.approx(1.0)
     assert jet.value.g22 == pytest.approx(math.sin(math.pi / 3) ** 2)
 
@@ -133,11 +136,11 @@ def test_metric_jets_match_finite_differences():
     for surf in (sphere(1.0), torus_revolution(2.0, 1.0)):
         us, vs = surf.domain.sample_interior(rng, 25)
         for u, v in zip(us, vs):
-            jet = surf.field.evaluator(u, v)
+            jet = surf.evaluator(u, v)
             for comp in ("g11", "g12", "g22"):
                 got = getattr(jet, comp)
                 fd = _fd_jet(lambda uu, vv, c=comp: getattr(
-                    surf.field.evaluator(uu, vv), c).val, float(u), float(v))
+                    surf.evaluator(uu, vv), c).val, float(u), float(v))
                 for a, b in zip((got.val, got.du, got.dv,
                                  got.duu, got.duv, got.dvv), fd):
                     assert a == pytest.approx(b, rel=1e-5, abs=1e-5)
@@ -147,11 +150,11 @@ def test_grid_evaluation_matches_pointwise():
     surf = torus_revolution(2.0, 1.0)
     us = np.array([0.3, 1.0, 4.0])
     vs = np.array([0.1, 2.0, 5.0])
-    grid = surf.field.evaluator(us, vs)
+    grid = surf.evaluator(us, vs)
     _ = grid.value  # MetricTensor constructor runs check_spd
     g11 = np.broadcast_to(grid.g11.val, us.shape)  # the torus' g11 is a scalar channel
     for i in range(3):
-        jet = eval_metric_jet(surf.field, Point2(us[i], vs[i]))
+        jet = eval_metric_jet(surf, Point2(us[i], vs[i]))
         assert g11[i] == pytest.approx(jet.g11.val, rel=1e-15)
         assert grid.g22.du[i] == pytest.approx(jet.g22.du, rel=1e-15)
 
@@ -160,9 +163,9 @@ def test_grid_evaluation_matches_pointwise():
 
 def test_pullback_by_identity_is_identity():
     surf = torus_revolution(2.0, 1.0)
-    pulled = twist_metric(surf.field, 0.0)
+    pulled = twisted_surface(surf, 0.0)
     u, v = 1.1, 2.2
-    a = surf.field.evaluator(u, v)
+    a = surf.evaluator(u, v)
     b = pulled.evaluator(u, v)
     for comp in ("g11", "g12", "g22"):
         for ch in ("val", "du", "dv", "duu", "duv", "dvv"):
@@ -174,7 +177,7 @@ def test_pullback_linear_map_closed_form():
     # the twist by A on the flat metric diag(a^2, b^2): g11 = a^2 + (A b cos u)^2,
     # g12 = A b^2 cos u, g22 = b^2
     a, b, amp, u = 1.5, 0.5, 0.7, 0.3
-    pulled = twist_metric(flat_torus(a, b).field, amp)
+    pulled = twisted_surface(flat_torus(a, b), amp)
     jet = pulled.evaluator(u, 0.4)
     assert jet.g11.val == pytest.approx(a**2 + (amp * b * math.cos(u)) ** 2)
     assert jet.g12.val == pytest.approx(amp * b**2 * math.cos(u))
@@ -183,9 +186,9 @@ def test_pullback_linear_map_closed_form():
 
 def test_twist_and_untwist_compose_to_identity():
     surf = torus_revolution(2.0, 1.0)
-    pulled = twist_metric(twist_metric(surf.field, 0.4), -0.4)
+    pulled = twisted_surface(twisted_surface(surf, 0.4), -0.4)
     u, v = 0.9, 5.1
-    a = surf.field.evaluator(u, v)
+    a = surf.evaluator(u, v)
     b = pulled.evaluator(u, v)
     for comp in ("g11", "g12", "g22"):
         for ch in ("val", "du", "dv", "duu", "duv", "dvv"):
@@ -195,7 +198,7 @@ def test_twist_and_untwist_compose_to_identity():
 
 def test_pullback_jets_match_finite_differences():
     surf = torus_revolution(2.0, 1.0)
-    pulled = twist_metric(surf.field, 0.7)
+    pulled = twisted_surface(surf, 0.7)
     rng = np.random.default_rng(4)
     us, vs = surf.domain.sample_interior(rng, 10)
     for u, v in zip(us, vs):
@@ -212,16 +215,15 @@ def test_pullback_jets_match_finite_differences():
 
 def test_conformal_unit_factor_is_identity():
     surf = sphere(1.0)
-    scaled = conformal_scale(surf.field, scalar_field_from_expression("1"))
+    scaled = conformal_surface(surf, "1")
     jet = scaled.evaluator(0.7, 0.2)
-    base = surf.field.evaluator(0.7, 0.2)
+    base = surf.evaluator(0.7, 0.2)
     assert jet.g11.val == base.g11.val
     assert jet.g22.duu == base.g22.duu
 
 
 def test_conformal_constant_factor_scales_components():
-    field = flat_torus(1.0, 1.0).field
-    scaled = conformal_scale(field, scalar_field_from_expression("9"))
+    scaled = conformal_surface(flat_torus(1.0, 1.0), "9")
     jet = scaled.evaluator(1.0, 1.0)
     assert jet.g11.val == pytest.approx(9.0)
     assert jet.g22.val == pytest.approx(9.0)
@@ -229,17 +231,16 @@ def test_conformal_constant_factor_scales_components():
 
 
 def test_conformal_rejects_nonpositive_factor():
-    field = flat_torus(1.0, 1.0).field
-    scaled = conformal_scale(field, scalar_field_from_expression("sin(u)"))
+    scaled = conformal_surface(flat_torus(1.0, 1.0), "sin(u)")
     with pytest.raises(NonpositiveFactorError):
         scaled.evaluator(4.0, 0.0)  # sin < 0 here
 
 
 def test_perturbation_amplitude_zero_is_identity():
     surf = torus_revolution(2.0, 1.0)
-    perturbed = perturb_metric(surf.field, seed=9, amplitude=0.0)
+    perturbed = perturbed_surface(surf, seed=9, amplitude=0.0)
     u, v = 2.2, 0.4
-    a = surf.field.evaluator(u, v)
+    a = surf.evaluator(u, v)
     b = perturbed.evaluator(u, v)
     for comp in ("g11", "g12", "g22"):
         assert getattr(a, comp).val == pytest.approx(getattr(b, comp).val, abs=1e-15)
@@ -247,9 +248,9 @@ def test_perturbation_amplitude_zero_is_identity():
 
 def test_perturbation_is_seed_deterministic():
     surf = torus_revolution(2.0, 1.0)
-    one = perturb_metric(surf.field, seed=5, amplitude=0.1)
-    two = perturb_metric(surf.field, seed=5, amplitude=0.1)
-    other = perturb_metric(surf.field, seed=6, amplitude=0.1)
+    one = perturbed_surface(surf, seed=5, amplitude=0.1)
+    two = perturbed_surface(surf, seed=5, amplitude=0.1)
+    other = perturbed_surface(surf, seed=6, amplitude=0.1)
     jet_one = one.evaluator(1.0, 2.0)
     jet_two = two.evaluator(1.0, 2.0)
     jet_other = other.evaluator(1.0, 2.0)
@@ -259,7 +260,7 @@ def test_perturbation_is_seed_deterministic():
 
 def test_perturbation_stays_spd_on_probe_grid():
     surf = flat_torus(1.0, 1.0)
-    perturbed = perturb_metric(surf.field, seed=2, amplitude=0.3)
+    perturbed = perturbed_surface(surf, seed=2, amplitude=0.3)
     rng = np.random.default_rng(8)
     us, vs = surf.domain.sample_interior(rng, 100)
     grid = perturbed.evaluator(us, vs)
@@ -269,16 +270,16 @@ def test_perturbation_stays_spd_on_probe_grid():
 def test_perturbation_requires_rectangle():
     from chernquad.zoo import poincare_octagon
     with pytest.raises(DomainMismatchError):
-        perturb_metric(poincare_octagon().field, seed=1, amplitude=0.1)
+        perturbed_surface(poincare_octagon(), seed=1, amplitude=0.1)
 
 
-# --- expression-backed fields -----------------------------------------------
+# --- expression-backed surfaces ---------------------------------------------
 
 def test_metric_field_from_expressions():
     dom = RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi,
                      periodic_u=True, periodic_v=True)
-    field = metric_field_from_expressions(dom, "2 + sin(u)", "0", "1")
-    jet = field.evaluator(math.pi / 2, 0.0)
+    surf = custom_surface("custom", dom, "2 + sin(u)", "0", "1")
+    jet = surf.evaluator(math.pi / 2, 0.0)
     assert jet.g11.val == pytest.approx(3.0)
     assert jet.g11.du == pytest.approx(0.0, abs=1e-15)
     assert jet.g11.duu == pytest.approx(-1.0)
@@ -286,6 +287,6 @@ def test_metric_field_from_expressions():
 
 def test_expression_field_spd_violation_surfaces_at_eval():
     dom = RectDomain(-1.0, 1.0, -1.0, 1.0)
-    field = metric_field_from_expressions(dom, "u", "0", "1")
+    surf = custom_surface("custom", dom, "u", "0", "1")
     with pytest.raises(SpdViolationError):
-        eval_metric_jet(field, Point2(-0.5, 0.0))
+        eval_metric_jet(surf, Point2(-0.5, 0.0))

@@ -1,9 +1,10 @@
-"""Builtin surfaces and the hyperbolic octagon geometry oracles.
+"""Builtin and derived surfaces, and the hyperbolic octagon geometry oracles.
 
 The octagon's vertex radius is the closed form 2^(-1/4); the oracles
 below check it from the circle geometry of the edge arcs (each interior
 angle pi/4) and from Gauss-Bonnet (hyperbolic area 4*pi)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,9 @@ import pytest
 from chernquad.metric import OctagonDomain, RectDomain, edge_arcs, octagon_vertices
 from chernquad.quadrature import QuadratureSpec, build_nodes, reduce_sum
 from chernquad.zoo import (
+    COMPARE_MODES,
+    Surface,
+    custom_surface,
     flat_torus,
     make_surface,
     poincare_octagon,
@@ -35,6 +39,13 @@ def test_parameter_validation():
         lambda: flat_torus(0.0, 1.0),
         lambda: flat_torus(math.nan, 1.0),
         lambda: flat_torus(1.0, math.inf),
+        # det^2, which the Brioschi formula divides by, leaves the float range
+        lambda: sphere(1e39),
+        lambda: sphere(1e-39),
+        lambda: torus_revolution(1e39, 5e38),
+        lambda: torus_revolution(1e-38, 0.999e-38),
+        lambda: flat_torus(1e40, 1e40),
+        lambda: flat_torus(1e-60, 1e-60),
     ]
     for make in bad:
         with pytest.raises(ValueError):
@@ -156,3 +167,41 @@ def test_expected_chern_metadata(surf, chern):
     assert surf.expected_chern == chern
     n_u, n_v = surf.reference_resolution
     assert n_u >= 8 and n_v >= 8
+
+
+# --- derived and expression surfaces ---------------------------------------------
+
+def test_surface_fields():
+    assert [f.name for f in dataclasses.fields(Surface)] == [
+        "name", "domain", "evaluator", "expected_chern", "analytic_k",
+        "reference_resolution"]
+
+
+@pytest.mark.parametrize("mode,params,suffix", [
+    ("conformal", {"factor": "exp(0.6*sin(u))"}, "|conformal(exp(0.6*sin(u)))"),
+    ("perturb", {}, "|perturbed(seed=1,amp=0.1)"),
+    ("perturb", {"seed": 4, "amplitude": 0.05}, "|perturbed(seed=4,amp=0.05)"),
+    ("twist", {}, "|twist(0.3)"),
+    ("twist", {"amplitude": -0.25}, "|twist(-0.25)"),
+])
+@pytest.mark.parametrize("make", [lambda: torus_revolution(3.0, 1.0),
+                                  lambda: flat_torus(1.0, 2.0)], ids=["torus", "flat"])
+def test_derived_surfaces_keep_the_base_chart_and_invariants(make, mode, params, suffix):
+    base = make()
+    constructor, _ = COMPARE_MODES[mode]
+    derived = constructor(base, **params)
+    assert derived.name == base.name + suffix
+    assert derived.domain is base.domain
+    assert derived.expected_chern == base.expected_chern
+    assert derived.reference_resolution == base.reference_resolution
+    assert derived.analytic_k is None
+    assert derived.evaluator is not base.evaluator
+
+
+def test_custom_surface_reference_resolution_follows_the_chart():
+    rect = RectDomain(0.0, 1.0, 0.0, 1.0)
+    for domain, n in ((rect, 64), (OctagonDomain(), 32)):
+        surf = custom_surface("custom", domain, "1", "0", "1")
+        assert surf.name == "custom" and surf.domain is domain
+        assert surf.reference_resolution == (n, n)
+        assert surf.expected_chern is None and surf.analytic_k is None

@@ -75,6 +75,16 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
          CLI + ("compare", "--surface", "poincare_octagon", "--mode", "perturb")),
         ("error_chern_unknown_param",
          CLI + ("chern", "--surface", "sphere", "--param", "bogus=1")),
+        ("error_chern_sphere_R_1e39",
+         CLI + ("chern", "--surface", "sphere", "--param", "R=1e39")),
+        ("error_chern_flat_torus_1e-60",
+         CLI + ("chern", "--surface", "flat_torus", "--param", "a=1e-60",
+                "--param", "b=1e-60")),
+        ("error_report_custom_octagon_det_underflow",
+         CLI + ("report", "--config",
+                str(ROOT / "demos" / "configs" / "custom_octagon.cfg"),
+                "--set", "surface.g11=1e-100", "--set", "surface.g12=0",
+                "--set", "surface.g22=1e-100")),
     ]
     for cfg in sorted((ROOT / "demos" / "configs").glob("*.cfg")):
         cmds.append((f"report_{cfg.stem}", CLI + ("report", "--config", str(cfg))))
