@@ -12,9 +12,8 @@ identity down numerically.  The top level exports what the demos and
 README use; everything else is reached through its submodule.
 """
 
-from .metric import MetricTensor, Point2, RectDomain
+from .metric import MetricTensor, RectDomain
 from .complex_structure import (
-    TangentVector,
     area_form,
     bundle_isomorphism,
     complex_scale,
@@ -26,7 +25,6 @@ from .curvature import (
     connection_difference,
     connection_form,
     curvature_report_grid,
-    curvature_two_form,
     gauss_curvature,
 )
 from .quadrature import QuadratureSpec

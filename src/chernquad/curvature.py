@@ -33,8 +33,9 @@ hermiticity residual max|g(nabla_a e1, e1)|, comes from Christoffel
 values, which need only first metric derivatives.  The Jet2 Christoffel
 route (``gauss_curvature``, ``connection_form``) takes first derivatives
 of Christoffel symbols from second metric derivatives, and stays as the
-independent pointwise oracle of the tests and ``verify``.
-``curvature_two_form`` is a one-node call of the grid kernel.
+independent oracle of the tests and ``verify``.  Every entry point takes
+points as (u, v), floats or arrays; the oracle checks them against the
+chart, the grid kernel, fed by ``build_nodes``, does not.
 
 A ``CurvatureSample`` (built by ``chern.curvature_sample``) keeps of the
 kernel's output only what its readers read: the two-form and K * sqrt(det g)
@@ -44,14 +45,14 @@ for the Chern integrals, b_u, b_v and alpha_max for
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
 from .errors import DomainMismatchError, PeriodicityError
-from .jets import Jet2, partial_jet
-from .metric import MetricJet, ParamDomain, Point2, RectDomain, check_spd, eval_metric_jet
+from .jets import Channel, Jet2, partial_jet
+from .metric import MetricJet, ParamDomain, RectDomain, check_spd, eval_metric_jet
 from .quadrature import QuadratureSpec
 from .zoo import Surface
 
@@ -65,10 +66,10 @@ class ConnectionForm:
     reported so hermiticity is measured rather than assumed.
     """
 
-    b_u: float
-    b_v: float
-    alpha_u: float
-    alpha_v: float
+    b_u: Channel
+    b_v: Channel
+    alpha_u: Channel
+    alpha_v: Channel
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,11 @@ class CurvatureReport:
     """Pointwise curvature data: K, sqrt(det g), the two-form coefficient,
     b_u, b_v, and alpha_max = max(|alpha_u|, |alpha_v|) over the points."""
 
-    k: float
-    area_coeff: float
-    two_form_coeff: float
-    b_u: float
-    b_v: float
+    k: Channel
+    area_coeff: Channel
+    two_form_coeff: Channel
+    b_u: Channel
+    b_v: Channel
     alpha_max: float
 
     def identity_residual(self) -> float:
@@ -251,30 +252,24 @@ def _kernel(mjet: MetricJet, shape) -> CurvatureReport:
 # public entry points
 
 
-def gauss_curvature(surface: Surface, p: Point2) -> float:
+def gauss_curvature(surface: Surface, u: Channel, v: Channel) -> Channel:
     """Sectional curvature of the chart plane, K = g(R(X,Y)Y, X) /
     (g(X,X) g(Y,Y) - g(X,Y)^2) with X = du, Y = dv."""
-    mjet = eval_metric_jet(surface, p)
+    mjet = eval_metric_jet(surface, u, v)
     g, det, _, gamma = _inverse_and_gamma(mjet)
-    return float(_curvature_k(g, det, gamma))
+    return _curvature_k(g, det, gamma)
 
 
-def connection_form(surface: Surface, p: Point2) -> ConnectionForm:
-    mjet = eval_metric_jet(surface, p)
+def connection_form(surface: Surface, u: Channel, v: Channel) -> ConnectionForm:
+    mjet = eval_metric_jet(surface, u, v)
     g, det, inv, gamma = _inverse_and_gamma(mjet)
     b_u, b_v, alpha_u, alpha_v = _connection_coeffs(g, det, inv, gamma)
-    return ConnectionForm(float(b_u.val), float(b_v.val), float(alpha_u), float(alpha_v))
+    return ConnectionForm(b_u.val, b_v.val, alpha_u, alpha_v)
 
 
-def curvature_two_form(surface: Surface, p: Point2) -> CurvatureReport:
-    """The grid kernel's report at one point, with the domain check."""
-    rep = _kernel(eval_metric_jet(surface, p), ())
-    return CurvatureReport(*(float(c) for c in astuple(rep)))
-
-
-def curvature_report_grid(surface: Surface, us: np.ndarray,
-                          vs: np.ndarray) -> CurvatureReport:
-    """Vectorized CurvatureReport; array channels shaped like the input."""
+def curvature_report_grid(surface: Surface, us: Channel, vs: Channel) -> CurvatureReport:
+    """CurvatureReport at floats or arrays, channels shaped like the
+    broadcast input; no domain check."""
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
     return _kernel(surface.evaluator(us, vs), np.broadcast(us, vs).shape)
 

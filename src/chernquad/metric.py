@@ -10,8 +10,9 @@ get first and second metric derivatives that are exact to rounding.  A
 builtin evaluator also puts its exact coframe on the jet, computed from
 the same subexpressions as the metric it factors.
 
-Evaluators are pure functions of (u, v) and accept floats or numpy
-arrays; grid sampling costs one vectorized pass.
+A point is its coordinates (u, v).  Evaluators, ``contains`` and
+``eval_metric_jet`` take floats or numpy arrays that broadcast together,
+so one point and a grid of points cost one vectorized pass alike.
 """
 
 from __future__ import annotations
@@ -36,12 +37,6 @@ INTERIOR_MARGIN = 0.05  # share of the chart that sample_interior keeps off its 
 
 
 @dataclass(frozen=True)
-class Point2:
-    u: float
-    v: float
-
-
-@dataclass(frozen=True)
 class RectDomain:
     """Axis-aligned parameter rectangle; periodic axes identify their ends."""
 
@@ -62,10 +57,11 @@ class RectDomain:
     def fully_periodic(self) -> bool:
         return self.periodic_u and self.periodic_v
 
-    def contains(self, p: Point2) -> bool:
-        ok_u = self.periodic_u or (self.u_min < p.u < self.u_max)
-        ok_v = self.periodic_v or (self.v_min < p.v < self.v_max)
-        return ok_u and ok_v
+    def contains(self, u, v):
+        """Elementwise: strictly inside a bounded axis, finite on a periodic one."""
+        ok_u = np.isfinite(u) if self.periodic_u else (self.u_min < u) & (u < self.u_max)
+        ok_v = np.isfinite(v) if self.periodic_v else (self.v_min < v) & (v < self.v_max)
+        return ok_u & ok_v
 
     def sample_interior(self, rng: Generator, n: int):
         """n interior points, kept INTERIOR_MARGIN of the side length away
@@ -80,13 +76,13 @@ class RectDomain:
         return us, vs
 
 
-def octagon_vertices() -> tuple[Point2, ...]:
+def octagon_vertices() -> tuple[tuple[float, float], ...]:
     """Vertices of the regular hyperbolic octagon with angle sum 2*pi.  Its
     central right triangle has hypotenuse c with cosh c = cot(pi/8)
     cot(alpha/2) = 3 + 2 sqrt(2) at alpha = pi/4, so rho = tanh(c/2) = 2^(-1/4)."""
     rho = 2.0 ** -0.25
     return tuple(
-        Point2(rho * math.cos(k * math.pi / 4.0), rho * math.sin(k * math.pi / 4.0))
+        (rho * math.cos(k * math.pi / 4.0), rho * math.sin(k * math.pi / 4.0))
         for k in range(8))
 
 
@@ -102,20 +98,17 @@ class OctagonDomain:
     it is star-shaped about the vertex centroid.
     """
 
-    vertices: ClassVar[tuple[Point2, ...]] = octagon_vertices()
+    vertices: ClassVar[tuple[tuple[float, float], ...]] = octagon_vertices()
 
     @property
-    def centroid(self) -> Point2:
-        us = [p.u for p in self.vertices]
-        vs = [p.v for p in self.vertices]
-        return Point2(sum(us) / len(us), sum(vs) / len(vs))
+    def centroid(self) -> tuple[float, float]:
+        us, vs = zip(*self.vertices)
+        return sum(us) / len(us), sum(vs) / len(vs)
 
     def _shoelace(self) -> float:
         total = 0.0
-        n = len(self.vertices)
-        for i in range(n):
-            a, b = self.vertices[i], self.vertices[(i + 1) % n]
-            total += a.u * b.v - b.u * a.v
+        for (au, av), (bu, bv) in zip(self.vertices, self.vertices[1:] + self.vertices[:1]):
+            total += au * bv - bu * av
         return abs(total) / 2.0
 
     def area(self) -> float:
@@ -127,34 +120,31 @@ class OctagonDomain:
             total -= arc.radius * arc.radius * (phi - math.sin(phi)) / 2.0
         return total
 
-    def contains(self, p: Point2) -> bool:
-        """Strictly inside: in the unit disk and outside every edge circle
-        (each circle bounds a hyperbolic half-plane whose far side holds
-        the region, and the octagon is their intersection)."""
-        if p.u * p.u + p.v * p.v >= 1.0:
-            return False
+    def contains(self, u, v):
+        """Elementwise strictly inside, which NaN fails: in the unit disk and
+        outside every edge circle (each bounds a hyperbolic half-plane whose
+        far side holds the region, and the octagon is their intersection)."""
+        inside = u * u + v * v < 1.0
         for arc in edge_arcs(self):
-            du, dv = p.u - arc.cu, p.v - arc.cv
-            if du * du + dv * dv <= arc.radius * arc.radius:
-                return False
-        return True
+            du, dv = u - arc.cu, v - arc.cv
+            inside = inside & (du * du + dv * dv > arc.radius * arc.radius)
+        return inside
 
     def sample_interior(self, rng: Generator, n: int):
         """Rejection-sample n points inside the octagon shrunk about its
         centroid by ``1 - INTERIOR_MARGIN``."""
-        c = self.centroid
+        cu, cv = self.centroid
         scale = 1.0 - INTERIOR_MARGIN
-        lo_u = min(p.u for p in self.vertices)
-        hi_u = max(p.u for p in self.vertices)
-        lo_v = min(p.v for p in self.vertices)
-        hi_v = max(p.v for p in self.vertices)
+        vert_us, vert_vs = zip(*self.vertices)
+        lo_u, hi_u = min(vert_us), max(vert_us)
+        lo_v, hi_v = min(vert_vs), max(vert_vs)
         us, vs = [], []
         while len(us) < n:
             u = rng.uniform(lo_u, hi_u)
             v = rng.uniform(lo_v, hi_v)
             # p sits in the scaled region iff its preimage under the
             # scaling about the centroid sits in the full region
-            if self.contains(Point2(c.u + (u - c.u) / scale, c.v + (v - c.v) / scale)):
+            if self.contains(cu + (u - cu) / scale, cv + (v - cv) / scale):
                 us.append(u)
                 vs.append(v)
         return np.array(us), np.array(vs)
@@ -184,15 +174,15 @@ def edge_arcs(domain: OctagonDomain) -> tuple[EdgeArc, ...]:
     verts = domain.vertices
     arcs = []
     for k in range(len(verts)):
-        p, q = verts[k], verts[(k + 1) % len(verts)]
-        det = 4.0 * (p.u * q.v - p.v * q.u)
-        rp = p.u * p.u + p.v * p.v + 1.0
-        rq = q.u * q.u + q.v * q.v + 1.0
-        cu = (2.0 * q.v * rp - 2.0 * p.v * rq) / det
-        cv = (2.0 * p.u * rq - 2.0 * q.u * rp) / det
-        radius = math.hypot(p.u - cu, p.v - cv)
-        phi0 = math.atan2(p.v - cv, p.u - cu)
-        phi1 = math.atan2(q.v - cv, q.u - cu)
+        (pu, pv), (qu, qv) = verts[k], verts[(k + 1) % len(verts)]
+        det = 4.0 * (pu * qv - pv * qu)
+        rp = pu * pu + pv * pv + 1.0
+        rq = qu * qu + qv * qv + 1.0
+        cu = (2.0 * qv * rp - 2.0 * pv * rq) / det
+        cv = (2.0 * pu * rq - 2.0 * qu * rp) / det
+        radius = math.hypot(pu - cu, pv - cv)
+        phi0 = math.atan2(pv - cv, pu - cu)
+        phi1 = math.atan2(qv - cv, qu - cu)
         arcs.append(EdgeArc(cu, cv, radius, phi0, math.remainder(phi1 - phi0, math.tau)))
     return tuple(arcs)
 
@@ -277,10 +267,15 @@ class MetricJet:
 MetricEvaluator = Callable[[Channel, Channel], MetricJet]
 
 
-def eval_metric_jet(surface: Surface, p: Point2) -> MetricJet:
-    """Evaluate a surface's metric at a point, with domain and SPD checks."""
-    if not surface.domain.contains(p):
-        raise PointOutsideDomainError(f"point ({p.u}, {p.v}) is outside the chart domain")
-    jet = surface.evaluator(p.u, p.v)
+def eval_metric_jet(surface: Surface, u: Channel, v: Channel) -> MetricJet:
+    """Evaluate a surface's metric at floats or arrays (u, v), with domain and
+    SPD checks; the domain error names the first point outside the chart."""
+    inside = surface.domain.contains(u, v)
+    if not np.all(inside):
+        us, vs, inside = np.broadcast_arrays(u, v, inside)
+        k = np.argmin(inside)  # flat index of the first False
+        raise PointOutsideDomainError(
+            f"point ({us.flat[k]}, {vs.flat[k]}) is outside the chart domain")
+    jet = surface.evaluator(u, v)
     jet.value  # noqa: B018 - constructing MetricTensor runs the SPD check
     return jet

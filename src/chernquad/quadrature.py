@@ -191,21 +191,21 @@ def _axis_rule(periodic: bool, lo: float, hi: float, n: int):
 
 
 def _sector_nodes(domain: OctagonDomain, n_s: int, n_t: int):
-    c = domain.centroid
+    cu, cv = domain.centroid
     x_s, w_s = _axis_rule(False, 0.0, 1.0, n_s)
     x_t, w_t = _axis_rule(False, 0.0, 1.0, n_t)
     us, vs, ws = [], [], []
     for arc in edge_arcs(domain):
         phi = arc.phi0 + arc.dphi * x_t
-        rel_u = arc.cu + arc.radius * np.cos(phi) - c.u
-        rel_v = arc.cv + arc.radius * np.sin(phi) - c.v
+        rel_u = arc.cu + arc.radius * np.cos(phi) - cu
+        rel_v = arc.cv + arc.radius * np.sin(phi) - cv
         darc_u = -arc.radius * arc.dphi * np.sin(phi)
         darc_v = arc.radius * arc.dphi * np.cos(phi)
         # ccw vertex order makes this positive for a star-shaped region
         cross = rel_u * darc_v - rel_v * darc_u
         s = x_s[:, None]
-        us.append((c.u + s * rel_u[None, :]).ravel())
-        vs.append((c.v + s * rel_v[None, :]).ravel())
+        us.append((cu + s * rel_u[None, :]).ravel())
+        vs.append((cv + s * rel_v[None, :]).ravel())
         ws.append(((w_s[:, None] * w_t[None, :]) * s * cross[None, :]).ravel())
     return np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
 

@@ -11,7 +11,7 @@ from chernquad.chern import ChernResult, chern_number, curvature_sample, stokes_
 from chernquad.curvature import (OneForm, connection_difference, connection_form,
                                  curvature_report_grid, gauss_curvature)
 from chernquad.errors import NonFiniteValueError, PeriodicityError
-from chernquad.metric import Point2, RectDomain, eval_metric_jet
+from chernquad.metric import RectDomain, eval_metric_jet
 from chernquad.quadrature import QuadratureSpec, build_nodes
 from chernquad.zoo import (conformal_surface, custom_surface, flat_torus, perturbed_surface,
                            poincare_octagon, sphere, torus_revolution, twisted_surface)
@@ -143,13 +143,22 @@ def test_grid_kernel_matches_the_christoffel_oracle(make):
     surf = make()
     us, vs = surf.domain.sample_interior(np.random.default_rng(7), 40)
     rep = curvature_report_grid(surf, us, vs)
-    for i, (u, v) in enumerate(zip(us, vs)):
-        p = Point2(float(u), float(v))
-        form = connection_form(surf, p)
-        k_area = gauss_curvature(surf, p) * math.sqrt(eval_metric_jet(surf, p).value.det)
+    points = [(float(u), float(v)) for u, v in zip(us, vs)]
+    for i, p in enumerate(points):
+        form = connection_form(surf, *p)
+        k_area = gauss_curvature(surf, *p) * math.sqrt(eval_metric_jet(surf, *p).value.det)
         for got, want in ((rep.b_u[i], form.b_u), (rep.b_v[i], form.b_v),
                           (rep.two_form_coeff[i], k_area), (rep.k[i] * rep.area_coeff[i], k_area)):
-            assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (u, v, got, want)
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (p, got, want)
+    # one call on all the points gives the pointwise values bit for bit
+    form, jet = connection_form(surf, us, vs), eval_metric_jet(surf, us, vs)
+    calls = [(gauss_curvature(surf, us, vs), lambda p: gauss_curvature(surf, *p))]
+    calls += [(getattr(form, c), lambda p, c=c: getattr(connection_form(surf, *p), c))
+              for c in ("b_u", "b_v", "alpha_u", "alpha_v")]
+    calls += [(getattr(jet, c).val, lambda p, c=c: getattr(eval_metric_jet(surf, *p), c).val)
+              for c in ("g11", "g12", "g22")]
+    for at_once, pointwise in calls:
+        assert np.array_equal(np.broadcast_to(at_once, us.shape), [pointwise(p) for p in points])
 
 
 @pytest.mark.parametrize("block", [1000, 7])

@@ -12,13 +12,12 @@ from chernquad.curvature import (
     connection_difference,
     connection_form,
     curvature_report_grid,
-    curvature_two_form,
     fd_curl,
     gauss_curvature,
 )
 from chernquad.errors import DomainMismatchError, PeriodicityError
 from chernquad import jets
-from chernquad.metric import Point2, RectDomain
+from chernquad.metric import RectDomain
 from chernquad.quadrature import QuadratureSpec, build_nodes
 from chernquad.zoo import (BUILTIN_KINDS, conformal_surface, custom_surface, flat_torus,
                            perturbed_surface, poincare_octagon, sphere, torus_revolution,
@@ -47,10 +46,10 @@ def test_gauss_curvature_against_analytic(make, expected):
     rng = np.random.default_rng(0)
     us, vs = surf.domain.sample_interior(rng, 30)
     for u, v in zip(us, vs):
-        p = Point2(float(u), float(v))
+        p = float(u), float(v)
         want = expected(u, v)
-        assert gauss_curvature(surf, p) == pytest.approx(want, rel=1e-9, abs=1e-9)
-        assert curvature_two_form(surf, p).k == pytest.approx(
+        assert gauss_curvature(surf, *p) == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert curvature_report_grid(surf, *p).k == pytest.approx(
             want, rel=1e-9, abs=1e-9)
 
 
@@ -61,9 +60,9 @@ def test_two_curvature_routes_agree_off_oracle():
     rng = np.random.default_rng(1)
     us, vs = dom.sample_interior(rng, 50)
     for u, v in zip(us, vs):
-        p = Point2(float(u), float(v))
-        assert gauss_curvature(surf, p) == pytest.approx(
-            curvature_two_form(surf, p).k, rel=1e-8, abs=1e-8)
+        p = float(u), float(v)
+        assert gauss_curvature(surf, *p) == pytest.approx(
+            curvature_report_grid(surf, *p).k, rel=1e-8, abs=1e-8)
 
 
 # --- connection form and two-form ---------------------------------------------
@@ -77,7 +76,7 @@ def test_sphere_connection_form_calibration():
     # number +2 for the chart orientation du^dv
     surf = sphere(1.0)
     theta = math.pi / 3
-    form = connection_form(surf, Point2(theta, 1.0))
+    form = connection_form(surf, theta, 1.0)
     assert form.b_u == pytest.approx(0.0, abs=1e-13)
     assert form.b_v == pytest.approx(math.cos(theta), rel=1e-12)
     assert abs(form.alpha_u) < 1e-13 and abs(form.alpha_v) < 1e-13
@@ -88,7 +87,7 @@ def test_two_form_matches_k_times_area_pointwise():
         rng = np.random.default_rng(3)
         us, vs = surf.domain.sample_interior(rng, 40)
         for u, v in zip(us, vs):
-            rep = curvature_two_form(surf, Point2(float(u), float(v)))
+            rep = curvature_report_grid(surf, float(u), float(v))
             assert rep.identity_residual() < 1e-10
             assert rep.two_form_coeff == pytest.approx(
                 rep.k * rep.area_coeff, rel=1e-9, abs=1e-12)
@@ -100,7 +99,7 @@ def test_grid_report_matches_pointwise_report():
     vs = np.array([0.7, 2.0, 4.1])
     grid = curvature_report_grid(surf, us, vs)
     for i in range(3):
-        single = curvature_two_form(surf, Point2(us[i], vs[i]))
+        single = curvature_report_grid(surf, float(us[i]), float(vs[i]))
         assert grid.k[i] == pytest.approx(single.k, rel=1e-14)
         assert grid.two_form_coeff[i] == pytest.approx(single.two_form_coeff, rel=1e-13)
 
@@ -115,7 +114,7 @@ def test_conformal_flat_metric_curvature_closed_form():
     us, vs = dom.sample_interior(rng, 30)
     for u, v in zip(us, vs):
         lap = -0.2 * math.sin(u) - 0.4 * math.cos(2 * v)
-        rep = curvature_two_form(surf, Point2(float(u), float(v)))
+        rep = curvature_report_grid(surf, float(u), float(v))
         assert rep.two_form_coeff == pytest.approx(-lap, rel=1e-10, abs=1e-10)
 
 

@@ -14,7 +14,6 @@ from chernquad.errors import (
 from chernquad.metric import (
     MetricTensor,
     OctagonDomain,
-    Point2,
     RectDomain,
     check_spd,
     edge_arcs,
@@ -26,6 +25,7 @@ from chernquad.zoo import (
     custom_surface,
     flat_torus,
     perturbed_surface,
+    poincare_octagon,
     sphere,
     torus_revolution,
     twisted_surface,
@@ -39,8 +39,8 @@ def test_rect_domain_validation():
         RectDomain(1.0, 0.0, 0.0, 1.0)
     dom = RectDomain(0.0, 1.0, 0.0, 2.0, periodic_v=True)
     assert not dom.fully_periodic
-    assert dom.contains(Point2(0.5, 5.0))  # periodic axis accepts anything
-    assert not dom.contains(Point2(1.5, 0.5))
+    assert dom.contains(0.5, 5.0)  # periodic axis accepts any finite value
+    assert not dom.contains(1.5, 0.5)
 
 
 def test_rect_sample_interior_respects_margins():
@@ -51,8 +51,7 @@ def test_rect_sample_interior_respects_margins():
 
 
 def _vertex_shoelace(dom):
-    x = np.array([p.u for p in dom.vertices])
-    y = np.array([p.v for p in dom.vertices])
+    x, y = np.array(dom.vertices).T
     return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
@@ -67,30 +66,29 @@ def test_geodesic_octagon_edges_are_orthogonal_circles():
         # endpoints reproduce consecutive vertices
         for t, vertex in ((0.0, verts[k]), (1.0, verts[(k + 1) % 8])):
             phi = arc.phi0 + t * arc.dphi
-            assert arc.cu + arc.radius * math.cos(phi) == pytest.approx(vertex.u, abs=1e-12)
-            assert arc.cv + arc.radius * math.sin(phi) == pytest.approx(vertex.v, abs=1e-12)
+            assert arc.cu + arc.radius * math.cos(phi) == pytest.approx(vertex[0], abs=1e-12)
+            assert arc.cv + arc.radius * math.sin(phi) == pytest.approx(vertex[1], abs=1e-12)
 
 
 def test_geodesic_octagon_is_strict_subset_of_chords():
     curved = OctagonDomain()
     assert curved.area() < _vertex_shoelace(curved)
     # a point just inside the chord midpoint lies between arc and chord
-    a, b = curved.vertices[0], curved.vertices[1]
-    mid = Point2(0.99 * (a.u + b.u) / 2, 0.99 * (a.v + b.v) / 2)
-    assert not curved.contains(mid)
-    assert curved.contains(Point2(0.0, 0.0))
+    (au, av), (bu, bv) = curved.vertices[0], curved.vertices[1]
+    assert not curved.contains(0.99 * (au + bu) / 2, 0.99 * (av + bv) / 2)
+    assert curved.contains(0.0, 0.0)
     us, vs = curved.sample_interior(np.random.default_rng(2), 200)
     for u, v in zip(us, vs):
-        assert curved.contains(Point2(u, v))
+        assert curved.contains(u, v)
 
 
 def test_octagon_contains_stops_at_its_vertices():
     # along each vertex direction the region ends at the vertex radius
     # 2^(-1/4), where two edge circles meet
     dom = OctagonDomain()
-    for vertex in dom.vertices:
-        assert dom.contains(Point2(0.999 * vertex.u, 0.999 * vertex.v))
-        assert not dom.contains(Point2(1.001 * vertex.u, 1.001 * vertex.v))
+    for u, v in dom.vertices:
+        assert dom.contains(0.999 * u, 0.999 * v)
+        assert not dom.contains(1.001 * u, 1.001 * v)
 
 
 # --- tensors and surfaces ----------------------------------------------------
@@ -125,8 +123,15 @@ def test_spd_error_names_the_finite_minimum_beside_a_nan():
 def test_eval_metric_jet_checks_domain():
     surf = sphere(1.0)
     with pytest.raises(PointOutsideDomainError):
-        eval_metric_jet(surf, Point2(-0.1, 0.0))
-    jet = eval_metric_jet(surf, Point2(math.pi / 3, 1.0))
+        eval_metric_jet(surf, -0.1, 0.0)
+    # a non-finite point is outside every chart, periodic axes included,
+    # and is rejected before numpy sees it (warnings are errors here)
+    for other in (torus_revolution(2.0, 1.0), poincare_octagon()):
+        for u, v in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan),
+                     (math.inf, 0.0), (0.0, -math.inf)):
+            with pytest.raises(PointOutsideDomainError):
+                eval_metric_jet(other, u, v)
+    jet = eval_metric_jet(surf, math.pi / 3, 1.0)
     assert jet.value.g11 == pytest.approx(1.0)
     assert jet.value.g22 == pytest.approx(math.sin(math.pi / 3) ** 2)
 
@@ -154,9 +159,17 @@ def test_grid_evaluation_matches_pointwise():
     _ = grid.value  # MetricTensor constructor runs check_spd
     g11 = np.broadcast_to(grid.g11.val, us.shape)  # the torus' g11 is a scalar channel
     for i in range(3):
-        jet = eval_metric_jet(surf, Point2(us[i], vs[i]))
+        jet = eval_metric_jet(surf, float(us[i]), float(vs[i]))
         assert g11[i] == pytest.approx(jet.g11.val, rel=1e-15)
         assert grid.g22.du[i] == pytest.approx(jet.g22.du, rel=1e-15)
+    # the checked evaluation takes the arrays too, and names the first
+    # point outside the chart
+    assert np.array_equal(eval_metric_jet(surf, us, vs).g22.du, grid.g22.du)
+    dom = OctagonDomain()
+    us, vs = dom.sample_interior(np.random.default_rng(5), 6)
+    us[4], vs[4] = 0.75, -0.125
+    with pytest.raises(PointOutsideDomainError, match=r"point \(0\.75, -0\.125\) is outside"):
+        eval_metric_jet(poincare_octagon(), us, vs)
 
 
 # --- the twist -------------------------------------------------------------
@@ -289,4 +302,4 @@ def test_expression_field_spd_violation_surfaces_at_eval():
     dom = RectDomain(-1.0, 1.0, -1.0, 1.0)
     surf = custom_surface("custom", dom, "u", "0", "1")
     with pytest.raises(SpdViolationError):
-        eval_metric_jet(surf, Point2(-0.5, 0.0))
+        eval_metric_jet(surf, -0.5, 0.0)

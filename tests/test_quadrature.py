@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chernquad.metric import OctagonDomain, Point2, RectDomain
+from chernquad.metric import OctagonDomain, RectDomain
 from chernquad.quadrature import (
     QuadratureSpec,
     _axis_rule,
@@ -47,7 +47,7 @@ def test_weights_positive_and_sum_to_measure(domain):
     measure = domain_measure(domain)
     assert reduce_sum(ws) == pytest.approx(measure, rel=1e-12)
     for u, v in zip(us[:64], vs[:64]):
-        assert domain.contains(Point2(float(u), float(v)))
+        assert domain.contains(float(u), float(v))
 
 
 def test_trapezoid_is_spectrally_exact_for_low_harmonics():

@@ -117,9 +117,9 @@ def test_octagon_vertices_radius_and_symmetry():
     assert len(verts) == 8
     # the angle-sum-2*pi radius has the closed form 2^(-1/4)
     rho = 2.0 ** -0.25
-    for k, p in enumerate(verts):
-        assert math.hypot(p.u, p.v) == pytest.approx(rho, abs=1e-12)
-        angle = math.atan2(p.v, p.u) % (2 * math.pi)
+    for k, (u, v) in enumerate(verts):
+        assert math.hypot(u, v) == pytest.approx(rho, abs=1e-12)
+        angle = math.atan2(v, u) % (2 * math.pi)
         assert angle == pytest.approx((k * math.pi / 4.0) % (2 * math.pi), abs=1e-12)
 
 

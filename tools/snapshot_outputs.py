@@ -92,7 +92,7 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
                  CLI + ("report", "--config",
                         str(ROOT / "demos" / "configs" / "torus_conformal.cfg"),
                         "--set", "quadrature.n_u=32", "--set", "quadrature.n_v=32")))
-    for seed in ("0", "7"):
+    for seed in ("0", "7", "13", "74"):
         cmds.append((f"verify_seed_{seed}", CLI + ("verify", "--seed", seed)))
     for demo in sorted((ROOT / "demos").glob("*.py")):
         cmds.append((f"demo_{demo.stem}", (sys.executable, str(demo))))
