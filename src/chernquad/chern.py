@@ -14,7 +14,8 @@ maxima (alpha_max and the identity residual).  Nodes stream through the
 curvature kernel in u-major blocks of BLOCK_NODES into the full-length
 channels, so temporaries scale with the block, not the grid; the block
 size changes no bit, as every channel is computed node by node, both
-maxima are maxima and ``reduce_sum`` is exactly rounded.
+maxima are maxima and ``reduce_sum`` rounds the exact sum once, whatever
+the order or chunking of its values.
 
 ``stokes_residual`` integrates the finite-difference exterior derivative
 of a sampled 1-form over a fully periodic chart, the quadrature ghost of

@@ -17,6 +17,10 @@ class NonpositiveFactorError(GeometryError):
     """A conformal factor was not strictly positive where evaluated."""
 
 
+class MetricScaleError(GeometryError, ValueError):
+    """A metric scale (a component, det g or its square) leaves the normal floats."""
+
+
 class OrientationMismatchError(GeometryError):
     """Two complex structures induce opposite orientations."""
 

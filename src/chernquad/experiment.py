@@ -124,29 +124,44 @@ def run(config: ExperimentConfig) -> Report:
 
 
 def _format(values: np.ndarray) -> list[str]:
-    return ["%.17g" % x for x in values.tolist()]
+    """``"%.17g"`` of each value, formatted once per maximal run of
+    bitwise-equal consecutive values (so -0.0 stays ``-0``)."""
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    text = np.array(["%.17g" % x for x in values[starts].tolist()], dtype=object)
+    return np.repeat(text, np.diff(starts, append=values.size)).tolist()
 
 
 def _write_grid(path: str, sample: CurvatureSample) -> None:
     """K * sqrt(det g) on the quadrature nodes of ``sample``, as JSON
-    arrays or CSV rows (numeric fields never need CSV quoting).  The
-    nodes of a rectangle chart are a u-major product grid, so each
-    distinct u and v is formatted once and repeated; octagon nodes are
-    formatted one by one."""
-    k_col = _format(sample.k_area)
-    if isinstance(sample.domain, RectDomain):
+    arrays or CSV rows (numeric fields never need CSV quoting).
+
+    ``_format`` formats each run of equal values once: each u of a
+    u-major rectangle grid, and each u-row of K * sqrt(det g) on a
+    surface of revolution.  A rectangle's n_v values of v are formatted
+    once, and its CSV is one ``%`` on a row template holding them,
+    repeated n_u times and fed the (u, K * sqrt(det g)) strings of all
+    nodes.  Octagon nodes are written one by one.
+    """
+    header = ",".join(_GRID_FIELDS) + "\n"
+    u_col, k_col = _format(sample.us), _format(sample.k_area)
+    rect = isinstance(sample.domain, RectDomain)
+    if rect:
         n_u, n_v = sample.spec.n_u, sample.spec.n_v
-        u_col = [u for u in _format(sample.us[::n_v]) for _ in range(n_v)]
-        v_col = _format(sample.vs[:n_v]) * n_u
-    else:
-        u_col, v_col = _format(sample.us), _format(sample.vs)
+        v_row = _format(sample.vs[:n_v])
     if path.endswith(".json"):
+        v_col = v_row * n_u if rect else _format(sample.vs)
         arrays = (f'  "{name}": [{", ".join(col)}]'
                   for name, col in zip(_GRID_FIELDS, (u_col, v_col, k_col)))
         text = "{\n" + ",\n".join(arrays) + "\n}\n"
+    elif rect:
+        # one % over all nodes: no Python-level step per node
+        fields = [""] * (2 * len(k_col))
+        fields[::2], fields[1::2] = u_col, k_col
+        text = (header + "".join(f"%s,{v},%s\n" for v in v_row) * n_u) % tuple(fields)
     else:
-        text = ",".join(_GRID_FIELDS) + "\n" + "".join(
-            f"{u},{v},{k}\n" for u, v, k in zip(u_col, v_col, k_col))
+        text = header + "".join(f"{u},{v},{k}\n" for u, v, k in
+                                zip(u_col, _format(sample.vs), k_col))
     write_text(path, text)
 
 

@@ -22,15 +22,15 @@ sum to 2 within about an ulp.
 
 All weights are positive and sum to the domain measure up to a few
 ulps: nodes and weights are rounded once more when mapped onto the
-domain, and no rescaling forces the sum.  Sums are taken with
-``math.fsum`` over a fixed node ordering, so a configuration reproduces
-its results bit for bit.
+domain, and no rescaling forces the sum.  Every sum is exactly rounded
+(``reduce_sum``): the exact sum of the floats is formed in integers and
+rounded once, as ``math.fsum`` rounds it, so the order of the values
+does not matter and a configuration reproduces its results bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +38,8 @@ import numpy as np
 
 from .metric import OctagonDomain, ParamDomain, RectDomain, edge_arcs
 
-_SUM_CHUNK = 1 << 14  # values per list that reduce_sum hands to math.fsum
+_SUM_CHUNK = 1 << 14  # values per superaccumulator pass of reduce_sum
+_EXP_FIELD = 0x7FF  # the exponent field of a float64; all ones is inf or nan
 
 MIN_NODES = 8
 MAX_NODES = np.iinfo(np.intp).max // 256  # bytes: 4 float64 channels, 8 octagon sectors
@@ -228,12 +229,43 @@ def domain_measure(domain: ParamDomain) -> float:
 
 
 def reduce_sum(values: np.ndarray) -> float:
-    """Exactly rounded sum, bit-for-bit reproducible: ``math.fsum`` reads
-    chained lists of at most _SUM_CHUNK values, never one list of all of
-    them, and rounds only the exact total, so the chunking is invisible."""
-    flat = np.asarray(values, dtype=float).ravel()
-    return math.fsum(itertools.chain.from_iterable(
-        flat[lo:lo + _SUM_CHUNK].tolist() for lo in range(0, flat.size, _SUM_CHUNK)))
+    """The exact sum of ``values`` rounded once to the nearest float, ties
+    to even: what ``math.fsum`` returns, bit for bit.
+
+    A small superaccumulator (Neal, arXiv:1505.05571): a float is a
+    signed 53-bit integer mantissa (with the implicit bit when its
+    exponent field e is nonzero) times 2^(max(e, 1) - 1075).
+    ``np.bincount`` sums the mantissas' high 27 and low 26 bits per
+    exponent over chunks of _SUM_CHUNK values.  Those sums stay below
+    2^41, so they are exact and move exactly into int64 bins, which hold
+    up to 2^36 values.  The bins meet in one Python int, and one
+    correctly rounded division ends the sum.
+
+    An inf or nan falls back to ``math.fsum`` (its inf, nan or
+    ValueError).  A zero sum is +0.0, also for all -0.0 values, as
+    ``math.fsum`` gives on Python 3.11.  Unlike ``math.fsum``, a finite
+    input whose partial sums overflow, such as [1e308, 1e308, -1e308],
+    gives its exact sum rounded (1e308); OverflowError is raised only
+    when that sum itself rounds past the float range.
+    """
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    bins_hi = np.zeros(_EXP_FIELD, dtype=np.int64)
+    bins_lo = np.zeros(_EXP_FIELD, dtype=np.int64)
+    for lo in range(0, flat.size, _SUM_CHUNK):
+        bits = flat[lo:lo + _SUM_CHUNK].view(np.int64)
+        exps = (bits >> 52) & _EXP_FIELD
+        if exps.max() == _EXP_FIELD:
+            return math.fsum(flat)
+        mant = (bits & ((1 << 52) - 1)) | ((exps != 0).astype(np.int64) << 52)
+        sign = bits >> 63  # 0 or -1
+        mant = (mant ^ sign) - sign
+        exps = np.maximum(exps, 1)
+        bins_hi += np.bincount(exps, mant >> 26, _EXP_FIELD).astype(np.int64)
+        bins_lo += np.bincount(exps, mant & ((1 << 26) - 1), _EXP_FIELD).astype(np.int64)
+    total = 0  # in units of 2^-1074
+    for e in np.flatnonzero(bins_hi | bins_lo):
+        total += ((int(bins_hi[e]) << 26) + int(bins_lo[e])) << int(e) - 1
+    return total / (1 << 1074)  # correctly rounded, ties to even
 
 
 def integrate_scalar(f, domain: ParamDomain, spec: QuadratureSpec) -> float:

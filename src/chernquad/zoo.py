@@ -43,7 +43,9 @@ and keeps the base's chart, expected Chern number and reference
 resolution, but not its closed-form K:
 
 ``conformal_surface``
-    f * g for a strictly positive factor f, an expression in u and v.
+    f * g for a strictly positive factor f, an expression in u and v,
+    whose scaled metric scales are checked on a probe grid as the
+    builtins' are.
 ``perturbed_surface``
     e^(a*psi) * g plus a symmetric low-frequency trigonometric
     off-diagonal term, seed-deterministic, validated SPD on a probe grid.
@@ -69,7 +71,8 @@ import numpy as np
 from numpy.random import Generator, default_rng
 
 from . import jets
-from .errors import DomainMismatchError, NonpositiveFactorError, SpdViolationError
+from .errors import (DomainMismatchError, MetricScaleError, NonpositiveFactorError,
+                     SpdViolationError)
 from .expressions import eval_jet, parse
 from .jets import Jet2
 from .metric import MetricEvaluator, MetricJet, OctagonDomain, ParamDomain, RectDomain
@@ -95,12 +98,31 @@ class Surface:
     reference_resolution: tuple[int, int]
 
 
+def _normal(values) -> bool:
+    return bool(np.all((sys.float_info.min <= values) & (values < math.inf)))
+
+
 def _check_scales(name: str, *scales: tuple[str, float]) -> None:
     """Metric scales (label, value) past the normal floats spoil every node."""
     for label, scale in scales:
-        if not sys.float_info.min <= scale < math.inf:
-            raise ValueError(f"{name}: metric scale {label} = {scale:g} is outside "
-                             "the normal float range")
+        if not _normal(scale):
+            raise MetricScaleError(f"{name}: metric scale {label} = {scale:g} is outside "
+                                   "the normal float range")
+
+
+PROBE_GRID = 64
+
+
+def _probe_points(dom: RectDomain):
+    """The flat u-major nodes of a PROBE_GRID x PROBE_GRID grid in ``dom``,
+    closed at the start of a periodic axis and open at both ends otherwise."""
+    def axis(lo, hi, periodic):
+        return (np.linspace(lo, hi, PROBE_GRID + 1)[:-1] if periodic else
+                np.linspace(lo, hi, PROBE_GRID + 2)[1:-1])
+
+    uu, vv = np.meshgrid(axis(dom.u_min, dom.u_max, dom.periodic_u),
+                         axis(dom.v_min, dom.v_max, dom.periodic_v), indexing="ij")
+    return uu.ravel(), vv.ravel()
 
 
 def sphere(radius: float = 1.0) -> Surface:
@@ -183,10 +205,20 @@ def poincare_octagon() -> Surface:
 
 
 def conformal_surface(base: Surface, factor: str = "") -> Surface:
-    """f * g for the strictly positive scalar factor f = ``factor``."""
+    """f * g for the strictly positive scalar factor f = ``factor``.
+
+    On a rectangle chart f and g are probed on the PROBE_GRID x PROBE_GRID
+    grid of ``perturbed_surface``.  Where f is positive there and g's own
+    scales are normal floats, the builtins' scale rule applies to f g11,
+    f g22, f^2 det g and its square, so a factor that drives them past
+    the normal floats raises MetricScaleError, naming the factor, before
+    any quadrature.  A factor that is not positive is reported by the
+    evaluator (NonpositiveFactorError).
+    """
     if not factor:
         raise ValueError("conformal mode requires factor")
     ast = parse(factor)
+    name = f"{base.name}|conformal({factor})"
 
     def evaluator(u, v):
         g = base.evaluator(u, v)
@@ -195,8 +227,21 @@ def conformal_surface(base: Surface, factor: str = "") -> Surface:
             raise NonpositiveFactorError("conformal factor must be strictly positive")
         return MetricJet(f * g.g11, f * g.g12, f * g.g22)
 
-    return replace(base, name=f"{base.name}|conformal({factor})", evaluator=evaluator,
-                   analytic_k=None)
+    if isinstance(base.domain, RectDomain):
+        us, vs = _probe_points(base.domain)
+        with np.errstate(all="ignore"):
+            f = eval_jet(ast, us, vs).val
+            g = base.evaluator(us, vs)
+            g11, g22 = g.g11.val, g.g22.val
+            det = g11 * g22 - g.g12.val * g.g12.val
+            f2_det = f * f * det
+            scaled = (("f g11", f * g11), ("f g22", f * g22), ("f^2 det g", f2_det),
+                      ("f^4 (det g)^2", f2_det * f2_det))
+            base_scales = (g11, g22, det, det * det)
+        if np.all(f > 0.0) and all(_normal(s) for s in base_scales):
+            _check_scales(name, *((label, x) for label, s in scaled
+                                  for x in (np.min(s), np.max(s))))
+    return replace(base, name=name, evaluator=evaluator, analytic_k=None)
 
 
 def _trig_sum(terms, u: Jet2, v: Jet2) -> Jet2:
@@ -217,9 +262,6 @@ def _draw_trig_terms(rng: Generator, n_terms: int):
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_terms)
     return [(float(coeffs[i]), int(freqs[i, 0]), int(freqs[i, 1]), float(phases[i]))
             for i in range(n_terms)]
-
-
-PROBE_GRID = 64
 
 
 def perturbed_surface(base: Surface, seed: int = 1, amplitude: float = 0.1) -> Surface:
@@ -245,14 +287,9 @@ def perturbed_surface(base: Surface, seed: int = 1, amplitude: float = 0.1) -> S
         off = a * 0.5 * _trig_sum(chi_terms, su, sv) * jets.sqrt(g.g11 * g.g22)
         return MetricJet(scale * g.g11, scale * g.g12 + off, scale * g.g22)
 
-    us = np.linspace(dom.u_min, dom.u_max, PROBE_GRID + 1)[:-1] if dom.periodic_u else \
-        np.linspace(dom.u_min, dom.u_max, PROBE_GRID + 2)[1:-1]
-    vs = np.linspace(dom.v_min, dom.v_max, PROBE_GRID + 1)[:-1] if dom.periodic_v else \
-        np.linspace(dom.v_min, dom.v_max, PROBE_GRID + 2)[1:-1]
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
     try:
         with np.errstate(all="ignore"):
-            evaluator(uu.ravel(), vv.ravel()).value  # noqa: B018 - the SPD check
+            evaluator(*_probe_points(dom)).value  # noqa: B018 - the SPD check
     except SpdViolationError as exc:
         raise SpdViolationError(
             f"perturbation (seed {seed}, amplitude {amplitude}) breaks positive "

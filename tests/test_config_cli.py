@@ -1,5 +1,6 @@
 """Config files, overrides, the experiment runner, and the CLI contract."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import chernquad
 from chernquad import cli, experiment, zoo
+from chernquad.chern import chern_number
 from chernquad.config import ExperimentConfig, derived_surface, load_config, quadrature_spec
 from chernquad.errors import ConfigError
 from chernquad.metric import RectDomain
@@ -338,6 +340,45 @@ def test_cli_grid_dump(tmp_path, capsys):
     assert len(parsed["u"]) == 16 * 16
 
 
+def _per_node_grid(sample, fmt: str) -> str:
+    """The grid file with every value formatted on its own: the reference."""
+    cols = [["%.17g" % x for x in col.tolist()] for col in (sample.us, sample.vs, sample.k_area)]
+    names = ("u", "v", "k_times_area")
+    if fmt == "json":
+        return "{\n" + ",\n".join(f'  "{name}": [{", ".join(col)}]'
+                                   for name, col in zip(names, cols)) + "\n}\n"
+    return ",".join(names) + "\n" + "".join(f"{u},{v},{k}\n" for u, v, k in zip(*cols))
+
+
+def _signed_zero_runs(sample):
+    # adjacent 0.0 and -0.0, alone and in runs, across row ends
+    k = np.zeros(sample.k_area.size)
+    k[1::3] = -0.0
+    k[5:40] = -0.0
+    return dataclasses.replace(sample, k_area=k)
+
+
+@pytest.mark.parametrize("make,n,edit", [
+    (lambda: zoo.torus_revolution(2.0, 1.0), 32, None),  # one run per u-row
+    (lambda: zoo.custom_surface("dense", RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi,
+                                                    periodic_u=True, periodic_v=True),
+                                "2 + sin(u)*cos(v)", "0.1*sin(u + 2*v)", "2 + cos(u - v)"),
+     24, None),
+    (lambda: zoo.flat_torus(1.0, 2.0), 16, _signed_zero_runs),
+    (lambda: zoo.flat_torus(1.0, 2.0), 16, None),  # one run over the whole grid
+    (lambda: zoo.sphere(1.0), 16, None),  # Gauss-Legendre u axis
+    (zoo.poincare_octagon, 8, None),
+], ids=["torus", "dense_expression", "signed_zeros", "flat_torus", "sphere", "octagon"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_writer_matches_a_per_node_formatter(make, n, edit, fmt, tmp_path):
+    sample = chern_number(make(), QuadratureSpec(n, n)).sample
+    if edit is not None:
+        sample = edit(sample)
+    path = tmp_path / f"grid.{fmt}"
+    experiment._write_grid(str(path), sample)
+    assert path.read_bytes() == _per_node_grid(sample, fmt).encode()
+
+
 def test_cli_report_with_overrides(tmp_path, capsys):
     cfg = _write(tmp_path, """
 [surface]
@@ -495,11 +536,21 @@ _PROBE_MESSAGE = (
     (["chern", "--surface", "flat_torus", "--param", "a=1e-60", "--param", "b=1e-60"], None,
      "[surface] flat_torus(a=1e-60,b=1e-60): metric scale a^4 b^4 = 0 is outside the "
      "normal float range"),
+    # a conformal factor that takes f^2 det g past the normal floats
+    (["compare", "--surface", "torus_revolution", "--mode", "conformal", "--factor", "1e-170",
+      "--resolution", "32x32"], None,
+     "[compare] torus_revolution(R=2,r=1)|conformal(1e-170): metric scale f^2 det g = 0 "
+     "is outside the normal float range"),
+    (["compare", "--surface", "torus_revolution", "--mode", "conformal", "--factor", "1e200",
+      "--resolution", "32x32"], None,
+     "[compare] torus_revolution(R=2,r=1)|conformal(1e200): metric scale f^2 det g = inf "
+     "is outside the normal float range"),
 ], ids=["compare_sphere", "compare_octagon", "compare_sphere_no_factor", "out_is_grid_out",
         "param_nan", "factor_syntax", "perturb_probe", "config_factor_syntax",
         "sphere_param_overflow", "sphere_param_underflow", "torus_param_overflow",
         "flat_torus_param_overflow", "sphere_det_squared_overflow",
-        "torus_det_squared_overflow", "flat_torus_det_squared_underflow"])
+        "torus_det_squared_overflow", "flat_torus_det_squared_underflow",
+        "conformal_factor_underflow", "conformal_factor_overflow"])
 def test_config_conflicts_are_rejected_before_any_quadrature(argv, config, message,
                                                             tmp_path, tmp_path_factory,
                                                             monkeypatch, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chernquad import quadrature
 from chernquad.metric import OctagonDomain, RectDomain
 from chernquad.quadrature import (
     QuadratureSpec,
@@ -135,3 +136,69 @@ def test_geodesic_weight_sum_independent_of_resolution():
 def test_reduce_sum_is_order_fixed_and_compensated():
     vals = np.array([1e16, 1.0, -1e16, 1.0])
     assert reduce_sum(vals) == 2.0
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def test_reduce_sum_matches_fsum_bit_for_bit():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    chunk = quadrature._SUM_CHUNK
+    # |values| <= 1e301 and at most 2^16 of them: no partial sum overflows
+    finite = st.floats(min_value=-1e300, max_value=1e300)
+
+    @st.composite
+    def arrays(draw):
+        """Drawn values (subnormals and signed zeros among them), exponents
+        spread over +-300, subnormal multiples of 2^-1074, or a mix, on both
+        sides of the chunk length, optionally as cancelling halves."""
+        size = draw(st.sampled_from((1, 2, 100, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        sources = np.array([
+            rng.choice(np.array(draw(st.lists(finite, min_size=1, max_size=8))), size),
+            rng.standard_normal(size) * 10.0 ** rng.integers(-300, 301, size),
+            rng.integers(-(1 << 52), 1 << 52, size) * 5e-324,
+        ])
+        pick = draw(st.sampled_from(((0,), (1,), (2,), (0, 1, 2))))
+        values = sources[rng.choice(pick, size), np.arange(size)]
+        if draw(st.booleans()):
+            values = np.concatenate([values, -values])
+            rng.shuffle(values)
+        return values
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(arrays())
+    def check(values):
+        assert _bits(reduce_sum(values)) == _bits(math.fsum(values.tolist()))
+
+    check()
+
+
+def test_reduce_sum_edges():
+    chunk = quadrature._SUM_CHUNK
+    negative_zeros = np.full(chunk + 3, -0.0)
+    # an exact zero is fsum's zero (+0.0 on Python 3.11), and so is no value
+    assert _bits(reduce_sum(negative_zeros)) == _bits(math.fsum(negative_zeros.tolist()))
+    assert _bits(reduce_sum(np.array([0.0, -0.0, 1.5, -1.5]))) == _bits(0.0)
+    assert _bits(reduce_sum(np.array([]))) == _bits(0.0)
+    # inf and nan fall back to fsum, also past the first chunk
+    tail = np.ones(chunk + 5)
+    assert reduce_sum(np.append(tail, math.inf)) == math.inf
+    assert reduce_sum(np.array([-math.inf, 1.0])) == -math.inf
+    assert math.isnan(reduce_sum(np.append(tail, math.nan)))
+    with pytest.raises(ValueError, match="inf"):
+        reduce_sum(np.array([math.inf, 1.0, -math.inf]))
+    # an intermediate overflow gives the exact sum, where fsum raises
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308, -1e308])
+    assert reduce_sum(np.array([1e308, 1e308, -1e308])) == 1e308
+    big = np.finfo(float).max
+    assert reduce_sum(np.array([big, big, -big])) == big
+    # an exact sum past the float range raises, as in fsum
+    with pytest.raises(OverflowError):
+        reduce_sum(np.array([1e308, 1e308]))
+    # ties round to even, as in fsum: 2^53 + 1 is halfway
+    assert reduce_sum(np.array([2.0 ** 53, 1.0])) == 2.0 ** 53
+    assert reduce_sum(np.array([2.0 ** 53, 1.0, 2.0 ** -60])) == 2.0 ** 53 + 2.0

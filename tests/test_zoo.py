@@ -15,6 +15,7 @@ from chernquad.quadrature import QuadratureSpec, build_nodes, reduce_sum
 from chernquad.zoo import (
     COMPARE_MODES,
     Surface,
+    conformal_surface,
     custom_surface,
     flat_torus,
     make_surface,
@@ -67,15 +68,34 @@ def test_parameter_validation():
     (lambda: flat_torus(1.0, 1e-170), "flat_torus(a=1,b=1e-170): metric scale b^2 = 0"),
     (lambda: flat_torus(1e100, 1e100), "flat_torus(a=1e+100,b=1e+100): metric scale "
                                        "a^2 b^2 = inf"),
+    # a conformal factor, probed before any quadrature
+    (lambda: conformal_surface(torus_revolution(), "1e200"),
+     "torus_revolution(R=2,r=1)|conformal(1e200): metric scale f^2 det g = inf"),
+    (lambda: conformal_surface(torus_revolution(), "1e-170"),
+     "torus_revolution(R=2,r=1)|conformal(1e-170): metric scale f^2 det g = 0"),
+    (lambda: conformal_surface(torus_revolution(), "1e-80"),
+     "torus_revolution(R=2,r=1)|conformal(1e-80): metric scale f^4 (det g)^2 = "
+     "9.99989e-321"),  # subnormal
+    (lambda: conformal_surface(sphere(), "exp(-92*(1 + sin(v)))"),
+     "sphere(R=1)|conformal(exp(-92*(1 + sin(v)))): metric scale f^4 (det g)^2 = 0"),
 ], ids=["sphere_R2_over", "sphere_R2_under", "sphere_R4_over", "sphere_R4_subnormal",
         "torus_ring_over", "torus_r2_under", "torus_det_under", "flat_a2_over",
-        "flat_b2_under", "flat_det_over"])
+        "flat_b2_under", "flat_det_over", "conformal_over", "conformal_under",
+        "conformal_det_squared_subnormal", "conformal_sphere"])
 def test_parameters_whose_metric_scales_leave_the_float_range_are_rejected(make, message):
     # squares and dets past the normal floats would over- or underflow the
     # metric at every node; the error names the surface and the scale
     with pytest.raises(ValueError) as err:
         make()
     assert str(err.value) == message + " is outside the normal float range"
+
+
+def test_conformal_probe_leaves_a_base_out_of_range_to_its_own_checks():
+    # det g = 1e200 (2 + sin u) squares past the floats: the probe neither
+    # blames the factor nor lets numpy warn (pytest turns warnings into errors)
+    dom = RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi, periodic_u=True, periodic_v=True)
+    base = custom_surface("big", dom, "1e100*(2 + sin(u))", "0", "1e100")
+    assert conformal_surface(base, "2").name == "big|conformal(2)"
 
 
 def test_make_surface_dispatch_and_errors():

@@ -7,7 +7,8 @@ working directory, against the ``src/`` and ``demos/`` of the checkout
 that holds this script.  For a command named NAME it writes
 ``NAME.out``, ``NAME.err`` and ``NAME.rc`` (stdout, stderr and exit
 code) into OUTDIR, and copies each file the command left in its working
-directory (grid dumps) as ``NAME.<file>``.  Two checkouts produce
+directory (grid dumps) as ``NAME.<file>``.  ``dense_grid.cfg`` beside
+this script is the config of the dense grid dump.  Two checkouts produce
 byte-identical output exactly when ``diff -r`` of their snapshots is
 empty.  A run takes about 20 s on a 2-core machine, so it stays out
 of the test suite.
@@ -80,6 +81,12 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
         ("error_chern_flat_torus_1e-60",
          CLI + ("chern", "--surface", "flat_torus", "--param", "a=1e-60",
                 "--param", "b=1e-60")),
+        ("error_compare_factor_1e-170",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "conformal",
+                "--factor", "1e-170", "--resolution", "32x32")),
+        ("error_compare_factor_1e200",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "conformal",
+                "--factor", "1e200", "--resolution", "32x32")),
         ("error_report_custom_octagon_det_underflow",
          CLI + ("report", "--config",
                 str(ROOT / "demos" / "configs" / "custom_octagon.cfg"),
@@ -92,6 +99,12 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
                  CLI + ("report", "--config",
                         str(ROOT / "demos" / "configs" / "torus_conformal.cfg"),
                         "--set", "quadrature.n_u=32", "--set", "quadrature.n_v=32")))
+    # a grid whose K * sqrt(det g) differs at every node
+    dense = str(ROOT / "tools" / "dense_grid.cfg")
+    cmds += [("report_dense_grid_csv", CLI + ("report", "--config", dense)),
+             ("report_dense_grid_json",
+              CLI + ("report", "--config", dense, "--set", "output.format=json",
+                     "--set", "output.grid_path=grid.json"))]
     for seed in ("0", "7", "13", "74"):
         cmds.append((f"verify_seed_{seed}", CLI + ("verify", "--seed", seed)))
     for demo in sorted((ROOT / "demos").glob("*.py")):
