@@ -1,4 +1,4 @@
-"""Recursive-descent parser and jet evaluator for metric-component expressions.
+"""Compile metric-component expressions to jet evaluators.
 
 Grammar (whitespace insignificant, ``^`` right-associative)::
 
@@ -12,18 +12,23 @@ Note the grammar makes unary minus bind tighter than ``^``: ``-u^2``
 parses as ``(-u)^2``.  Exponents must be integer literals unless the base
 is positive at evaluation time.
 
-``parse`` reports syntax errors with the byte offset of the offending
-token; ``eval_jet`` reports domain errors (division by zero, log/sqrt out
-of domain, non-integer power of a non-positive base) with the offset of
-the responsible operator.
+``parse`` compiles the text once: each grammar rule returns a closure
+``(u_seed, v_seed) -> Jet2``, and each ``+ -`` or ``* /`` chain folds left
+to right in one loop.  It reports syntax errors with the byte offset of
+the offending token, among them nesting deeper than ``MAX_DEPTH`` levels
+(parentheses, calls, unary minus and exponents each count as one) and an
+integer exponent beyond ``MAX_POWER`` in magnitude.  ``eval_jet`` reports
+domain errors (division by zero, log/sqrt out of domain, non-integer
+power of a non-positive base) with the offset of the responsible
+operator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Union
+from typing import Callable
 
 import numpy as np
 
@@ -40,9 +45,19 @@ FUNCTIONS: dict[str, Callable[[Jet2], Jet2]] = {
     "sinh": jets.sinh,
     "cosh": jets.cosh,
 }
+# function -> (argument values it rejects, message)
+_DOMAINS = {
+    "log": (lambda x: x <= 0.0, "log of a non-positive value"),
+    "sqrt": (lambda x: x < 0.0, "sqrt of a negative value"),
+}
 
 VARIABLES = ("u", "v")
 CONSTANTS = {"pi": math.pi}
+
+MAX_DEPTH = 100
+MAX_POWER = 1024
+
+Expr = Callable[[Jet2, Jet2], Jet2]
 
 
 class ExprError(ValueError):
@@ -62,228 +77,163 @@ class ExprDomainError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    pos: int = field(default=0, compare=False)
+_TOKEN = re.compile(r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+                    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*/^()])|(?P<bad>\S)")
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Const:
-    name: str
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "ExprAst"
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "ExprAst"
-    right: "ExprAst"
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "ExprAst"
-    pos: int = field(default=0, compare=False)
-
-
-ExprAst = Union[Num, Var, Const, Neg, BinOp, Call]
-
-
-class _Token(NamedTuple):
-    kind: str  # 'num' | 'ident' | 'op' | 'lparen' | 'rparen' | 'end'
-    text: str
-    pos: int
-
-
-_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` triples; a symbol's kind is the symbol itself."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-        elif c == "(":
-            tokens.append(_Token("lparen", c, i))
-        elif c == ")":
-            tokens.append(_Token("rparen", c, i))
-        else:
-            raise ExprSyntaxError(f"unexpected character {c!r}", i)
-        i += 1
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind, tok, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {tok!r}", pos)
+        tokens.append((tok if kind == "sym" else kind, tok, pos))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _divide(pos: int):
+    def divide(a: Jet2, b: Jet2) -> Jet2:
+        if np.any(np.asarray(b.val) == 0.0):
+            raise ExprDomainError("division by zero", pos)
+        return a / b
+    return divide
+
+
 class _Parser:
+    """Each rule returns ``(closure, integer literal or None)``; the literal
+    survives parentheses and negation so ``u^-(2)`` takes ``x ** n``."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
+    def take(self) -> tuple[str, str, int]:
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-    def expr(self) -> ExprAst:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take()
-            node = BinOp(op.text, node, self.term(), pos=op.pos)
-        return node
+    def close(self) -> None:
+        kind, _, pos = self.take()
+        if kind != ")":
+            raise ExprSyntaxError("expected ')'", pos)
 
-    def term(self) -> ExprAst:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take()
-            node = BinOp(op.text, node, self.factor(), pos=op.pos)
-        return node
+    def chain(self, operand, symbols: tuple[str, str], depth: int):
+        first, literal = operand(depth)
+        rest = []
+        while self.peek()[0] in symbols:
+            sym, _, pos = self.take()
+            op = _divide(pos) if sym == "/" else _BINARY[sym]
+            rest.append((op, operand(depth)[0]))
+        if not rest:
+            return first, literal
 
-    def factor(self) -> ExprAst:
-        node = self.base()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            op = self.take()
-            node = BinOp("^", node, self.factor(), pos=op.pos)
-        return node
+        def fold(u: Jet2, v: Jet2) -> Jet2:
+            acc = first(u, v)
+            for op, fn in rest:
+                acc = op(acc, fn(u, v))
+            return acc
+        return fold, None
 
-    def base(self) -> ExprAst:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            return Num(float(tok.text), pos=tok.pos)
-        if tok.kind == "ident":
-            self.take()
-            if tok.text in VARIABLES:
-                return Var(tok.text, pos=tok.pos)
-            if tok.text in CONSTANTS:
-                return Const(tok.text, pos=tok.pos)
-            if tok.text in FUNCTIONS:
-                opening = self.peek()
-                if opening.kind != "lparen":
-                    raise ExprSyntaxError(f"expected '(' after {tok.text!r}", opening.pos)
-                self.take()
-                arg = self.expr()
-                closing = self.peek()
-                if closing.kind != "rparen":
-                    raise ExprSyntaxError("expected ')'", closing.pos)
-                self.take()
-                return Call(tok.text, arg, pos=tok.pos)
-            raise ExprSyntaxError(f"unknown identifier {tok.text!r}", tok.pos)
-        if tok.kind == "lparen":
-            self.take()
-            node = self.expr()
-            closing = self.peek()
-            if closing.kind != "rparen":
-                raise ExprSyntaxError("expected ')'", closing.pos)
-            self.take()
-            return node
-        if tok.kind == "op" and tok.text == "-":
-            self.take()
-            return Neg(self.base(), pos=tok.pos)
-        raise ExprSyntaxError("expected a number, name, '(' or '-'", tok.pos)
+    def expr(self, depth: int):
+        return self.chain(self.term, ("+", "-"), depth)
+
+    def term(self, depth: int):
+        return self.chain(self.factor, ("*", "/"), depth)
+
+    def factor(self, depth: int):
+        base, literal = self.base(depth)
+        if self.peek()[0] != "^":
+            return base, literal
+        pos = self.take()[2]
+        exponent, n = self.factor(_deeper(depth, pos))
+        if n is not None and abs(n) > MAX_POWER:
+            raise ExprSyntaxError(f"integer exponent beyond {MAX_POWER} in magnitude", pos)
+
+        def power(u: Jet2, v: Jet2) -> Jet2:
+            x = base(u, v)
+            if n is not None:
+                if n < 0 and np.any(np.asarray(x.val) == 0.0):
+                    raise ExprDomainError("zero raised to a negative power", pos)
+                return x ** n
+            if np.any(np.asarray(x.val) <= 0.0):
+                raise ExprDomainError("non-integer power requires a positive base", pos)
+            return jets.exp(exponent(u, v) * jets.log(x))
+        return power, None
+
+    def base(self, depth: int):
+        kind, text, pos = self.take()
+        if kind == "num":
+            value = float(text)
+            const = Jet2(value)
+            return (lambda u, v: const), int(value) if value.is_integer() else None
+        if kind == "name":
+            if text in VARIABLES:
+                return ((lambda u, v: u) if text == "u" else (lambda u, v: v)), None
+            if text in CONSTANTS:
+                const = Jet2(CONSTANTS[text])
+                return (lambda u, v: const), None
+            if text in FUNCTIONS:
+                opening = self.take()
+                if opening[0] != "(":
+                    raise ExprSyntaxError(f"expected '(' after {text!r}", opening[2])
+                arg, _ = self.expr(_deeper(depth, pos))
+                self.close()
+                return _call(text, arg, pos), None
+            raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
+        if kind == "(":
+            inner = self.expr(_deeper(depth, pos))
+            self.close()
+            return inner
+        if kind == "-":
+            arg, literal = self.base(_deeper(depth, pos))
+            return (lambda u, v: -arg(u, v)), None if literal is None else -literal
+        raise ExprSyntaxError("expected a number, name, '(' or '-'", pos)
 
 
-def parse(text: str) -> ExprAst:
+def _deeper(depth: int, pos: int) -> int:
+    if depth >= MAX_DEPTH:
+        raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH}", pos)
+    return depth + 1
+
+
+def _call(name: str, arg: Expr, pos: int) -> Expr:
+    func = FUNCTIONS[name]
+    if name not in _DOMAINS:
+        return lambda u, v: func(arg(u, v))
+    rejects, message = _DOMAINS[name]
+
+    def call(u: Jet2, v: Jet2) -> Jet2:
+        x = arg(u, v)
+        if np.any(rejects(np.asarray(x.val))):
+            raise ExprDomainError(message, pos)
+        return func(x)
+    return call
+
+
+def parse(text: str) -> Expr:
+    """Compile ``text`` to a function ``(u_seed, v_seed) -> Jet2``."""
     parser = _Parser(text)
-    if parser.peek().kind == "end":
+    if parser.peek()[0] == "end":
         raise ExprSyntaxError("empty expression", 0)
-    node = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ExprSyntaxError(f"unexpected input {trailing.text!r}", trailing.pos)
-    return node
+    expr, _ = parser.expr(0)
+    kind, trailing, pos = parser.peek()
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected input {trailing!r}", pos)
+    return expr
 
 
-def _int_literal(node: ExprAst):
-    """Exponent node as an integer, or None when not an integer literal."""
-    if isinstance(node, Num) and float(node.value).is_integer():
-        return int(node.value)
-    if isinstance(node, Neg):
-        inner = _int_literal(node.arg)
-        if inner is not None:
-            return -inner
-    return None
-
-
-def eval_jet(node: ExprAst, u, v) -> Jet2:
-    """Evaluate an expression and its derivatives at (u, v).
+def eval_jet(expr: Expr, u, v) -> Jet2:
+    """Evaluate a compiled expression and its derivatives at (u, v).
 
     ``u`` and ``v`` may be floats or numpy arrays of a common shape; jet
     channels of the result broadcast accordingly (an expression that never
     mentions ``u`` or ``v`` returns scalar channels).
     """
-    return _eval(node, jets.var_u(u), jets.var_v(v))
-
-
-def _eval(node: ExprAst, u_seed: Jet2, v_seed: Jet2) -> Jet2:
-    if isinstance(node, Num):
-        return Jet2(node.value)
-    if isinstance(node, Const):
-        return Jet2(CONSTANTS[node.name])
-    if isinstance(node, Var):
-        return u_seed if node.name == "u" else v_seed
-    if isinstance(node, Neg):
-        return -_eval(node.arg, u_seed, v_seed)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, u_seed, v_seed)
-        if node.func == "log" and np.any(np.asarray(arg.val) <= 0.0):
-            raise ExprDomainError("log of a non-positive value", node.pos)
-        if node.func == "sqrt" and np.any(np.asarray(arg.val) < 0.0):
-            raise ExprDomainError("sqrt of a negative value", node.pos)
-        return FUNCTIONS[node.func](arg)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, u_seed, v_seed)
-        if node.op == "^":
-            power = _int_literal(node.right)
-            if power is not None:
-                if power < 0 and np.any(np.asarray(left.val) == 0.0):
-                    raise ExprDomainError("zero raised to a negative power", node.pos)
-                return left ** power
-            if np.any(np.asarray(left.val) <= 0.0):
-                raise ExprDomainError(
-                    "non-integer power requires a positive base", node.pos)
-            return jets.exp(_eval(node.right, u_seed, v_seed) * jets.log(left))
-        right = _eval(node.right, u_seed, v_seed)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if np.any(np.asarray(right.val) == 0.0):
-            raise ExprDomainError("division by zero", node.pos)
-        return left / right
-    raise TypeError(f"not an expression node: {node!r}")
+    return expr(jets.var_u(u), jets.var_v(v))

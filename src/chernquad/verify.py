@@ -33,7 +33,7 @@ from .curvature import (
     curvature_report_grid,
     gauss_curvature,
 )
-from .expressions import ExprSyntaxError, parse
+from .expressions import ExprSyntaxError, eval_jet, parse
 from .metric import MetricTensor, eval_metric_jet
 from .quadrature import (
     QuadratureSpec,
@@ -252,17 +252,15 @@ def check_quadrature(seed: int) -> CheckResult:
 
 
 def check_expressions(seed: int) -> CheckResult:
-    from .expressions import eval_jet
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(500):
         text = _random_expression(rng, depth=3)
-        ast = parse(text)
+        expr = parse(text)
         u = float(rng.uniform(-1.5, 1.5))
         v = float(rng.uniform(-1.5, 1.5))
-        jet = eval_jet(ast, u, v)
-        fd = _richardson_jet(lambda uu, vv: eval_jet(ast, uu, vv).val, u, v)
+        jet = eval_jet(expr, u, v)
+        fd = _richardson_jet(lambda uu, vv: eval_jet(expr, uu, vv).val, u, v)
         for got, ref in zip(
                 (jet.val, jet.du, jet.dv, jet.duu, jet.duv, jet.dvv), fd):
             worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))

@@ -217,12 +217,12 @@ def conformal_surface(base: Surface, factor: str = "") -> Surface:
     """
     if not factor:
         raise ValueError("conformal mode requires factor")
-    ast = parse(factor)
+    expr = parse(factor)
     name = f"{base.name}|conformal({factor})"
 
     def evaluator(u, v):
         g = base.evaluator(u, v)
-        f = eval_jet(ast, u, v)
+        f = eval_jet(expr, u, v)
         if np.any(np.asarray(f.val) <= 0.0):
             raise NonpositiveFactorError("conformal factor must be strictly positive")
         return MetricJet(f * g.g11, f * g.g12, f * g.g22)
@@ -230,7 +230,7 @@ def conformal_surface(base: Surface, factor: str = "") -> Surface:
     if isinstance(base.domain, RectDomain):
         us, vs = _probe_points(base.domain)
         with np.errstate(all="ignore"):
-            f = eval_jet(ast, us, vs).val
+            f = eval_jet(expr, us, vs).val
             g = base.evaluator(us, vs)
             g11, g22 = g.g11.val, g.g22.val
             det = g11 * g22 - g.g12.val * g.g12.val
@@ -335,12 +335,12 @@ def twisted_surface(base: Surface, amplitude: float = 0.3) -> Surface:
 def custom_surface(name: str, domain: ParamDomain, g11: str, g12: str,
                    g22: str) -> Surface:
     """A surface whose metric components are parsed expressions in u and v."""
-    asts = [parse(g11), parse(g12), parse(g22)]
+    exprs = [parse(g11), parse(g12), parse(g22)]
 
     def evaluator(u, v):
-        return MetricJet(eval_jet(asts[0], u, v),
-                         eval_jet(asts[1], u, v),
-                         eval_jet(asts[2], u, v))
+        return MetricJet(eval_jet(exprs[0], u, v),
+                         eval_jet(exprs[1], u, v),
+                         eval_jet(exprs[2], u, v))
 
     n = 64 if isinstance(domain, RectDomain) else 32
     return Surface(name=name, domain=domain, evaluator=evaluator, expected_chern=None,

@@ -8,7 +8,9 @@ that holds this script.  For a command named NAME it writes
 ``NAME.out``, ``NAME.err`` and ``NAME.rc`` (stdout, stderr and exit
 code) into OUTDIR, and copies each file the command left in its working
 directory (grid dumps) as ``NAME.<file>``.  ``dense_grid.cfg`` beside
-this script is the config of the dense grid dump.  Two checkouts produce
+this script is the config of the dense grid dump, and
+``expression_grid.cfg`` that of a grid dump whose metric uses every
+production of the expression grammar.  Two checkouts produce
 byte-identical output exactly when ``diff -r`` of their snapshots is
 empty.  A run takes about 20 s on a 2-core machine, so it stays out
 of the test suite.
@@ -87,6 +89,11 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
         ("error_compare_factor_1e200",
          CLI + ("compare", "--surface", "torus_revolution", "--mode", "conformal",
                 "--factor", "1e200", "--resolution", "32x32")),
+        *((f"error_compare_factor_{name}",
+           CLI + ("compare", "--surface", "torus_revolution", "--mode", "conformal",
+                  "--factor", factor, "--resolution", "32x32"))
+          for name, factor in (("log_domain", "log(u - 10)"), ("bad_char", "sin(u) $ 2"),
+                               ("division", "1/(u - u)"), ("power_domain", "u^0.5"))),
         ("error_report_custom_octagon_det_underflow",
          CLI + ("report", "--config",
                 str(ROOT / "demos" / "configs" / "custom_octagon.cfg"),
@@ -104,7 +111,9 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
     cmds += [("report_dense_grid_csv", CLI + ("report", "--config", dense)),
              ("report_dense_grid_json",
               CLI + ("report", "--config", dense, "--set", "output.format=json",
-                     "--set", "output.grid_path=grid.json"))]
+                     "--set", "output.grid_path=grid.json")),
+             ("report_expression_grid_csv",
+              CLI + ("report", "--config", str(ROOT / "tools" / "expression_grid.cfg")))]
     for seed in ("0", "7", "13", "74"):
         cmds.append((f"verify_seed_{seed}", CLI + ("verify", "--seed", seed)))
     for demo in sorted((ROOT / "demos").glob("*.py")):
