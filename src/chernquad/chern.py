@@ -9,13 +9,14 @@ non-converged (reported, never raised).
 The sample lives here: ``curvature_sample`` evaluates a metric once on
 the quadrature nodes, and ``chern_number`` keeps it in its result for
 ``connection_difference`` and the grid dump to read.  It stores four
-channels per node (the two-form, K * sqrt(det g), b_u and b_v) and two
-maxima (alpha_max and the identity residual).  Nodes stream through the
-curvature kernel in u-major blocks of BLOCK_NODES into the full-length
-channels, so temporaries scale with the block, not the grid; the block
-size changes no bit, as every channel is computed node by node, both
-maxima are maxima and ``reduce_sum`` rounds the exact sum once, whatever
-the order or chunking of its values.
+channels shaped like the node grid (the two-form, K * sqrt(det g), b_u
+and b_v) and two maxima (alpha_max and the identity residual).  Whole
+rows stream through the curvature kernel, which broadcasts (u, v), in
+blocks of at most BLOCK_NODES nodes and at least one row: temporaries
+scale with the block, and a channel in u alone is computed once per
+rectangle row.  The block size changes no bit, as every channel is
+computed node by node, both maxima are maxima and ``reduce_sum`` rounds
+the exact sum once, whatever the order or chunking of its values.
 
 ``stokes_residual`` integrates the finite-difference exterior derivative
 of a sampled 1-form over a fully periodic chart, the quadrature ghost of
@@ -72,38 +73,39 @@ class ChernResult:
 
 def curvature_sample(surface: Surface, spec: QuadratureSpec) -> CurvatureSample:
     """One curvature pass over the quadrature nodes of the surface's chart,
-    in blocks of BLOCK_NODES nodes.  A non-finite two-form or
-    K * sqrt(det g) raises NonFiniteValueError naming the first such node
-    (numpy's own warnings are silenced)."""
+    in blocks of whole grid rows, at most BLOCK_NODES nodes and at least
+    one row each.  A non-finite two-form or K * sqrt(det g) raises
+    NonFiniteValueError naming the first such node in row order (numpy's
+    own warnings are silenced)."""
     us, vs, ws = build_nodes(surface.domain, spec)
+    step = max(1, BLOCK_NODES // ws.shape[1])
     alpha_max = max_residual = 0.0
     with np.errstate(all="ignore"):
-        for lo in range(0, us.size, BLOCK_NODES):
-            cut = slice(lo, lo + BLOCK_NODES)
-            block = curvature_report_grid(surface, us[cut], vs[cut])
+        for lo in range(0, len(ws), step):
+            rows = slice(lo, lo + step)
+            # a (1, n_v) row of v serves every block
+            block = curvature_report_grid(surface, us[rows], vs if len(vs) == 1 else vs[rows])
             if lo == 0:  # here, to reuse the first block's freed temporaries
-                channels = np.empty((4, us.size))  # two-form, K * area, b_u, b_v
+                channels = np.empty((4, *ws.shape))  # two-form, K * area, b_u, b_v
             k_area = block.k * block.area_coeff
-            channels[:, cut] = (block.two_form_coeff, k_area, block.b_u, block.b_v)
+            channels[:, rows] = (block.two_form_coeff, k_area, block.b_u, block.b_v)
             alpha_max = max(alpha_max, block.alpha_max)
             max_residual = max(max_residual, identity_residual(block.two_form_coeff, k_area))
     for name, values in (("curvature two-form", channels[0]),
                          ("K * sqrt(det g)", channels[1])):
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            raise NonFiniteValueError(f"{name} is {values[bad[0]]} at node (u, v) = "
-                                      f"({us[bad[0]]:.17g}, {vs[bad[0]]:.17g})")
-    return CurvatureSample(domain=surface.domain, spec=spec, us=us, vs=vs, weights=ws,
-                           two_form=channels[0], k_area=channels[1], b_u=channels[2],
-                           b_v=channels[3], alpha_max=alpha_max,
+            u, v = (np.broadcast_to(x, ws.shape).flat[bad[0]] for x in (us, vs))
+            raise NonFiniteValueError(f"{name} is {values.flat[bad[0]]} at node (u, v) = "
+                                      f"({u:.17g}, {v:.17g})")
+    return CurvatureSample(surface.domain, us, vs, ws, *channels, alpha_max=alpha_max,
                            max_identity_residual=max_residual)
 
 
 def chern_number(surface: Surface, spec: QuadratureSpec | None = None) -> ChernResult:
     """(1 / 2*pi) * integral of the curvature two-form over the chart."""
     if spec is None:
-        n_u, n_v = surface.reference_resolution
-        spec = QuadratureSpec(n_u, n_v)
+        spec = QuadratureSpec(*surface.reference_resolution)
     sample = curvature_sample(surface, spec)
     raw = reduce_sum(sample.weights * sample.two_form) / TWO_PI
     raw_gauss = reduce_sum(sample.weights * sample.k_area) / TWO_PI

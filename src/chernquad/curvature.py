@@ -34,8 +34,9 @@ values, which need only first metric derivatives.  The Jet2 Christoffel
 route (``gauss_curvature``, ``connection_form``) takes first derivatives
 of Christoffel symbols from second metric derivatives, and stays as the
 independent oracle of the tests and ``verify``.  Every entry point takes
-points as (u, v), floats or arrays; the oracle checks them against the
-chart, the grid kernel, fed by ``build_nodes``, does not.
+points as (u, v), floats or arrays that broadcast together; the oracle
+checks them against the chart, the grid kernel, fed by ``build_nodes``,
+does not.
 
 A ``CurvatureSample`` (built by ``chern.curvature_sample``) keeps of the
 kernel's output only what its readers read: the two-form and K * sqrt(det g)
@@ -50,10 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import DomainMismatchError, PeriodicityError
+from .errors import DomainMismatchError, PeriodicityError, SpdViolationError
 from .jets import Channel, Jet2, partial_jet
 from .metric import MetricJet, ParamDomain, RectDomain, check_spd, eval_metric_jet
-from .quadrature import QuadratureSpec
 from .zoo import Surface
 
 
@@ -108,14 +108,13 @@ class OneForm:
 @dataclass(frozen=True)
 class CurvatureSample:
     """The curvature channels that the Chern integrals, the connection
-    difference and the grid dump read, on ``build_nodes(domain, spec)``:
-    flat arrays in u-major order of the two-form coefficient,
-    k_area = K * sqrt(det g) and b_u, b_v, with the largest hermiticity
-    residual ``alpha_max`` and the largest ``identity_residual`` over
-    the nodes."""
+    difference and the grid dump read, on the node grid ``us``, ``vs``,
+    ``weights`` of ``quadrature.build_nodes``: the two-form coefficient,
+    k_area = K * sqrt(det g) and b_u, b_v, each shaped like ``weights``,
+    with the largest hermiticity residual ``alpha_max`` and the largest
+    ``identity_residual`` over the nodes."""
 
     domain: ParamDomain
-    spec: QuadratureSpec
     us: np.ndarray
     vs: np.ndarray
     weights: np.ndarray
@@ -240,7 +239,11 @@ def _kernel(mjet: MetricJet, shape) -> CurvatureReport:
     e, f, g = mjet.g11, mjet.g12, mjet.g22
     det_jet = None if mjet.coframe else e * g - f * f
     det = np.asarray(e.val * g.val - f.val * f.val if det_jet is None else det_jet.val)
-    check_spd(e.val, g.val, det)  # before any square root
+    try:
+        check_spd(e.val, g.val, det)  # before any square root
+    except SpdViolationError:  # again over the broadcast det, to count every node
+        check_spd(e.val, g.val, np.broadcast_to(det, shape))
+        raise
     b_u, b_v, two_form = _cartan(*(mjet.coframe or _cholesky_coframe(mjet, det_jet)))
     k = _brioschi_k(mjet, det)
     return CurvatureReport(*(np.broadcast_to(c, shape)
@@ -284,15 +287,14 @@ def connection_difference(sample: CurvatureSample,
     imag_max is max(max|alpha|, max|alpha'|), the larger hermiticity
     residual of the two metrics (not max|alpha - alpha'|).
     """
-    if (sample.domain, sample.spec) != (sample_prime.domain, sample_prime.spec):
+    if (sample.domain, sample.weights.shape) != (sample_prime.domain,
+                                                 sample_prime.weights.shape):
         raise DomainMismatchError("connection_difference needs samples on the same nodes")
     domain = sample.domain
     if not (isinstance(domain, RectDomain) and domain.fully_periodic):
         raise PeriodicityError("one-forms are sampled on the uniform grid of a fully "
                                "periodic rectangle chart")
-    shape = (sample.spec.n_u, sample.spec.n_v)
-    return OneForm(eta_u=np.reshape(sample.b_u - sample_prime.b_u, shape),
-                   eta_v=np.reshape(sample.b_v - sample_prime.b_v, shape),
+    return OneForm(eta_u=sample.b_u - sample_prime.b_u, eta_v=sample.b_v - sample_prime.b_v,
                    imag_max=max(sample.alpha_max, sample_prime.alpha_max))
 
 

@@ -29,7 +29,6 @@ from .chern import chern_number, stokes_residual
 from .config import ExperimentConfig
 from .curvature import CurvatureSample, connection_difference
 from .errors import ConfigError
-from .metric import RectDomain
 
 BASE_FIELDS = ("surface", "n_u", "n_v", "raw_chern", "rounded", "residual",
                "max_curvature_identity_residual")
@@ -124,8 +123,9 @@ def run(config: ExperimentConfig) -> Report:
 
 
 def _format(values: np.ndarray) -> list[str]:
-    """``"%.17g"`` of each value, formatted once per maximal run of
-    bitwise-equal consecutive values (so -0.0 stays ``-0``)."""
+    """``"%.17g"`` of each value in row order, formatted once per maximal
+    run of bitwise-equal consecutive values (so -0.0 stays ``-0``)."""
+    values = np.ravel(values)
     bits = values.view(np.int64)
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     text = np.array(["%.17g" % x for x in values[starts].tolist()], dtype=object)
@@ -133,35 +133,29 @@ def _format(values: np.ndarray) -> list[str]:
 
 
 def _write_grid(path: str, sample: CurvatureSample) -> None:
-    """K * sqrt(det g) on the quadrature nodes of ``sample``, as JSON
-    arrays or CSV rows (numeric fields never need CSV quoting).
+    """K * sqrt(det g) on the quadrature nodes of ``sample``, row by row of
+    the node grid, as JSON arrays or CSV rows (numeric fields never need
+    CSV quoting).
 
     ``_format`` formats each run of equal values once: each u of a
-    u-major rectangle grid, and each u-row of K * sqrt(det g) on a
-    surface of revolution.  A rectangle's n_v values of v are formatted
-    once, and its CSV is one ``%`` on a row template holding them,
-    repeated n_u times and fed the (u, K * sqrt(det g)) strings of all
-    nodes.  Octagon nodes are written one by one.
+    rectangle grid and each row of K * sqrt(det g) on a surface of
+    revolution.  A rectangle's v is one row shared by all rows, formatted
+    once.  The CSV is one ``%`` on a template of the v strings, repeated
+    for each row that shares them and fed the (u, K * sqrt(det g)) strings
+    of all nodes, so a rectangle takes no Python-level step per node.
     """
-    header = ",".join(_GRID_FIELDS) + "\n"
-    u_col, k_col = _format(sample.us), _format(sample.k_area)
-    rect = isinstance(sample.domain, RectDomain)
-    if rect:
-        n_u, n_v = sample.spec.n_u, sample.spec.n_v
-        v_row = _format(sample.vs[:n_v])
+    u_col = _format(np.broadcast_to(sample.us, sample.k_area.shape))
+    v_col, k_col = _format(sample.vs), _format(sample.k_area)
+    repeats = sample.k_area.size // sample.vs.size  # rows sharing one row of v, or 1
     if path.endswith(".json"):
-        v_col = v_row * n_u if rect else _format(sample.vs)
-        arrays = (f'  "{name}": [{", ".join(col)}]'
-                  for name, col in zip(_GRID_FIELDS, (u_col, v_col, k_col)))
+        cols = (u_col, v_col * repeats, k_col)
+        arrays = (f'  "{name}": [{", ".join(col)}]' for name, col in zip(_GRID_FIELDS, cols))
         text = "{\n" + ",\n".join(arrays) + "\n}\n"
-    elif rect:
-        # one % over all nodes: no Python-level step per node
+    else:
         fields = [""] * (2 * len(k_col))
         fields[::2], fields[1::2] = u_col, k_col
-        text = (header + "".join(f"%s,{v},%s\n" for v in v_row) * n_u) % tuple(fields)
-    else:
-        text = header + "".join(f"{u},{v},{k}\n" for u, v, k in
-                                zip(u_col, _format(sample.vs), k_col))
+        template = "".join(f"%s,{v},%s\n" for v in v_col) * repeats
+        text = ",".join(_GRID_FIELDS) + "\n" + template % tuple(fields)
     write_text(path, text)
 
 

@@ -195,6 +195,7 @@ def _sector_nodes(domain: OctagonDomain, n_s: int, n_t: int):
     cu, cv = domain.centroid
     x_s, w_s = _axis_rule(False, 0.0, 1.0, n_s)
     x_t, w_t = _axis_rule(False, 0.0, 1.0, n_t)
+    s, w_st = x_s[:, None], w_s[:, None] * w_t
     us, vs, ws = [], [], []
     for arc in edge_arcs(domain):
         phi = arc.phi0 + arc.dphi * x_t
@@ -204,21 +205,21 @@ def _sector_nodes(domain: OctagonDomain, n_s: int, n_t: int):
         darc_v = arc.radius * arc.dphi * np.cos(phi)
         # ccw vertex order makes this positive for a star-shaped region
         cross = rel_u * darc_v - rel_v * darc_u
-        s = x_s[:, None]
-        us.append((cu + s * rel_u[None, :]).ravel())
-        vs.append((cv + s * rel_v[None, :]).ravel())
-        ws.append(((w_s[:, None] * w_t[None, :]) * s * cross[None, :]).ravel())
+        us.append(cu + s * rel_u)
+        vs.append(cv + s * rel_v)
+        ws.append(w_st * s * cross)
     return np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
 
 
 def build_nodes(domain: ParamDomain, spec: QuadratureSpec):
-    """Flat arrays (us, vs, weights) in a deterministic u-major order."""
+    """Nodes (us, vs) that broadcast to the 2-D ``weights``, read row by row
+    in a fixed order: the u axis as an (n_u, 1) column and the v axis as a
+    (1, n_v) row on a rectangle, the eight (n_u, n_v) sector grids stacked
+    into (8 n_u, n_v) arrays on the octagon."""
     if isinstance(domain, RectDomain):
         us, w_u = _axis_rule(domain.periodic_u, domain.u_min, domain.u_max, spec.n_u)
         vs, w_v = _axis_rule(domain.periodic_v, domain.v_min, domain.v_max, spec.n_v)
-        uu, vv = np.meshgrid(us, vs, indexing="ij")
-        ww = np.outer(w_u, w_v)
-        return uu.ravel(), vv.ravel(), ww.ravel()
+        return us[:, None], vs[None, :], np.outer(w_u, w_v)
     return _sector_nodes(domain, spec.n_u, spec.n_v)
 
 
@@ -271,5 +272,4 @@ def reduce_sum(values: np.ndarray) -> float:
 def integrate_scalar(f, domain: ParamDomain, spec: QuadratureSpec) -> float:
     """Integrate ``f(us, vs)`` (vectorized) against the domain measure."""
     us, vs, ws = build_nodes(domain, spec)
-    vals = np.broadcast_to(f(us, vs), ws.shape)
-    return reduce_sum(ws * vals)
+    return reduce_sum(ws * f(us, vs))

@@ -197,7 +197,7 @@ def _torus_and_rescaling() -> tuple[ChernResult, ChernResult]:
 def check_metric_independence(seed: int) -> CheckResult:
     res, res_conformal = _torus_and_rescaling()
     base = torus_revolution(2.0, 1.0)
-    perturbed, twisted = (chern_number(derive(base), spec=res.sample.spec)
+    perturbed, twisted = (chern_number(derive(base), QuadratureSpec(res.n_u, res.n_v))
                           for derive in (zoo.perturbed_surface, zoo.twisted_surface))
     others = (("conformal", res_conformal), ("perturbed", perturbed), ("twisted", twisted))
     details = []

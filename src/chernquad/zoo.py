@@ -114,15 +114,14 @@ PROBE_GRID = 64
 
 
 def _probe_points(dom: RectDomain):
-    """The flat u-major nodes of a PROBE_GRID x PROBE_GRID grid in ``dom``,
+    """A PROBE_GRID x PROBE_GRID grid in ``dom`` as a u column and a v row,
     closed at the start of a periodic axis and open at both ends otherwise."""
     def axis(lo, hi, periodic):
         return (np.linspace(lo, hi, PROBE_GRID + 1)[:-1] if periodic else
                 np.linspace(lo, hi, PROBE_GRID + 2)[1:-1])
 
-    uu, vv = np.meshgrid(axis(dom.u_min, dom.u_max, dom.periodic_u),
-                         axis(dom.v_min, dom.v_max, dom.periodic_v), indexing="ij")
-    return uu.ravel(), vv.ravel()
+    return (axis(dom.u_min, dom.u_max, dom.periodic_u)[:, None],
+            axis(dom.v_min, dom.v_max, dom.periodic_v)[None, :])
 
 
 def sphere(radius: float = 1.0) -> Surface:
@@ -212,8 +211,9 @@ def conformal_surface(base: Surface, factor: str = "") -> Surface:
     scales are normal floats, the builtins' scale rule applies to f g11,
     f g22, f^2 det g and its square, so a factor that drives them past
     the normal floats raises MetricScaleError, naming the factor, before
-    any quadrature.  A factor that is not positive is reported by the
-    evaluator (NonpositiveFactorError).
+    any quadrature, as does a factor that is NaN or infinite at a probe
+    node.  A factor that is not positive is reported by the evaluator
+    (NonpositiveFactorError).
     """
     if not factor:
         raise ValueError("conformal mode requires factor")
@@ -238,6 +238,8 @@ def conformal_surface(base: Surface, factor: str = "") -> Surface:
             scaled = (("f g11", f * g11), ("f g22", f * g22), ("f^2 det g", f2_det),
                       ("f^4 (det g)^2", f2_det * f2_det))
             base_scales = (g11, g22, det, det * det)
+        if not np.all(np.isfinite(f)):
+            raise MetricScaleError(f"{name}: conformal factor is not finite on the probe grid")
         if np.all(f > 0.0) and all(_normal(s) for s in base_scales):
             _check_scales(name, *((label, x) for label, s in scaled
                                   for x in (np.min(s), np.max(s))))

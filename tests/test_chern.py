@@ -1,5 +1,6 @@
 """Chern numbers by quadrature and the discrete Stokes argument."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ from chernquad import chern, quadrature, verify
 from chernquad.chern import ChernResult, chern_number, curvature_sample, stokes_residual
 from chernquad.curvature import (OneForm, connection_difference, connection_form,
                                  curvature_report_grid, gauss_curvature)
-from chernquad.errors import NonFiniteValueError, PeriodicityError
+from chernquad.errors import NonFiniteValueError, PeriodicityError, SpdViolationError
 from chernquad.metric import RectDomain, eval_metric_jet
 from chernquad.quadrature import QuadratureSpec, build_nodes
 from chernquad.zoo import (conformal_surface, custom_surface, flat_torus, perturbed_surface,
@@ -94,8 +95,7 @@ def test_stokes_residual_of_exact_form_vanishes():
     # d(sin u cos v) on the 64 x 64 nodes of the periodic square
     dom = RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi,
                      periodic_u=True, periodic_v=True)
-    us, vs, _ = build_nodes(dom, QuadratureSpec(64, 64))
-    u, v = us.reshape(64, 64), vs.reshape(64, 64)
+    u, v, _ = build_nodes(dom, QuadratureSpec(64, 64))
     form = OneForm(eta_u=np.cos(u) * np.cos(v), eta_v=-np.sin(u) * np.sin(v))
     assert stokes_residual(form, dom) < 1e-10
 
@@ -173,7 +173,7 @@ def test_curvature_sample_is_block_invariant(make, n_u, n_v, block, monkeypatch)
     surf = make()
     spec = QuadratureSpec(n_u, n_v)
     whole = chern_number(surf, spec)
-    assert whole.sample.us.size <= chern.BLOCK_NODES  # one block
+    assert whole.sample.weights.size <= chern.BLOCK_NODES  # one block
     monkeypatch.setattr(chern, "BLOCK_NODES", block)
     monkeypatch.setattr(quadrature, "_SUM_CHUNK", block)
     blocked = chern_number(surf, spec)
@@ -198,9 +198,38 @@ def test_non_finite_error_names_the_same_node_for_any_block_size(monkeypatch):
     us, vs, _ = build_nodes(dom, spec)
     with np.errstate(all="ignore"):  # one unblocked pass as the reference
         two_form = curvature_report_grid(surf, us, vs).two_form_coeff
-    first = np.flatnonzero(~np.isfinite(two_form))[0]
-    assert messages[0].endswith(f"at node (u, v) = ({us[first]:.17g}, {vs[first]:.17g})")
+    assert two_form.shape == (32, 40)
+    i, j = np.argwhere(~np.isfinite(two_form))[0]  # the first in row order
+    assert messages[0].endswith(f"at node (u, v) = ({us[i, 0]:.17g}, {vs[0, j]:.17g})")
     assert messages == [messages[0]] * 3
+
+
+def test_torus_sample_evaluates_the_metric_once_per_u():
+    # the u axis is a column, and the torus metric depends on u alone, so the
+    # evaluator sees 64 values of u, not 64 x 64 nodes
+    torus = torus_revolution(2.0, 1.0)
+    shapes = []
+
+    def evaluator(u, v):
+        shapes.append(np.shape(u))
+        return torus.evaluator(u, v)
+
+    sample = curvature_sample(dataclasses.replace(torus, evaluator=evaluator),
+                              QuadratureSpec(64, 64))
+    assert shapes and all(shape[1:] == (1,) for shape in shapes)
+    assert sum(math.prod(shape) for shape in shapes) <= 64
+    assert sample.two_form.shape == sample.b_u.shape == (64, 64)
+
+
+def test_spd_error_counts_every_node_of_the_block():
+    # g22 depends on u alone and is NaN where exp(1000*u) overflows, on 6 of
+    # the 16 Gauss rows; the kernel checks one value per row, but the error
+    # counts the 16 x 16 nodes of the block
+    surf = custom_surface("nan_rows", RectDomain(0.0, 1.0, 0.0, 1.0), "1", "0",
+                          "exp(1000*u)*0+1")
+    with pytest.raises(SpdViolationError) as info:
+        curvature_sample(surf, QuadratureSpec(16, 16))
+    assert str(info.value).endswith("; not finite at 96 of 256 nodes)")
 
 
 def test_chern_number_memory_scales_with_the_block_not_the_grid():
@@ -213,6 +242,6 @@ def test_chern_number_memory_scales_with_the_block_not_the_grid():
     finally:
         tracemalloc.stop()
     assert result.rounded == 0
-    # 56 B/node persist (nodes, weights and four channels);
+    # 40 B/node persist (weights and four channels; the nodes are two axes);
     # an unblocked pass peaks above 1300 B/node
     assert peak / (512 * 512) < 85

@@ -342,7 +342,8 @@ def test_cli_grid_dump(tmp_path, capsys):
 
 def _per_node_grid(sample, fmt: str) -> str:
     """The grid file with every value formatted on its own: the reference."""
-    cols = [["%.17g" % x for x in col.tolist()] for col in (sample.us, sample.vs, sample.k_area)]
+    cols = [["%.17g" % x for x in col.ravel().tolist()]
+            for col in np.broadcast_arrays(sample.us, sample.vs, sample.k_area)]
     names = ("u", "v", "k_times_area")
     if fmt == "json":
         return "{\n" + ",\n".join(f'  "{name}": [{", ".join(col)}]'
@@ -352,9 +353,9 @@ def _per_node_grid(sample, fmt: str) -> str:
 
 def _signed_zero_runs(sample):
     # adjacent 0.0 and -0.0, alone and in runs, across row ends
-    k = np.zeros(sample.k_area.size)
-    k[1::3] = -0.0
-    k[5:40] = -0.0
+    k = np.zeros(sample.k_area.shape)
+    k.flat[1::3] = -0.0
+    k.flat[5:40] = -0.0
     return dataclasses.replace(sample, k_area=k)
 
 
@@ -545,12 +546,17 @@ _PROBE_MESSAGE = (
       "--resolution", "32x32"], None,
      "[compare] torus_revolution(R=2,r=1)|conformal(1e200): metric scale f^2 det g = inf "
      "is outside the normal float range"),
+    # a conformal factor that is NaN where u^1024 overflows
+    (["compare", "--surface", "torus_revolution", "--mode", "conformal", "--factor",
+      "u^1024*0+1", "--resolution", "16x16"], None,
+     "[compare] torus_revolution(R=2,r=1)|conformal(u^1024*0+1): conformal factor is not "
+     "finite on the probe grid"),
 ], ids=["compare_sphere", "compare_octagon", "compare_sphere_no_factor", "out_is_grid_out",
         "param_nan", "factor_syntax", "perturb_probe", "config_factor_syntax",
         "sphere_param_overflow", "sphere_param_underflow", "torus_param_overflow",
         "flat_torus_param_overflow", "sphere_det_squared_overflow",
         "torus_det_squared_overflow", "flat_torus_det_squared_underflow",
-        "conformal_factor_underflow", "conformal_factor_overflow"])
+        "conformal_factor_underflow", "conformal_factor_overflow", "conformal_factor_nan"])
 def test_config_conflicts_are_rejected_before_any_quadrature(argv, config, message,
                                                             tmp_path, tmp_path_factory,
                                                             monkeypatch, capsys):
@@ -631,14 +637,15 @@ def test_failed_allocation_exits_one(monkeypatch, capsys):
 
 
 def _count_sampled_nodes(monkeypatch):
-    """The node count of each block that ``curvature_sample`` evaluates."""
+    """The node count of each block that ``curvature_sample`` evaluates:
+    the size of its broadcast (u, v), not of the u column alone."""
     import chernquad.chern
 
     calls = []
     original = chernquad.chern.curvature_report_grid
 
     def counting(field, us, vs):
-        calls.append(np.size(us))
+        calls.append(np.broadcast(us, vs).size)
         return original(field, us, vs)
 
     monkeypatch.setattr(chernquad.chern, "curvature_report_grid", counting)

@@ -127,14 +127,15 @@ def test_sphere_two_form_is_exact_up_to_the_poles(radius):
     # metric-jet route loses about 1/sin^2 u of its accuracy
     mpmath = pytest.importorskip("mpmath")
     sample = curvature_sample(sphere(radius), QuadratureSpec(256, 512))
-    us, two_form = sample.us, sample.two_form
+    assert sample.two_form.shape == (256, 512)
+    us = sample.us[:, 0]  # the u of each row of nodes
     near = (us < 0.05) | (us > math.pi - 0.05)
     assert near.any()
     eps = np.finfo(float).eps
     with mpmath.workdps(50):
-        for u in np.unique(us[near]):
+        for u, row in zip(us[near], sample.two_form[near]):
             want = float(mpmath.sin(mpmath.mpf(float(u))))
-            err = float(np.max(np.abs(two_form[us == u] - want)))
+            err = float(np.max(np.abs(row - want)))
             assert err <= 4.0 * eps * abs(want), (u, err)
 
 
@@ -233,7 +234,8 @@ def test_curl_of_connection_difference_matches_two_form_change():
         other = curvature_sample(scaled, QuadratureSpec(n, n))
         eta = connection_difference(base, other)
         assert eta.imag_max < 1e-12
-        want = (other.two_form - base.two_form).reshape(n, n)
+        assert eta.eta_u.shape == eta.eta_v.shape == (n, n)
+        want = other.two_form - base.two_form
         errs.append(np.max(np.abs(fd_curl(eta, surf.domain) - want)))
     assert errs[-1] < 1e-4
     # central differences are second order: each doubling divides by ~4
@@ -241,9 +243,9 @@ def test_curl_of_connection_difference_matches_two_form_change():
 
 
 def _grid(dom, n_u, n_v):
-    """u and v on the nodes of the chart, as (n_u, n_v) arrays."""
+    """u and v on the nodes of the chart, broadcast to (n_u, n_v) arrays."""
     us, vs, _ = build_nodes(dom, QuadratureSpec(n_u, n_v))
-    return us.reshape(n_u, n_v), vs.reshape(n_u, n_v)
+    return np.broadcast_arrays(us, vs)
 
 
 def test_exact_one_form_has_zero_curl():

@@ -30,9 +30,10 @@ def test_spec_validation():
 def test_for_domain_picks_rules_from_periodicity():
     # Gauss-Legendre on the closed u axis, trapezoid on the periodic v axis
     dom = RectDomain(0.0, math.pi, 0.0, TWO_PI, periodic_v=True)
-    us, vs, _ = build_nodes(dom, QuadratureSpec(16, 32))
-    assert np.array_equal(us.reshape(16, 32)[:, 0], _axis_rule(False, 0.0, math.pi, 16)[0])
-    assert np.array_equal(vs.reshape(16, 32)[0], TWO_PI / 32 * np.arange(32))
+    us, vs, ws = build_nodes(dom, QuadratureSpec(16, 32))
+    assert (us.shape, vs.shape, ws.shape) == ((16, 1), (1, 32), (16, 32))
+    assert np.array_equal(us[:, 0], _axis_rule(False, 0.0, math.pi, 16)[0])
+    assert np.array_equal(vs[0], TWO_PI / 32 * np.arange(32))
 
 
 @pytest.mark.parametrize("domain", [
@@ -43,11 +44,14 @@ def test_for_domain_picks_rules_from_periodicity():
 def test_weights_positive_and_sum_to_measure(domain):
     spec = QuadratureSpec(16, 16)
     us, vs, ws = build_nodes(domain, spec)
-    assert us.shape == vs.shape == ws.shape
+    # the octagon stacks its eight sector grids
+    shape = (8 * 16, 16) if isinstance(domain, OctagonDomain) else (16, 16)
+    assert ws.shape == np.broadcast(us, vs).shape == shape
     assert np.all(ws > 0.0)
     measure = domain_measure(domain)
     assert reduce_sum(ws) == pytest.approx(measure, rel=1e-12)
-    for u, v in zip(us[:64], vs[:64]):
+    assert np.all(domain.contains(us, vs))
+    for u, v in zip(*(np.broadcast_to(x, shape).flat[:64] for x in (us, vs))):
         assert domain.contains(float(u), float(v))
 
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from chernquad.errors import MetricScaleError
 from chernquad.metric import OctagonDomain, RectDomain, edge_arcs, octagon_vertices
 from chernquad.quadrature import QuadratureSpec, build_nodes, reduce_sum
 from chernquad.zoo import (
@@ -96,6 +97,16 @@ def test_conformal_probe_leaves_a_base_out_of_range_to_its_own_checks():
     dom = RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi, periodic_u=True, periodic_v=True)
     base = custom_surface("big", dom, "1e100*(2 + sin(u))", "0", "1e100")
     assert conformal_surface(base, "2").name == "big|conformal(2)"
+
+
+@pytest.mark.parametrize("factor", ["u^1024*0+1", "exp(1000*u)"], ids=["nan", "inf"])
+def test_conformal_probe_rejects_a_factor_that_is_not_finite(factor):
+    # u^1024 * 0 is NaN and exp(1000*u) is inf where they overflow; the
+    # probe blames the factor before its sign and scale tests
+    with pytest.raises(MetricScaleError) as err:
+        conformal_surface(torus_revolution(), factor)
+    assert str(err.value) == (f"torus_revolution(R=2,r=1)|conformal({factor}): conformal "
+                              "factor is not finite on the probe grid")
 
 
 def test_make_surface_dispatch_and_errors():

@@ -49,6 +49,12 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
                                        "--resolution", "64x64")),
         ("chern_torus_1024x1024", CLI + ("chern", "--surface", "torus_revolution",
                                          "--resolution", "1024x1024")),
+        # 300-node rows: several row blocks, the last one partial
+        ("chern_torus_300x300", CLI + ("chern", "--surface", "torus_revolution",
+                                       "--resolution", "300x300")),
+        ("compare_torus_perturb_300x300",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "perturb",
+                "--resolution", "300x300", "--grid-out", "grid.csv")),
     ]
     for kind, fmt in (("torus_revolution", "csv"), ("flat_torus", "json")):
         for mode, extra in COMPARE_MODES.items():
@@ -86,6 +92,9 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
         ("error_compare_factor_1e-170",
          CLI + ("compare", "--surface", "torus_revolution", "--mode", "conformal",
                 "--factor", "1e-170", "--resolution", "32x32")),
+        ("error_compare_factor_nan",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "conformal",
+                "--factor", "u^1024*0+1", "--resolution", "16x16")),
         ("error_compare_factor_1e200",
          CLI + ("compare", "--surface", "torus_revolution", "--mode", "conformal",
                 "--factor", "1e200", "--resolution", "32x32")),
