@@ -10,13 +10,14 @@ The sample lives here: ``curvature_sample`` evaluates a metric once on
 the quadrature nodes, and ``chern_number`` keeps it in its result for
 ``connection_difference`` and the grid dump to read.  It stores four
 channels shaped like the node grid (the two-form, K * sqrt(det g), b_u
-and b_v) and two maxima (alpha_max and the identity residual).  Whole
-rows stream through the curvature kernel, which broadcasts (u, v), in
-blocks of at most BLOCK_NODES nodes and at least one row: temporaries
-scale with the block, and a channel in u alone is computed once per
-rectangle row.  The block size changes no bit, as every channel is
-computed node by node, both maxima are maxima and ``reduce_sum`` rounds
-the exact sum once, whatever the order or chunking of its values.
+and b_v) and two maxima (alpha_max and the identity residual).  The
+grid streams through the curvature kernel, which broadcasts (u, v), in
+tiles of at most BLOCK_NODES nodes: whole rows, or pieces of a row that
+is longer.  Temporaries scale with the tile, and a channel in u alone is
+computed once per rectangle row and tile.  The tile size changes no bit,
+as every channel is computed node by node, both maxima are maxima and
+``reduce_sum`` rounds the exact sum once, whatever the order or chunking
+of its values.
 
 ``stokes_residual`` integrates the finite-difference exterior derivative
 of a sampled 1-form over a fully periodic chart, the quadrature ghost of
@@ -71,26 +72,35 @@ class ChernResult:
     sample: CurvatureSample = dataclass_field(repr=False, compare=False)
 
 
+def _tile(x: np.ndarray, index: tuple[slice, slice]) -> np.ndarray:
+    """x[index], keeping whole an axis of length one, along which x broadcasts."""
+    return x[tuple(part if n > 1 else slice(None) for part, n in zip(index, x.shape))]
+
+
 def curvature_sample(surface: Surface, spec: QuadratureSpec) -> CurvatureSample:
     """One curvature pass over the quadrature nodes of the surface's chart,
-    in blocks of whole grid rows, at most BLOCK_NODES nodes and at least
-    one row each.  A non-finite two-form or K * sqrt(det g) raises
-    NonFiniteValueError naming the first such node in row order (numpy's
-    own warnings are silenced)."""
+    in tiles of at most BLOCK_NODES nodes: whole grid rows, or pieces of
+    one row where a row is longer.  A non-finite two-form or
+    K * sqrt(det g) raises NonFiniteValueError naming the first such node
+    in row order (numpy's own warnings are silenced)."""
     us, vs, ws = build_nodes(surface.domain, spec)
-    step = max(1, BLOCK_NODES // ws.shape[1])
+    n_rows, n_cols = ws.shape
+    width = min(n_cols, BLOCK_NODES)
+    height = max(1, BLOCK_NODES // width)
     alpha_max = max_residual = 0.0
     with np.errstate(all="ignore"):
-        for lo in range(0, len(ws), step):
-            rows = slice(lo, lo + step)
-            # a (1, n_v) row of v serves every block
-            block = curvature_report_grid(surface, us[rows], vs if len(vs) == 1 else vs[rows])
-            if lo == 0:  # here, to reuse the first block's freed temporaries
-                channels = np.empty((4, *ws.shape))  # two-form, K * area, b_u, b_v
-            k_area = block.k * block.area_coeff
-            channels[:, rows] = (block.two_form_coeff, k_area, block.b_u, block.b_v)
-            alpha_max = max(alpha_max, block.alpha_max)
-            max_residual = max(max_residual, identity_residual(block.two_form_coeff, k_area))
+        for lo in range(0, n_rows, height):
+            for left in range(0, n_cols, width):
+                index = (slice(lo, lo + height), slice(left, left + width))
+                block = curvature_report_grid(surface, _tile(us, index), _tile(vs, index))
+                if lo == left == 0:  # here, to reuse the first tile's freed temporaries
+                    channels = np.empty((4, *ws.shape))  # two-form, K * area, b_u, b_v
+                k_area = block.k * block.area_coeff
+                channels[(slice(None), *index)] = (block.two_form_coeff, k_area,
+                                                   block.b_u, block.b_v)
+                alpha_max = max(alpha_max, block.alpha_max)
+                max_residual = max(max_residual,
+                                   identity_residual(block.two_form_coeff, k_area))
     for name, values in (("curvature two-form", channels[0]),
                          ("K * sqrt(det g)", channels[1])):
         bad = np.flatnonzero(~np.isfinite(values))

@@ -6,7 +6,7 @@ Subcommands:
     builtin surfaces with parameters, reference resolutions and
     expected Chern numbers.
 ``chern``
-    Chern number of one surface from flags.
+    Chern number of one builtin surface from flags.
 ``compare``
     surface vs derived metric (conformal, perturb, twist) from flags.
 ``report``
@@ -14,6 +14,10 @@ Subcommands:
     ``--set section.key=value``.
 ``verify``
     run every invariant suite; one line per suite.
+
+The ``chern``/``compare`` flags are shorthand for config keys, which
+``config.config_from_sections`` reads as ``report`` reads a config file,
+so a mistake reads the same from a flag, a file or ``--set``.
 
 Exit codes: 0 success, 1 usage, config, geometry or expression error
 (such as a non-SPD metric, an overflowing curvature, node counts numpy
@@ -28,8 +32,7 @@ import re
 import sys
 
 from . import experiment, verify, zoo
-from .config import (ExperimentConfig, OutputSpec, builtin_surface, derived_surface,
-                     load_config, quadrature_spec)
+from .config import ExperimentConfig, OutputSpec, config_from_sections, load_config
 from .errors import ConfigError, GeometryError
 from .expressions import ExprError
 
@@ -44,24 +47,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_resolution(text: str) -> tuple[int, int]:
+def _resolution(text: str) -> dict:
     match = _RESOLUTION.match(text)
     if not match:
         raise ConfigError(f"--resolution expects NUxNV, got {text!r}")
-    return int(match.group(1)), int(match.group(2))
+    return {"n_u": match.group(1), "n_v": match.group(2)}
 
 
-def _parse_params(items) -> dict:
-    params = {}
-    for item in items or ():
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--param {item!r} is not of the form key=value")
-        try:
-            params[key.strip()] = float(value)
-        except ValueError:
-            raise ConfigError(f"--param {key}: expected a number, got {value!r}") from None
-    return params
+def _param(item: str) -> tuple[str, str]:
+    key, sep, value = item.partition("=")
+    if not sep:
+        raise ConfigError(f"--param {item!r} is not of the form key=value")
+    return key.strip(), value.strip()
 
 
 def _add_surface_flags(parser) -> None:
@@ -133,21 +130,17 @@ def _cmd_list() -> int:
 
 
 def _config_from_flags(args) -> ExperimentConfig:
-    # load_config's builders; a compare flag the mode does not read is ignored
-    n_u = n_v = None
-    if args.resolution:
-        n_u, n_v = _parse_resolution(args.resolution)
-    surface = builtin_surface(args.surface, _parse_params(args.param))
-    spec = quadrature_spec(surface, n_u, n_v)
-    other = None
+    """The config keys the flags stand for, read as ``report`` reads a
+    config; a compare flag the mode does not read is left out."""
+    sections = {"quadrature": _resolution(args.resolution) if args.resolution else {},
+                "surface": dict(map(_param, args.param or ())),
+                "output": {"format": args.format, "path": args.out,
+                           "grid_path": args.grid_out}}
     if args.command == "compare":
         keys = zoo.COMPARE_MODES[args.mode][1]
-        params = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
-        other = derived_surface(surface, args.mode, params)
-    return ExperimentConfig(surface, spec, other,
-                            OutputSpec(format=args.format, path=args.out,
-                                       grid_path=args.grid_out),
-                            args.timings)
+        sections["compare"] = {"mode": args.mode, **{
+            k: str(getattr(args, k)) for k in keys if getattr(args, k) is not None}}
+    return config_from_sections(sections, builtin=args.surface)
 
 
 def _emit(report: experiment.Report, output: OutputSpec) -> int:
@@ -176,8 +169,7 @@ def main(argv=None) -> int:
             config = _config_from_flags(args)
         else:
             config = load_config(args.config, overrides=args.set)
-            if args.timings:
-                config.timings = True
+        config.timings = args.timings
         return _emit(experiment.run(config), config.output)
     except (ConfigError, GeometryError, ExprError, MemoryError) as exc:
         print(f"chernquad: error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -1,10 +1,13 @@
 """Experiment configuration: flat INI-style files plus override strings.
 
-A config holds the built experiment.  :func:`load_config` and the
-``chern``/``compare`` flags build it where the input is read, with the
-same builders (:func:`builtin_surface`, :func:`quadrature_spec` and
-:func:`derived_surface`), so a bad value such as a factor that does not
-parse is reported before any quadrature runs.  Sections:
+A config holds the built experiment.  :func:`load_config` reads a file
+and its ``--set section.key=value`` overrides into ``{section: {key:
+value}}`` strings, and :func:`config_from_sections` builds the
+experiment from such strings wherever they come from; the
+``chern``/``compare`` flags are shorthand for the same keys.  So this
+module alone parses and checks a value, the same mistake reads the same
+from a file, an override or a flag, and a bad value such as a factor
+that does not parse is reported before any quadrature runs.  Sections:
 
 ``[surface]``
     ``kind`` names a builtin with its parameter keys, as ``chernquad
@@ -29,10 +32,11 @@ parse is reported before any quadrature runs.  Sections:
     stdout) and ``grid_path`` (curvature-density samples for external
     plotting).
 
-Values may be quoted; quotes are stripped.  Any key can be overridden
-from the command line with ``--set section.key=value`` strings handled
-by :func:`apply_overrides`.  Errors raise :class:`ConfigError` with the
-offending section/key (parse errors keep configparser's line numbers).
+Values are stripped of surrounding whitespace and may be quoted; quotes
+are stripped.  A section that only an override names starts from the
+file's ``[DEFAULT]`` keys, as every file section does.  Errors raise
+:class:`ConfigError` with the offending section/key (parse errors keep
+configparser's line numbers).
 """
 
 from __future__ import annotations
@@ -73,44 +77,12 @@ class ExperimentConfig:
 
 @contextlib.contextmanager
 def _reported_in(section: str, errors=Exception):
-    """Report ``errors`` raised inside the block as ConfigErrors of ``section``."""
+    """Report ``errors`` raised inside the block as ConfigErrors of ``section``;
+    a ConfigError is wrapped again, so parse values before the block."""
     try:
         yield
     except errors as exc:
         raise ConfigError(f"[{section}] {exc}") from None
-
-
-def builtin_surface(kind: str, params: Mapping[str, float]) -> Surface:
-    """``zoo.make_surface``; its errors become [surface] ConfigErrors."""
-    with _reported_in("surface"):
-        return make_surface(kind, params)
-
-
-def quadrature_spec(surface: Surface, n_u: Optional[int],
-                    n_v: Optional[int]) -> QuadratureSpec:
-    """The node counts, or the surface's reference resolution when None."""
-    if n_u is None:
-        n_u, n_v = surface.reference_resolution
-    with _reported_in("quadrature", ValueError):
-        return QuadratureSpec(n_u, n_v)
-
-
-def derived_surface(base: Surface, mode: str, params: Mapping[str, object]) -> Surface:
-    """The ``mode`` entry of ``zoo.COMPARE_MODES`` built on ``base``.  The mode,
-    its keys, the conformal factor and the fully periodic chart are checked
-    first, in that order; every error is a [compare] ConfigError."""
-    if mode not in COMPARE_MODES:
-        *head, last = COMPARE_MODES
-        raise ConfigError(f"[compare] mode must be {', '.join(head)} or {last}, "
-                          f"got {mode!r}")
-    constructor, keys = COMPARE_MODES[mode]
-    _reject_unknown("compare", params, keys)
-    if mode == "conformal" and not params.get("factor"):
-        raise ConfigError("[compare] conformal mode requires factor")
-    if not (isinstance(base.domain, RectDomain) and base.domain.fully_periodic):
-        raise ConfigError("[compare] comparison requires a fully periodic domain")
-    with _reported_in("compare"):
-        return constructor(base, **params)
 
 
 def _strip_quotes(raw: str) -> str:
@@ -141,35 +113,35 @@ def _reject_unknown(section: str, options: Mapping[str, str], known) -> None:
         raise ConfigError(f"[{section}] unknown key {extra[0]!r}")
 
 
-def apply_overrides(cp: configparser.ConfigParser, overrides) -> None:
-    """Apply ``section.key=value`` strings on top of parsed file content."""
-    for item in overrides:
+def _overrides(items):
+    """(section, key, value) of each ``section.key=value`` string."""
+    for item in items:
         head, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"override {item!r} is not of the form section.key=value")
         section, dot, key = head.strip().partition(".")
-        if not dot or not section or not key:
+        if not (sep and dot and section and key):
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
         if section not in _SECTIONS:
             raise ConfigError(f"override section [{section}] unknown; "
                               f"expected one of {', '.join(_SECTIONS)}")
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp[section][key.strip()] = value.strip()
+        yield section, key.strip(), value.strip()
 
 
-def _surface_from(cp) -> Surface:
-    if not cp.has_section("surface"):
-        raise ConfigError("missing [surface] section")
-    opts = dict(cp["surface"])
-    kind = _strip_quotes(opts.pop("kind", ""))
-    if not kind:
-        raise ConfigError("[surface] kind is required")
+def _surface_from(sections, builtin: Optional[str]) -> Surface:
+    opts = dict(sections.get("surface", {}))
+    if builtin is None:
+        if "surface" not in sections:
+            raise ConfigError("missing [surface] section")
+        kind = _strip_quotes(opts.pop("kind", ""))
+        if not kind:
+            raise ConfigError("[surface] kind is required")
+    else:
+        kind = _strip_quotes(builtin)
     if kind in BUILTIN_KINDS:
         _reject_unknown("surface", opts, BUILTIN_KINDS[kind][1])
-        return builtin_surface(kind, {k: _as_value("surface", k, v)
-                                      for k, v in opts.items()})
-    if kind != "custom":
+        params = {k: _as_value("surface", k, v) for k, v in opts.items()}
+        with _reported_in("surface"):
+            return make_surface(kind, params)
+    if kind != "custom" or builtin is not None:
         raise ConfigError(f"[surface] unknown kind {kind!r}")
 
     domain_kind = _strip_quotes(opts.get("domain", "rect"))
@@ -194,31 +166,52 @@ def _surface_from(cp) -> Surface:
                               *(_strip_quotes(opts[k]) for k in ("g11", "g12", "g22")))
 
 
-def _compare_from(cp, base: Surface) -> Optional[Surface]:
-    if not cp.has_section("compare"):
-        return None
-    opts = dict(cp["compare"])
+def _compare_from(opts, base: Surface) -> Surface:
+    """The mode, its keys, the conformal factor and the fully periodic chart
+    are checked in that order, after every value is parsed."""
+    opts = dict(opts)
     mode = _strip_quotes(opts.pop("mode", ""))
     params = {k: _as_value("compare", k, v, _COMPARE_TYPES.get(k, str))
               for k, v in opts.items()}
-    return derived_surface(base, mode, params)
+    if mode not in COMPARE_MODES:
+        *head, last = COMPARE_MODES
+        raise ConfigError(f"[compare] mode must be {', '.join(head)} or {last}, "
+                          f"got {mode!r}")
+    constructor, keys = COMPARE_MODES[mode]
+    _reject_unknown("compare", params, keys)
+    if mode == "conformal" and not params.get("factor"):
+        raise ConfigError("[compare] conformal mode requires factor")
+    if not (isinstance(base.domain, RectDomain) and base.domain.fully_periodic):
+        raise ConfigError("[compare] comparison requires a fully periodic domain")
+    with _reported_in("compare"):
+        return constructor(base, **params)
 
 
-def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
-    for section in cp.sections():
+def config_from_sections(sections: Mapping[str, Mapping[str, str]],
+                         builtin: Optional[str] = None) -> ExperimentConfig:
+    """The experiment that ``{section: {key: value}}`` strings describe.
+
+    ``builtin`` is a surface kind named apart from ``[surface]``, as the
+    ``--surface`` flag names it: that section then holds only the kind's
+    parameters, and only the builtin kinds are known.
+    """
+    for section in sections:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-    surface = _surface_from(cp)
+    surface = _surface_from(sections, builtin)
 
-    opts = dict(cp["quadrature"]) if cp.has_section("quadrature") else {}
+    opts = sections.get("quadrature", {})
     _reject_unknown("quadrature", opts, ("n_u", "n_v"))
     n_u, n_v = (_as_value("quadrature", k, opts[k], int) if k in opts else None
                 for k in ("n_u", "n_v"))
     if (n_u is None) != (n_v is None):
         raise ConfigError("[quadrature] n_u and n_v must be given together")
-    spec = quadrature_spec(surface, n_u, n_v)
+    if n_u is None:
+        n_u, n_v = surface.reference_resolution
+    with _reported_in("quadrature", ValueError):
+        spec = QuadratureSpec(n_u, n_v)
 
-    opts = dict(cp["output"]) if cp.has_section("output") else {}
+    opts = sections.get("output", {})
     _reject_unknown("output", opts, ("format", "path", "grid_path"))
     fmt = _strip_quotes(opts.get("format", "csv"))
     if fmt not in ("csv", "json"):
@@ -226,7 +219,8 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
     output = OutputSpec(fmt, *(_strip_quotes(opts.get(k, ""))
                                for k in ("path", "grid_path")))
 
-    return ExperimentConfig(surface, spec, _compare_from(cp, surface), output)
+    other = _compare_from(sections["compare"], surface) if "compare" in sections else None
+    return ExperimentConfig(surface, spec, other, output)
 
 
 def load_config(path: str, overrides=()) -> ExperimentConfig:
@@ -241,5 +235,8 @@ def load_config(path: str, overrides=()) -> ExperimentConfig:
     except configparser.Error as exc:
         # configparser messages carry file name and line numbers
         raise ConfigError(str(exc)) from None
-    apply_overrides(cp, overrides)
-    return config_from_parser(cp)
+    # each section holds the [DEFAULT] keys, as cp[section] does
+    sections = {name: dict(cp[name]) for name in cp.sections()}
+    for section, key, value in _overrides(overrides):
+        sections.setdefault(section, dict(cp.defaults()))[key] = value
+    return config_from_sections(sections)

@@ -64,10 +64,13 @@ class Report:
         return buf.getvalue()
 
     def to_json(self) -> str:
+        import json  # here, so that importing the command line does not load it
+
         parts = []
         for name in self.fieldnames:
             value = self.row[name]
-            rendered = f'"{value}"' if isinstance(value, str) else _fmt(value)
+            rendered = (json.dumps(value, ensure_ascii=False) if isinstance(value, str)
+                        else _fmt(value))
             parts.append(f'  "{name}": {rendered}')
         return "{\n" + ",\n".join(parts) + "\n}\n"
 

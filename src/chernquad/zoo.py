@@ -76,6 +76,7 @@ from .errors import (DomainMismatchError, MetricScaleError, NonpositiveFactorErr
 from .expressions import eval_jet, parse
 from .jets import Jet2
 from .metric import MetricEvaluator, MetricJet, OctagonDomain, ParamDomain, RectDomain
+from .quadrature import QuadratureSpec, build_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,18 +111,7 @@ def _check_scales(name: str, *scales: tuple[str, float]) -> None:
                                    "the normal float range")
 
 
-PROBE_GRID = 64
-
-
-def _probe_points(dom: RectDomain):
-    """A PROBE_GRID x PROBE_GRID grid in ``dom`` as a u column and a v row,
-    closed at the start of a periodic axis and open at both ends otherwise."""
-    def axis(lo, hi, periodic):
-        return (np.linspace(lo, hi, PROBE_GRID + 1)[:-1] if periodic else
-                np.linspace(lo, hi, PROBE_GRID + 2)[1:-1])
-
-    return (axis(dom.u_min, dom.u_max, dom.periodic_u)[:, None],
-            axis(dom.v_min, dom.v_max, dom.periodic_v)[None, :])
+PROBE_GRID = QuadratureSpec(64, 64)  # derived metrics are checked on its nodes
 
 
 def sphere(radius: float = 1.0) -> Surface:
@@ -206,13 +196,13 @@ def poincare_octagon() -> Surface:
 def conformal_surface(base: Surface, factor: str = "") -> Surface:
     """f * g for the strictly positive scalar factor f = ``factor``.
 
-    On a rectangle chart f and g are probed on the PROBE_GRID x PROBE_GRID
-    grid of ``perturbed_surface``.  Where f is positive there and g's own
-    scales are normal floats, the builtins' scale rule applies to f g11,
-    f g22, f^2 det g and its square, so a factor that drives them past
-    the normal floats raises MetricScaleError, naming the factor, before
-    any quadrature, as does a factor that is NaN or infinite at a probe
-    node.  A factor that is not positive is reported by the evaluator
+    On a rectangle chart f and g are probed on the quadrature nodes of
+    PROBE_GRID, as in ``perturbed_surface``.  Where f is positive there
+    and g's own scales are normal floats, the builtins' scale rule applies
+    to f g11, f g22, f^2 det g and its square, so a factor that drives
+    them past the normal floats raises MetricScaleError, naming the
+    factor, before any quadrature, as does a factor that is NaN or
+    infinite at a probe node.  A factor that is not positive is reported by the evaluator
     (NonpositiveFactorError).
     """
     if not factor:
@@ -228,7 +218,7 @@ def conformal_surface(base: Surface, factor: str = "") -> Surface:
         return MetricJet(f * g.g11, f * g.g12, f * g.g22)
 
     if isinstance(base.domain, RectDomain):
-        us, vs = _probe_points(base.domain)
+        us, vs, _ = build_nodes(base.domain, PROBE_GRID)
         with np.errstate(all="ignore"):
             f = eval_jet(expr, us, vs).val
             g = base.evaluator(us, vs)
@@ -272,7 +262,7 @@ def perturbed_surface(base: Surface, seed: int = 1, amplitude: float = 0.1) -> S
     psi and chi are seed-deterministic sums of low-frequency (|k| <= 2)
     trigonometric terms with unit l1 coefficient norm, so the domain
     periodicity is preserved and amplitude 0 returns an identical metric.
-    The result is validated SPD on a PROBE_GRID x PROBE_GRID grid.
+    The result is validated SPD on the quadrature nodes of PROBE_GRID.
     """
     dom = base.domain
     if not isinstance(dom, RectDomain):
@@ -291,7 +281,7 @@ def perturbed_surface(base: Surface, seed: int = 1, amplitude: float = 0.1) -> S
 
     try:
         with np.errstate(all="ignore"):
-            evaluator(*_probe_points(dom)).value  # noqa: B018 - the SPD check
+            evaluator(*build_nodes(dom, PROBE_GRID)[:2]).value  # noqa: B018 - the SPD check
     except SpdViolationError as exc:
         raise SpdViolationError(
             f"perturbation (seed {seed}, amplitude {amplitude}) breaks positive "

@@ -161,7 +161,7 @@ def test_grid_kernel_matches_the_christoffel_oracle(make):
         assert np.array_equal(np.broadcast_to(at_once, us.shape), [pointwise(p) for p in points])
 
 
-@pytest.mark.parametrize("block", [1000, 7])
+@pytest.mark.parametrize("block", [1000, 20, 7])  # 7 splits every row, 20 most
 @pytest.mark.parametrize("make,n_u,n_v", [
     (lambda: sphere(1.0), 24, 48),  # Gauss-Legendre u axis
     (poincare_octagon, 12, 12),  # geodesic fan nodes
@@ -176,7 +176,16 @@ def test_curvature_sample_is_block_invariant(make, n_u, n_v, block, monkeypatch)
     assert whole.sample.weights.size <= chern.BLOCK_NODES  # one block
     monkeypatch.setattr(chern, "BLOCK_NODES", block)
     monkeypatch.setattr(quadrature, "_SUM_CHUNK", block)
+    sizes = []
+
+    def counting(surface, us, vs):
+        sizes.append(np.broadcast(us, vs).size)
+        return curvature_report_grid(surface, us, vs)
+
+    monkeypatch.setattr(chern, "curvature_report_grid", counting)
     blocked = chern_number(surf, spec)
+    assert sum(sizes) == whole.sample.weights.size  # each node once
+    assert max(sizes) <= block
     for name in ("raw", "raw_gauss", "max_identity_residual"):
         assert getattr(blocked, name) == getattr(whole, name), name
     assert blocked.sample.alpha_max == whole.sample.alpha_max

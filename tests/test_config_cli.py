@@ -15,7 +15,7 @@ import pytest
 import chernquad
 from chernquad import cli, experiment, zoo
 from chernquad.chern import chern_number
-from chernquad.config import ExperimentConfig, derived_surface, load_config, quadrature_spec
+from chernquad.config import ExperimentConfig, load_config
 from chernquad.errors import ConfigError
 from chernquad.metric import RectDomain
 from chernquad.quadrature import QuadratureSpec
@@ -95,6 +95,14 @@ def test_overrides_win_over_file_values(tmp_path):
     assert config.spec == QuadratureSpec(16, 16)
 
 
+def test_default_keys_reach_every_section(tmp_path):
+    path = _write(tmp_path, "[DEFAULT]\nR = 3\n[surface]\nkind = sphere\n")
+    assert load_config(path).surface.name == "sphere(R=3)"
+    # a section that only an override names holds them too, as in configparser
+    with pytest.raises(ConfigError, match=r"^\[output\] unknown key 'R'$"):
+        load_config(path, overrides=["output.format=json"])
+
+
 @pytest.mark.parametrize("override", ["no_equals", "nodot=3", "bogus.key=1"])
 def test_malformed_overrides_rejected(tmp_path, override):
     path = _write(tmp_path, "[surface]\nkind = sphere\n")
@@ -139,9 +147,9 @@ def test_missing_file_is_config_error():
 
 # --- experiment runner ----------------------------------------------------------
 
-def test_run_reports_base_fields():
-    surface = zoo.sphere(1.0)
-    config = ExperimentConfig(surface, quadrature_spec(surface, None, None))
+def test_run_reports_base_fields(tmp_path):
+    config = load_config(_write(tmp_path, "[surface]\nkind = sphere\nR = 1\n"))
+    assert config.spec == QuadratureSpec(64, 128)  # the sphere's reference resolution
     report = experiment.run(config)
     assert report.fieldnames == experiment.BASE_FIELDS
     assert report.row["rounded"] == 2
@@ -151,7 +159,7 @@ def test_run_reports_base_fields():
     assert lines[1].startswith("sphere(R=1),64,128,")
 
 
-def test_run_compare_adds_fields_and_checks_periodicity():
+def test_run_compare_adds_fields_and_checks_periodicity(tmp_path):
     base = zoo.torus_revolution()
     config = ExperimentConfig(base, QuadratureSpec(32, 32), zoo.twisted_surface(base, 0.3))
     report = experiment.run(config)
@@ -159,8 +167,10 @@ def test_run_compare_adds_fields_and_checks_periodicity():
     assert abs(report.row["delta_raw"]) < 1e-8
     assert report.row["stokes_residual"] < 1e-10
 
+    path = _write(tmp_path, "[surface]\nkind = poincare_octagon\n"
+                            "[compare]\nmode = twist\namplitude = 0.3\n")
     with pytest.raises(ConfigError, match="fully periodic"):
-        derived_surface(zoo.poincare_octagon(), "twist", {"amplitude": 0.3})
+        load_config(path)
 
 
 def test_run_custom_octagon_recovers_hyperbolic_chern(tmp_path):
@@ -200,6 +210,15 @@ def test_report_serialization_is_byte_identical():
     assert parsed["rounded"] == 0
 
 
+@pytest.mark.parametrize("name", ['say "hi" \\ there', "tab\tand\nnewline", "naïve"])
+def test_json_report_escapes_the_surface_name(name):
+    surface = dataclasses.replace(zoo.flat_torus(), name=name)
+    text = experiment.run(ExperimentConfig(surface, QuadratureSpec(8, 8))).to_json()
+    assert json.loads(text)["surface"] == name
+    assert text.count("\n") == 1 + len(experiment.BASE_FIELDS) + 1  # one line per field
+    assert ("naïve" in text) == (name == "naïve")  # non-ASCII is written as is
+
+
 # --- command line ----------------------------------------------------------------
 
 def test_cli_list(capsys):
@@ -221,9 +240,52 @@ def test_builtin_kind_reads_the_same_from_flags_and_config(kind, tmp_path, capsy
     assert capsys.readouterr().out == from_flags
 
     assert cli.main(["chern", "--surface", kind, "--param", "bogus=1"]) == 1
-    assert "unknown parameters" in capsys.readouterr().err
+    from_flags = capsys.readouterr().err
+    assert from_flags == "chernquad: error: [surface] unknown key 'bogus'\n"
     assert cli.main(["report", "--config", cfg, "--set", "surface.bogus=1"]) == 1
-    assert "[surface] unknown key" in capsys.readouterr().err
+    assert capsys.readouterr().err == from_flags
+
+
+_SPHERE_CFG = "[surface]\nkind = sphere\n"
+
+
+# an unknown parameter key reads the same for every kind, in the test above
+@pytest.mark.parametrize("flags,config,overrides", [
+    (["chern", "--surface", "klein_bottle"], _SPHERE_CFG, ["surface.kind=klein_bottle"]),
+    (["chern", "--surface", "sphere", "--param", "R=abc"], _SPHERE_CFG, ["surface.R=abc"]),
+    (["chern", "--surface", "sphere", "--param", " R = nan "], _SPHERE_CFG,
+     ["surface.R= nan"]),
+    (["chern", "--surface", "sphere", "--resolution", "4x16"], _SPHERE_CFG,
+     ["quadrature.n_u=4", "quadrature.n_v=16"]),
+    (["chern", "--surface", "sphere", "--out", "r.csv", "--grid-out", " 'r.csv' "],
+     _SPHERE_CFG, ["output.path=r.csv", "output.grid_path='r.csv'"]),
+    (["compare", "--surface", "torus_revolution", "--mode", "conformal", "--factor",
+      "sin("], "[surface]\nkind = torus_revolution\n[compare]\nmode = conformal\n",
+     ["compare.factor=sin("]),
+    (["compare", "--surface", "sphere", "--mode", "twist"], _SPHERE_CFG,
+     ["compare.mode=twist"]),
+], ids=["unknown_kind", "not_a_number", "padded_nan_radius", "too_few_nodes", "same_file",
+        "factor_syntax", "not_periodic"])
+def test_the_same_mistake_reads_the_same_from_flags_and_overrides(flags, config, overrides,
+                                                                 tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(flags) == 1
+    from_flags = capsys.readouterr()
+    assert from_flags.out == ""
+    assert from_flags.err.startswith("chernquad: error: [")
+    argv = ["report", "--config", _write(tmp_path, config)]
+    assert cli.main(argv + [a for item in overrides for a in ("--set", item)]) == 1
+    assert capsys.readouterr() == from_flags
+
+
+def test_flag_values_are_stripped_as_config_values_are(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["chern", "--surface", " 'flat_torus' ", "--param", "a= '2' ",
+                     "--resolution", "16x16", "--format", "json", "--out", " r.json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    assert json.loads((tmp_path / "r.json").read_text())["surface"] == "flat_torus(a=2,b=1)"
 
 
 @pytest.mark.parametrize("mode,explicit", [
@@ -312,7 +374,14 @@ def test_cli_usage_and_config_errors_exit_one(capsys):
     capsys.readouterr()
 
     assert cli.main(["chern", "--surface", "klein_bottle"]) == 1
-    assert "unknown surface kind" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("chernquad: error: [surface] unknown kind "
+                                       "'klein_bottle'\n")
+
+    # --surface names a builtin, and a parameter is never the kind
+    assert cli.main(["chern", "--surface", "custom"]) == 1
+    assert capsys.readouterr().err == "chernquad: error: [surface] unknown kind 'custom'\n"
+    assert cli.main(["chern", "--surface", "sphere", "--param", "kind=custom"]) == 1
+    assert capsys.readouterr().err == "chernquad: error: [surface] unknown key 'kind'\n"
 
     assert cli.main(["chern", "--surface", "sphere", "--resolution", "64"]) == 1
     assert "NUxNV" in capsys.readouterr().err

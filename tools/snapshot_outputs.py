@@ -84,6 +84,17 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
          CLI + ("compare", "--surface", "poincare_octagon", "--mode", "perturb")),
         ("error_chern_unknown_param",
          CLI + ("chern", "--surface", "sphere", "--param", "bogus=1")),
+        # the flags read as the config keys they stand for
+        ("error_chern_unknown_kind", CLI + ("chern", "--surface", "klein_bottle")),
+        ("error_chern_custom_kind", CLI + ("chern", "--surface", "custom")),
+        ("error_chern_param_not_a_number",
+         CLI + ("chern", "--surface", "sphere", "--param", "R=abc")),
+        ("error_chern_param_kind",
+         CLI + ("chern", "--surface", "sphere", "--param", "kind=custom")),
+        ("error_report_unknown_key",
+         CLI + ("report", "--config",
+                str(ROOT / "demos" / "configs" / "torus_conformal.cfg"),
+                "--set", "surface.bogus=1")),
         ("error_chern_sphere_R_1e39",
          CLI + ("chern", "--surface", "sphere", "--param", "R=1e39")),
         ("error_chern_flat_torus_1e-60",
@@ -111,6 +122,11 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
     ]
     for cfg in sorted((ROOT / "demos" / "configs").glob("*.cfg")):
         cmds.append((f"report_{cfg.stem}", CLI + ("report", "--config", str(cfg))))
+    cmds.append(("report_custom_octagon_quoted_name_json",
+                 CLI + ("report", "--config",
+                        str(ROOT / "demos" / "configs" / "custom_octagon.cfg"),
+                        "--set", 'surface.name=say "hi" \\ there',
+                        "--set", "output.format=json")))
     cmds.append(("report_torus_conformal_32x32",
                  CLI + ("report", "--config",
                         str(ROOT / "demos" / "configs" / "torus_conformal.cfg"),
