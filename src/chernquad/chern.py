@@ -8,16 +8,21 @@ non-converged (reported, never raised).
 
 The sample lives here: ``curvature_sample`` evaluates a metric once on
 the quadrature nodes, and ``chern_number`` keeps it in its result for
-``connection_difference`` and the grid dump to read.  It stores four
-channels shaped like the node grid (the two-form, K * sqrt(det g), b_u
-and b_v) and two maxima (alpha_max and the identity residual).  The
-grid streams through the curvature kernel, which broadcasts (u, v), in
-tiles of at most BLOCK_NODES nodes: whole rows, or pieces of a row that
-is longer.  Temporaries scale with the tile, and a channel in u alone is
-computed once per rectangle row and tile.  The tile size changes no bit,
-as every channel is computed node by node, both maxima are maxima and
-``reduce_sum`` rounds the exact sum once, whatever the order or chunking
-of its values.
+``connection_difference`` and the grid dump to read.  It holds four
+channels (the two-form, K * sqrt(det g), b_u and b_v) and two maxima
+(alpha_max and the identity residual).  The grid streams through the
+curvature kernel, which broadcasts (u, v), in tiles of at most
+BLOCK_NODES nodes: whole rows, or pieces of a row that is longer.
+Temporaries scale with the tile.  Each channel is a read-only view
+shaped like the node grid over storage as compact as the kernel's
+output: a channel in u alone on a rectangle keeps n_u values, one that
+is constant keeps one.  ``quadrature.weighted_sum`` forms and sums each
+distinct product of weight and channel once and scales the exact total
+by its repeat count, so on a periodic v axis the Chern integrals cost
+n_u products.  The tile size changes no bit, as every channel is
+computed node by node, both maxima are maxima and the sums round the
+exact total once, whatever the order, chunking or repetition of its
+values.
 
 ``stokes_residual`` integrates the finite-difference exterior derivative
 of a sampled 1-form over a fully periodic chart, the quadrature ghost of
@@ -38,7 +43,7 @@ from .curvature import (CurvatureSample, OneForm, curvature_report_grid, fd_curl
                         identity_residual)
 from .errors import NonFiniteValueError, PeriodicityError
 from .metric import RectDomain
-from .quadrature import QuadratureSpec, build_nodes, reduce_sum
+from .quadrature import QuadratureSpec, build_nodes, reduce_sum, weighted_sum
 from .zoo import Surface
 
 TWO_PI = 2.0 * math.pi
@@ -77,36 +82,73 @@ def _tile(x: np.ndarray, index: tuple[slice, slice]) -> np.ndarray:
     return x[tuple(part if n > 1 else slice(None) for part, n in zip(index, x.shape))]
 
 
+def _compact(x: np.ndarray) -> np.ndarray:
+    """x cut to length one along each axis it broadcasts along (stride 0)."""
+    return x[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in x.strides)]
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _put(store: np.ndarray | None, values: np.ndarray, index: tuple[slice, slice],
+         shape: tuple[int, int]) -> np.ndarray:
+    """Write ``values``, the compact channel of the tile ``index``, into
+    ``store`` (a new one if None), which keeps one entry along each axis
+    of the grid ``shape`` on which no tile so far varied, and return it.
+    Tiles come in row order.  An axis is widened where ``values`` varies
+    along it, or where the tile starts past its first entry and a bit
+    differs from what earlier tiles stored there, so
+    ``np.broadcast_to(store, shape)`` holds every node written so far."""
+    if store is None:
+        store = np.empty([1 if m == 1 else n for n, m in zip(shape, values.shape)])
+    widen = [s == 1 < m for s, m in zip(store.shape, values.shape)]
+    revisits = [s == 1 < n and part.start > 0
+                for s, n, part in zip(store.shape, shape, index)]
+    if any(revisits):
+        old, new = np.broadcast_arrays(_tile(store, index), values)
+        if not np.array_equal(_bits(old), _bits(new)):
+            widen = [grow or again for grow, again in zip(widen, revisits)]
+    if any(widen):
+        store = np.array(np.broadcast_to(
+            store, [n if grow else s for n, s, grow in zip(shape, store.shape, widen)]))
+    _tile(store, index)[...] = values
+    return store
+
+
 def curvature_sample(surface: Surface, spec: QuadratureSpec) -> CurvatureSample:
     """One curvature pass over the quadrature nodes of the surface's chart,
     in tiles of at most BLOCK_NODES nodes: whole grid rows, or pieces of
-    one row where a row is longer.  A non-finite two-form or
+    one row where a row is longer.  Each channel is stored as compact as
+    the kernel computes it (see _put) and returned as a read-only grid
+    view; K * sqrt(det g), the identity residual and the finiteness check
+    are taken on the compact values.  A non-finite two-form or
     K * sqrt(det g) raises NonFiniteValueError naming the first such node
     in row order (numpy's own warnings are silenced)."""
     us, vs, ws = build_nodes(surface.domain, spec)
     n_rows, n_cols = ws.shape
     width = min(n_cols, BLOCK_NODES)
     height = max(1, BLOCK_NODES // width)
+    stores = [None] * 4  # two-form, K * area, b_u, b_v
     alpha_max = max_residual = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, n_rows, height):
             for left in range(0, n_cols, width):
                 index = (slice(lo, lo + height), slice(left, left + width))
                 block = curvature_report_grid(surface, _tile(us, index), _tile(vs, index))
-                if lo == left == 0:  # here, to reuse the first tile's freed temporaries
-                    channels = np.empty((4, *ws.shape))  # two-form, K * area, b_u, b_v
-                k_area = block.k * block.area_coeff
-                channels[(slice(None), *index)] = (block.two_form_coeff, k_area,
-                                                   block.b_u, block.b_v)
+                two_form, k, area, b_u, b_v = map(_compact, (
+                    block.two_form_coeff, block.k, block.area_coeff, block.b_u, block.b_v))
+                k_area = k * area
+                stores = [_put(store, values, index, ws.shape)
+                          for store, values in zip(stores, (two_form, k_area, b_u, b_v))]
                 alpha_max = max(alpha_max, block.alpha_max)
-                max_residual = max(max_residual,
-                                   identity_residual(block.two_form_coeff, k_area))
-    for name, values in (("curvature two-form", channels[0]),
-                         ("K * sqrt(det g)", channels[1])):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            u, v = (np.broadcast_to(x, ws.shape).flat[bad[0]] for x in (us, vs))
-            raise NonFiniteValueError(f"{name} is {values.flat[bad[0]]} at node (u, v) = "
+                max_residual = max(max_residual, identity_residual(two_form, k_area))
+    channels = [np.broadcast_to(store, ws.shape) for store in stores]
+    for name, store, values in zip(("curvature two-form", "K * sqrt(det g)"), stores, channels):
+        if not np.isfinite(store).all():
+            bad = np.flatnonzero(~np.isfinite(values))[0]
+            u, v = (np.broadcast_to(x, ws.shape).flat[bad] for x in (us, vs))
+            raise NonFiniteValueError(f"{name} is {values.flat[bad]} at node (u, v) = "
                                       f"({u:.17g}, {v:.17g})")
     return CurvatureSample(surface.domain, us, vs, ws, *channels, alpha_max=alpha_max,
                            max_identity_residual=max_residual)
@@ -117,8 +159,8 @@ def chern_number(surface: Surface, spec: QuadratureSpec | None = None) -> ChernR
     if spec is None:
         spec = QuadratureSpec(*surface.reference_resolution)
     sample = curvature_sample(surface, spec)
-    raw = reduce_sum(sample.weights * sample.two_form) / TWO_PI
-    raw_gauss = reduce_sum(sample.weights * sample.k_area) / TWO_PI
+    raw = weighted_sum(sample.weights, sample.two_form) / TWO_PI
+    raw_gauss = weighted_sum(sample.weights, sample.k_area) / TWO_PI
     rounded = int(round(raw))
     residual = abs(raw - rounded)
     return ChernResult(

@@ -41,7 +41,9 @@ does not.
 A ``CurvatureSample`` (built by ``chern.curvature_sample``) keeps of the
 kernel's output only what its readers read: the two-form and K * sqrt(det g)
 for the Chern integrals, b_u, b_v and alpha_max for
-``connection_difference``, and the largest identity residual.
+``connection_difference``, and the largest identity residual.  Its
+channels are grid-shaped read-only views over compact storage, so a
+channel in u alone costs n_u floats.
 """
 
 from __future__ import annotations
@@ -110,9 +112,11 @@ class CurvatureSample:
     """The curvature channels that the Chern integrals, the connection
     difference and the grid dump read, on the node grid ``us``, ``vs``,
     ``weights`` of ``quadrature.build_nodes``: the two-form coefficient,
-    k_area = K * sqrt(det g) and b_u, b_v, each shaped like ``weights``,
-    with the largest hermiticity residual ``alpha_max`` and the largest
-    ``identity_residual`` over the nodes."""
+    k_area = K * sqrt(det g) and b_u, b_v, with the largest hermiticity
+    residual ``alpha_max`` and the largest ``identity_residual`` over the
+    nodes.  Each channel is shaped like ``weights``, as a read-only
+    ``np.broadcast_to`` view over compact storage: (n_u, 1), (1, n_v) or
+    (1, 1) for a channel that does not vary along v, u or either."""
 
     domain: ParamDomain
     us: np.ndarray

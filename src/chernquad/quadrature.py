@@ -26,6 +26,8 @@ domain, and no rescaling forces the sum.  Every sum is exactly rounded
 (``reduce_sum``): the exact sum of the floats is formed in integers and
 rounded once, as ``math.fsum`` rounds it, so the order of the values
 does not matter and a configuration reproduces its results bit for bit.
+``weighted_sum`` integrates a channel against the weights that way while
+forming each product that repeats along a periodic axis only once.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .metric import OctagonDomain, ParamDomain, RectDomain, edge_arcs
 
 _SUM_CHUNK = 1 << 14  # values per superaccumulator pass of reduce_sum
 _EXP_FIELD = 0x7FF  # the exponent field of a float64; all ones is inf or nan
+_ULP_SCALE = 1 << 1074  # exact sums are integers in units of 2^-1074, the least subnormal
 
 MIN_NODES = 8
 MAX_NODES = np.iinfo(np.intp).max // 256  # bytes: 4 float64 channels, 8 octagon sectors
@@ -215,11 +218,17 @@ def build_nodes(domain: ParamDomain, spec: QuadratureSpec):
     """Nodes (us, vs) that broadcast to the 2-D ``weights``, read row by row
     in a fixed order: the u axis as an (n_u, 1) column and the v axis as a
     (1, n_v) row on a rectangle, the eight (n_u, n_v) sector grids stacked
-    into (8 n_u, n_v) arrays on the octagon."""
+    into (8 n_u, n_v) arrays on the octagon.
+
+    The trapezoid weights of a periodic axis are all equal, so along it
+    the rectangle's weights are a read-only zero-stride view of one
+    slice, bit-identical to ``np.outer`` of the axis weights."""
     if isinstance(domain, RectDomain):
         us, w_u = _axis_rule(domain.periodic_u, domain.u_min, domain.u_max, spec.n_u)
         vs, w_v = _axis_rule(domain.periodic_v, domain.v_min, domain.v_max, spec.n_v)
-        return us[:, None], vs[None, :], np.outer(w_u, w_v)
+        weights = np.outer(w_u[:1] if domain.periodic_u else w_u,
+                           w_v[:1] if domain.periodic_v else w_v)
+        return us[:, None], vs[None, :], np.broadcast_to(weights, (spec.n_u, spec.n_v))
     return _sector_nodes(domain, spec.n_u, spec.n_v)
 
 
@@ -250,26 +259,55 @@ def reduce_sum(values: np.ndarray) -> float:
     when that sum itself rounds past the float range.
     """
     flat = np.ascontiguousarray(values, dtype=float).ravel()
+    total = _exact_sum(flat)
+    return math.fsum(flat) if total is None else total / _ULP_SCALE  # ties to even
+
+
+def _exact_sum(flat: np.ndarray) -> int | None:
+    """The exact sum of the contiguous float64 values ``flat`` in units of
+    2^-1074 (see reduce_sum), or None if one of them is inf or nan."""
     bins_hi = np.zeros(_EXP_FIELD, dtype=np.int64)
     bins_lo = np.zeros(_EXP_FIELD, dtype=np.int64)
     for lo in range(0, flat.size, _SUM_CHUNK):
         bits = flat[lo:lo + _SUM_CHUNK].view(np.int64)
         exps = (bits >> 52) & _EXP_FIELD
         if exps.max() == _EXP_FIELD:
-            return math.fsum(flat)
+            return None
         mant = (bits & ((1 << 52) - 1)) | ((exps != 0).astype(np.int64) << 52)
         sign = bits >> 63  # 0 or -1
         mant = (mant ^ sign) - sign
         exps = np.maximum(exps, 1)
         bins_hi += np.bincount(exps, mant >> 26, _EXP_FIELD).astype(np.int64)
         bins_lo += np.bincount(exps, mant & ((1 << 26) - 1), _EXP_FIELD).astype(np.int64)
-    total = 0  # in units of 2^-1074
+    total = 0
     for e in np.flatnonzero(bins_hi | bins_lo):
         total += ((int(bins_hi[e]) << 26) + int(bins_lo[e])) << int(e) - 1
-    return total / (1 << 1074)  # correctly rounded, ties to even
+    return total
+
+
+def weighted_sum(weights: np.ndarray, values) -> float:
+    """``reduce_sum(weights * values)``, bit for bit, forming and summing
+    each repeated product once.
+
+    Along an axis where both operands have stride 0 (equal trapezoid
+    weights, see build_nodes, times a channel that does not vary along
+    it), one slice of products is formed, and its exact integer total is
+    scaled by the repeat count before the one rounding.  An inf or nan
+    product falls back to reduce_sum over all nodes in row order, for its
+    value or exception.
+    """
+    w, x = np.broadcast_arrays(weights, values)
+    shared = [w_stride == x_stride == 0 for w_stride, x_stride in zip(w.strides, x.strides)]
+    keep = tuple(slice(0, 1) if repeated else slice(None) for repeated in shared)
+    repeats = math.prod(n for n, repeated in zip(w.shape, shared) if repeated)
+    products = w[keep] * x[keep]
+    total = _exact_sum(np.ascontiguousarray(products, dtype=float).ravel())
+    if total is None:
+        return reduce_sum(np.broadcast_to(products, w.shape))
+    return total * repeats / _ULP_SCALE
 
 
 def integrate_scalar(f, domain: ParamDomain, spec: QuadratureSpec) -> float:
     """Integrate ``f(us, vs)`` (vectorized) against the domain measure."""
     us, vs, ws = build_nodes(domain, spec)
-    return reduce_sum(ws * f(us, vs))
+    return weighted_sum(ws, f(us, vs))

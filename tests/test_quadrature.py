@@ -15,6 +15,7 @@ from chernquad.quadrature import (
     gauss_legendre,
     integrate_scalar,
     reduce_sum,
+    weighted_sum,
 )
 
 TWO_PI = 2 * math.pi
@@ -34,6 +35,10 @@ def test_for_domain_picks_rules_from_periodicity():
     assert (us.shape, vs.shape, ws.shape) == ((16, 1), (1, 32), (16, 32))
     assert np.array_equal(us[:, 0], _axis_rule(False, 0.0, math.pi, 16)[0])
     assert np.array_equal(vs[0], TWO_PI / 32 * np.arange(32))
+    # the equal trapezoid weights make the product a zero-stride view along v
+    outer = np.outer(_axis_rule(False, 0.0, math.pi, 16)[1], _axis_rule(True, 0.0, TWO_PI, 32)[1])
+    assert ws.strides[1] == 0 and not ws.flags.writeable
+    assert np.array_equal(ws.view(np.int64), outer.view(np.int64))
 
 
 @pytest.mark.parametrize("domain", [
@@ -206,3 +211,46 @@ def test_reduce_sum_edges():
     # ties round to even, as in fsum: 2^53 + 1 is halfway
     assert reduce_sum(np.array([2.0 ** 53, 1.0])) == 2.0 ** 53
     assert reduce_sum(np.array([2.0 ** 53, 1.0, 2.0 ** -60])) == 2.0 ** 53 + 2.0
+
+
+def _outcome(f, *args):
+    """f's value as bits, or its exception as (type, message)."""
+    try:
+        return _bits(f(*args))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("periodic_u,periodic_v", [(False, False), (False, True),
+                                                   (True, False), (True, True)])
+@pytest.mark.parametrize("zero_stride", ["v", "u", "both", "neither"])
+def test_weighted_sum_matches_fsum_of_the_products_bit_for_bit(periodic_u, periodic_v,
+                                                              zero_stride):
+    # weights on Gauss and trapezoid axes, the latter zero-stride views, times
+    # a channel that is a zero-stride view along v, u, both or neither
+    dom = RectDomain(0.0, 2.0, -1.0, 3.0, periodic_u=periodic_u, periodic_v=periodic_v)
+    _, _, ws = build_nodes(dom, QuadratureSpec(9, 11))
+    shape = {"v": (9, 1), "u": (1, 11), "both": (1, 1), "neither": (9, 11)}[zero_stride]
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 13, shape)
+    negative_zero_rows = values.copy()
+    negative_zero_rows[::2] = -0.0
+    for compact in (values, negative_zero_rows, np.full(shape, -0.0)):
+        channel = np.broadcast_to(compact, ws.shape)
+        products = (ws * channel).ravel().tolist()
+        assert _bits(weighted_sum(ws, channel)) == _bits(math.fsum(products))
+
+
+@pytest.mark.parametrize("rows", [
+    [1e308, -1e308, 1e308],  # 1e308 per column: the total overflows only after scaling
+    [1e308, -1e308, 1e-300],  # scaled, still finite
+    [1.0, math.inf, 2.0],
+    [1e308, math.inf, 1.0],  # fsum over the nodes overflows before it meets inf
+    [-math.inf, 1.0, math.inf],
+    [1.0, math.nan, -1.0],
+], ids=["overflow_after_scaling", "finite_after_scaling", "inf", "inf_after_overflow",
+        "inf_minus_inf", "nan"])
+def test_weighted_sum_gives_the_value_or_error_of_the_full_sum(rows):
+    weights = np.broadcast_to(1.0, (3, 4))
+    channel = np.broadcast_to(np.array(rows)[:, None], (3, 4))
+    assert _outcome(weighted_sum, weights, channel) == _outcome(reduce_sum, weights * channel)

@@ -52,6 +52,9 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
         # 300-node rows: several row blocks, the last one partial
         ("chern_torus_300x300", CLI + ("chern", "--surface", "torus_revolution",
                                        "--resolution", "300x300")),
+        # 20000-node rows: two column tiles a row, over channels in u alone
+        ("chern_torus_8x20000", CLI + ("chern", "--surface", "torus_revolution",
+                                       "--resolution", "8x20000")),
         ("compare_torus_perturb_300x300",
          CLI + ("compare", "--surface", "torus_revolution", "--mode", "perturb",
                 "--resolution", "300x300", "--grid-out", "grid.csv")),
@@ -138,7 +141,12 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
               CLI + ("report", "--config", dense, "--set", "output.format=json",
                      "--set", "output.grid_path=grid.json")),
              ("report_expression_grid_csv",
-              CLI + ("report", "--config", str(ROOT / "tools" / "expression_grid.cfg")))]
+              CLI + ("report", "--config", str(ROOT / "tools" / "expression_grid.cfg"))),
+             # a metric in v alone: channels that broadcast along u
+             ("report_v_alone_grid_csv",
+              CLI + ("report", "--config", dense, "--set", "surface.name=v_alone",
+                     "--set", "surface.g11=2 + sin(v)", "--set", "surface.g12=0.1*cos(v)",
+                     "--set", "surface.g22=2 + cos(2*v)"))]
     for seed in ("0", "7", "13", "74"):
         cmds.append((f"verify_seed_{seed}", CLI + ("verify", "--seed", seed)))
     for demo in sorted((ROOT / "demos").glob("*.py")):
