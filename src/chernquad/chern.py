@@ -16,13 +16,13 @@ BLOCK_NODES nodes: whole rows, or pieces of a row that is longer.
 Temporaries scale with the tile.  Each channel is a read-only view
 shaped like the node grid over storage as compact as the kernel's
 output: a channel in u alone on a rectangle keeps n_u values, one that
-is constant keeps one.  ``quadrature.weighted_sum`` forms and sums each
-distinct product of weight and channel once and scales the exact total
-by its repeat count, so on a periodic v axis the Chern integrals cost
-n_u products.  The tile size changes no bit, as every channel is
-computed node by node, both maxima are maxima and the sums round the
-exact total once, whatever the order, chunking or repetition of its
-values.
+is constant keeps one.  Both integrals are ``quadrature.reduce_sum``, the
+one reduction, which sums each distinct product once and scales the
+exact total by its repeat count, so on a periodic v axis they cost n_u
+products; one that leaves the float range raises NonFiniteValueError.
+The tile size changes no bit, as every channel is computed node by
+node, both maxima are maxima and the sums round the exact total once,
+whatever the order, chunking or repetition of its values.
 
 ``stokes_residual`` integrates the finite-difference exterior derivative
 of a sampled 1-form over a fully periodic chart, the quadrature ghost of
@@ -43,7 +43,7 @@ from .curvature import (CurvatureSample, OneForm, curvature_report_grid, fd_curl
                         identity_residual)
 from .errors import NonFiniteValueError, PeriodicityError
 from .metric import RectDomain
-from .quadrature import QuadratureSpec, build_nodes, reduce_sum, weighted_sum
+from .quadrature import QuadratureSpec, build_nodes, reduce_sum
 from .zoo import Surface
 
 TWO_PI = 2.0 * math.pi
@@ -154,13 +154,25 @@ def curvature_sample(surface: Surface, spec: QuadratureSpec) -> CurvatureSample:
                            max_identity_residual=max_residual)
 
 
+def _integral(name: str, channel: np.ndarray, weights: np.ndarray) -> float:
+    """reduce_sum(channel, weights), or NonFiniteValueError naming the
+    integral where the sum leaves the float range."""
+    try:
+        total = reduce_sum(channel, weights)
+    except (OverflowError, ValueError) as exc:
+        raise NonFiniteValueError(f"integral of {name} is not finite ({exc})") from None
+    if not math.isfinite(total):
+        raise NonFiniteValueError(f"integral of {name} is {total}")
+    return total
+
+
 def chern_number(surface: Surface, spec: QuadratureSpec | None = None) -> ChernResult:
     """(1 / 2*pi) * integral of the curvature two-form over the chart."""
     if spec is None:
         spec = QuadratureSpec(*surface.reference_resolution)
     sample = curvature_sample(surface, spec)
-    raw = weighted_sum(sample.weights, sample.two_form) / TWO_PI
-    raw_gauss = weighted_sum(sample.weights, sample.k_area) / TWO_PI
+    raw = _integral("curvature two-form", sample.two_form, sample.weights) / TWO_PI
+    raw_gauss = _integral("K * sqrt(det g)", sample.k_area, sample.weights) / TWO_PI
     rounded = int(round(raw))
     residual = abs(raw - rounded)
     return ChernResult(

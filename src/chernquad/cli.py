@@ -54,6 +54,12 @@ def _resolution(text: str) -> dict:
     return {"n_u": match.group(1), "n_v": match.group(2)}
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():  # the digits int() reads, without a sign
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _param(item: str) -> tuple[str, str]:
     key, sep, value = item.partition("=")
     if not sep:
@@ -112,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="append a runtime_ms column")
 
     ver = sub.add_parser("verify", help="run every invariant suite")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

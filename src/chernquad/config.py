@@ -173,6 +173,9 @@ def _compare_from(opts, base: Surface) -> Surface:
     mode = _strip_quotes(opts.pop("mode", ""))
     params = {k: _as_value("compare", k, v, _COMPARE_TYPES.get(k, str))
               for k, v in opts.items()}
+    if params.get("seed", 0) < 0:
+        raise ConfigError(f"[compare] seed: expected a non-negative integer, "
+                          f"got {opts['seed']!r}")
     if mode not in COMPARE_MODES:
         *head, last = COMPARE_MODES
         raise ConfigError(f"[compare] mode must be {', '.join(head)} or {last}, "

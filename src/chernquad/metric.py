@@ -57,6 +57,10 @@ class RectDomain:
     def fully_periodic(self) -> bool:
         return self.periodic_u and self.periodic_v
 
+    def area(self) -> float:
+        """Euclidean chart area."""
+        return (self.u_max - self.u_min) * (self.v_max - self.v_min)
+
     def contains(self, u, v):
         """Elementwise: strictly inside a bounded axis, finite on a periodic one."""
         ok_u = np.isfinite(u) if self.periodic_u else (self.u_min < u) & (u < self.u_max)
@@ -200,14 +204,23 @@ def check_spd(g11: Channel, g22: Channel, det: Channel) -> None:
     non-finite nodes, unless g11 > 0 and det > SPD_TOL * g11 * g22: det over
     g11 g22 is sin^2 of the angle between the chart axes, whatever the scale.
     Where g11 g22 overflows, det > SPD_TOL decides (so inf reaches the
-    curvature's non-finite check)."""
+    curvature's non-finite check).  Where every g11 and det is finite and
+    positive, the error says the chart axes are nearly parallel and gives
+    the least det / (g11 g22) among the failing nodes."""
     scale = g11 * g22
     ok = det > SPD_TOL * scale
     if not np.all(ok):
         ok = ok | (~np.isfinite(scale) & (det > SPD_TOL))
-    if not (np.all(np.asarray(g11) > 0.0) and np.all(ok)):
+    g11_positive = np.all(np.asarray(g11) > 0.0)
+    if not (g11_positive and np.all(ok)):
         finite = np.isfinite(g11) & np.isfinite(det)
         bad = finite.size - np.count_nonzero(finite)
+        if g11_positive and not bad and np.all(np.asarray(det) > 0.0):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                least = np.min(np.where(ok, np.inf, det / scale))
+            raise SpdViolationError(
+                f"metric is degenerate to working precision: the chart axes are nearly "
+                f"parallel (min det/(g11*g22) {least:.3e}, bound {SPD_TOL:.0e})")
         raise SpdViolationError(
             f"metric is not positive definite (min g11 {_finite_min(g11)}, "
             f"min det {_finite_min(det)}"

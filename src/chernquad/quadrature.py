@@ -22,12 +22,11 @@ sum to 2 within about an ulp.
 
 All weights are positive and sum to the domain measure up to a few
 ulps: nodes and weights are rounded once more when mapped onto the
-domain, and no rescaling forces the sum.  Every sum is exactly rounded
-(``reduce_sum``): the exact sum of the floats is formed in integers and
-rounded once, as ``math.fsum`` rounds it, so the order of the values
-does not matter and a configuration reproduces its results bit for bit.
-``weighted_sum`` integrates a channel against the weights that way while
-forming each product that repeats along a periodic axis only once.
+domain, and no rescaling forces the sum.  The layer is nodes in
+(``build_nodes``) and one exact sum out (``reduce_sum`` of a channel
+against the weights), formed in integers and rounded once, as
+``math.fsum`` rounds it, so the order of the values does not matter and
+a configuration reproduces its results bit for bit.
 """
 
 from __future__ import annotations
@@ -232,47 +231,45 @@ def build_nodes(domain: ParamDomain, spec: QuadratureSpec):
     return _sector_nodes(domain, spec.n_u, spec.n_v)
 
 
-def domain_measure(domain: ParamDomain) -> float:
-    if isinstance(domain, RectDomain):
-        return (domain.u_max - domain.u_min) * (domain.v_max - domain.v_min)
-    return domain.area()
-
-
-def reduce_sum(values: np.ndarray) -> float:
-    """The exact sum of ``values`` rounded once to the nearest float, ties
-    to even: what ``math.fsum`` returns, bit for bit.
+def reduce_sum(values, weights=None) -> float:
+    """The exact sum of ``weights * values`` (of ``values`` when ``weights``
+    is None) rounded once to the nearest float, ties to even: what
+    ``math.fsum`` of the products returns, bit for bit.
 
     A small superaccumulator (Neal, arXiv:1505.05571): a float is a
     signed 53-bit integer mantissa (with the implicit bit when its
     exponent field e is nonzero) times 2^(max(e, 1) - 1075).
     ``np.bincount`` sums the mantissas' high 27 and low 26 bits per
-    exponent over chunks of _SUM_CHUNK values.  Those sums stay below
+    exponent over chunks of _SUM_CHUNK products.  Those sums stay below
     2^41, so they are exact and move exactly into int64 bins, which hold
     up to 2^36 values.  The bins meet in one Python int, and one
     correctly rounded division ends the sum.
 
-    An inf or nan falls back to ``math.fsum`` (its inf, nan or
-    ValueError).  A zero sum is +0.0, also for all -0.0 values, as
-    ``math.fsum`` gives on Python 3.11.  Unlike ``math.fsum``, a finite
-    input whose partial sums overflow, such as [1e308, 1e308, -1e308],
-    gives its exact sum rounded (1e308); OverflowError is raised only
-    when that sum itself rounds past the float range.
+    Along an axis where every operand has stride 0 (equal trapezoid
+    weights, see build_nodes, times a channel that does not vary along
+    it), one slice is summed and the exact total scaled by the repeat
+    count.  An inf or nan product falls back to ``math.fsum`` over all
+    products in row order (its inf, nan or ValueError); numpy's own
+    warnings are silenced.  A zero sum is +0.0, also for all -0.0
+    products, as ``math.fsum`` gives on Python 3.11.  Unlike
+    ``math.fsum``, finite products whose partial sums overflow, such as
+    [1e308, 1e308, -1e308], give their exact sum rounded (1e308);
+    OverflowError is raised only when that sum itself rounds past the
+    float range.
     """
-    flat = np.ascontiguousarray(values, dtype=float).ravel()
-    total = _exact_sum(flat)
-    return math.fsum(flat) if total is None else total / _ULP_SCALE  # ties to even
-
-
-def _exact_sum(flat: np.ndarray) -> int | None:
-    """The exact sum of the contiguous float64 values ``flat`` in units of
-    2^-1074 (see reduce_sum), or None if one of them is inf or nan."""
+    w, x = np.broadcast_arrays(1.0 if weights is None else weights, values)
+    repeated = [w_stride == x_stride == 0 for w_stride, x_stride in zip(w.strides, x.strides)]
+    keep = tuple(slice(0, 1) if axis else slice(None) for axis in repeated)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = x[keep] if weights is None else w[keep] * x[keep]
+    flat = np.ascontiguousarray(products, dtype=float).ravel()
     bins_hi = np.zeros(_EXP_FIELD, dtype=np.int64)
     bins_lo = np.zeros(_EXP_FIELD, dtype=np.int64)
     for lo in range(0, flat.size, _SUM_CHUNK):
         bits = flat[lo:lo + _SUM_CHUNK].view(np.int64)
         exps = (bits >> 52) & _EXP_FIELD
         if exps.max() == _EXP_FIELD:
-            return None
+            return math.fsum(np.broadcast_to(products, x.shape).ravel().tolist())
         mant = (bits & ((1 << 52) - 1)) | ((exps != 0).astype(np.int64) << 52)
         sign = bits >> 63  # 0 or -1
         mant = (mant ^ sign) - sign
@@ -282,32 +279,5 @@ def _exact_sum(flat: np.ndarray) -> int | None:
     total = 0
     for e in np.flatnonzero(bins_hi | bins_lo):
         total += ((int(bins_hi[e]) << 26) + int(bins_lo[e])) << int(e) - 1
-    return total
-
-
-def weighted_sum(weights: np.ndarray, values) -> float:
-    """``reduce_sum(weights * values)``, bit for bit, forming and summing
-    each repeated product once.
-
-    Along an axis where both operands have stride 0 (equal trapezoid
-    weights, see build_nodes, times a channel that does not vary along
-    it), one slice of products is formed, and its exact integer total is
-    scaled by the repeat count before the one rounding.  An inf or nan
-    product falls back to reduce_sum over all nodes in row order, for its
-    value or exception.
-    """
-    w, x = np.broadcast_arrays(weights, values)
-    shared = [w_stride == x_stride == 0 for w_stride, x_stride in zip(w.strides, x.strides)]
-    keep = tuple(slice(0, 1) if repeated else slice(None) for repeated in shared)
-    repeats = math.prod(n for n, repeated in zip(w.shape, shared) if repeated)
-    products = w[keep] * x[keep]
-    total = _exact_sum(np.ascontiguousarray(products, dtype=float).ravel())
-    if total is None:
-        return reduce_sum(np.broadcast_to(products, w.shape))
-    return total * repeats / _ULP_SCALE
-
-
-def integrate_scalar(f, domain: ParamDomain, spec: QuadratureSpec) -> float:
-    """Integrate ``f(us, vs)`` (vectorized) against the domain measure."""
-    us, vs, ws = build_nodes(domain, spec)
-    return weighted_sum(ws, f(us, vs))
+    repeats = math.prod(n for n, axis in zip(x.shape, repeated) if axis)
+    return total * repeats / _ULP_SCALE  # ties to even

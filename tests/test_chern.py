@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chernquad import chern, quadrature, verify
+from chernquad import chern, cli, quadrature, verify
 from chernquad.chern import ChernResult, chern_number, curvature_sample, stokes_residual
 from chernquad.curvature import (OneForm, connection_difference, connection_form,
                                  curvature_report_grid, gauss_curvature)
@@ -236,6 +236,44 @@ def test_non_finite_error_names_the_same_node_for_any_block_size(monkeypatch):
         i, j = np.argwhere(~np.isfinite(two_form))[0]  # the first in row order
         assert messages[0].endswith(f"at node (u, v) = ({us[i, 0]:.17g}, {vs[0, j]:.17g})")
         assert messages == [messages[0]] * 3
+
+
+@pytest.mark.parametrize("g11,g22,u_max,v_max,periodic_u,n,message", [
+    ("1", "exp(100*u)", 1.0, 1e300, False, 64, "intermediate overflow in fsum"),
+    ("1", "exp(100*u)", 1.0, 1e287, False, 64, "integer division result too large"),
+    ("exp(200*sin(u))", "exp(cos(v))", 1e300, 1e7, True, 8, "-inf + inf in fsum"),
+    ("1", "exp(100*u)", 1.0, 1e300, False, 8, "is -inf"),
+], ids=["products_overflow", "total_overflows", "inf_minus_inf", "sum_is_inf"])
+def test_an_overflowing_integral_is_a_non_finite_value_error(g11, g22, u_max, v_max,
+                                                             periodic_u, n, message,
+                                                             tmp_path, capsys):
+    # finite channels whose Chern integral leaves the float range
+    dom = RectDomain(0.0, u_max, 0.0, v_max, periodic_u=periodic_u, periodic_v=True)
+    surf = custom_surface("overflow", dom, g11, "0", g22)
+    with pytest.raises(NonFiniteValueError, match="^integral of curvature two-form") as info:
+        chern_number(surf, QuadratureSpec(n, n))
+    assert message in str(info.value)
+    # through the CLI: one error line; pytest turns numpy's warnings into errors
+    path = tmp_path / "overflow.cfg"
+    path.write_text(f"""
+[surface]
+kind = custom
+domain = rect
+g11 = "{g11}"
+g12 = "0"
+g22 = "{g22}"
+u_min = 0
+u_max = {u_max!r}
+v_min = 0
+v_max = {v_max!r}
+periodic_u = {periodic_u}
+periodic_v = true
+[quadrature]
+n_u = {n}
+n_v = {n}
+""", encoding="utf-8")
+    assert cli.main(["report", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"chernquad: error: {info.value}\n")
 
 
 def test_torus_sample_evaluates_the_metric_once_per_u():

@@ -279,6 +279,37 @@ def test_the_same_mistake_reads_the_same_from_flags_and_overrides(flags, config,
     assert capsys.readouterr() == from_flags
 
 
+def test_a_negative_seed_reads_the_same_from_a_flag_a_file_and_an_override(tmp_path, capsys):
+    message = "chernquad: error: [compare] seed: expected a non-negative integer, got '-1'\n"
+    base = "[surface]\nkind = torus_revolution\n[compare]\nmode = perturb\n"
+    for argv in (["compare", "--surface", "torus_revolution", "--mode", "perturb",
+                  "--seed", "-1"],
+                 ["report", "--config", _write(tmp_path, base + "seed = -1\n")],
+                 ["report", "--config", _write(tmp_path, base, "base.cfg"),
+                  "--set", "compare.seed=-1"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", message)
+
+
+def test_verify_rejects_a_negative_seed_as_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--seed", "-3"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == ("chernquad verify: error: argument --seed: "
+                                             "expected a non-negative integer, got '-3'")
+
+
+def test_a_strong_twist_says_the_chart_axes_are_nearly_parallel(capsys):
+    # the twist keeps det g while g11 * g22 grows with the amplitude squared
+    assert cli.main(["compare", "--surface", "torus_revolution", "--mode", "twist",
+                     "--amplitude", "1e6", "--resolution", "32x32"]) == 1
+    assert capsys.readouterr() == (
+        "", "chernquad: error: metric is degenerate to working precision: the chart axes "
+            "are nearly parallel (min det/(g11*g22) 1.111e-13, bound 1e-12)\n")
+
+
 def test_flag_values_are_stripped_as_config_values_are(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["chern", "--surface", " 'flat_torus' ", "--param", "a= '2' ",

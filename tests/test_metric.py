@@ -112,6 +112,14 @@ def test_spd_check_does_not_depend_on_scale():
     check_spd(np.array([np.inf, 1.0]), np.ones(2), np.array([np.inf, 1.0]))
 
 
+def test_spd_error_says_when_the_chart_axes_are_nearly_parallel():
+    # every g11 and det is positive; det / (g11 g22) = 2e-15 is below SPD_TOL
+    with pytest.raises(SpdViolationError) as err:
+        MetricTensor(1e8, 1e8 * (1.0 - 1e-15), 1e8)
+    assert str(err.value) == ("metric is degenerate to working precision: the chart axes "
+                              "are nearly parallel (min det/(g11*g22) 2.000e-15, bound 1e-12)")
+
+
 def test_spd_error_names_the_finite_minimum_beside_a_nan():
     # dets: 1, NaN, -3; a NaN must not hide the negative determinant
     with pytest.raises(SpdViolationError) as err:

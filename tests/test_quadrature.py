@@ -11,11 +11,8 @@ from chernquad.quadrature import (
     QuadratureSpec,
     _axis_rule,
     build_nodes,
-    domain_measure,
     gauss_legendre,
-    integrate_scalar,
     reduce_sum,
-    weighted_sum,
 )
 
 TWO_PI = 2 * math.pi
@@ -53,7 +50,7 @@ def test_weights_positive_and_sum_to_measure(domain):
     shape = (8 * 16, 16) if isinstance(domain, OctagonDomain) else (16, 16)
     assert ws.shape == np.broadcast(us, vs).shape == shape
     assert np.all(ws > 0.0)
-    measure = domain_measure(domain)
+    measure = domain.area()
     assert reduce_sum(ws) == pytest.approx(measure, rel=1e-12)
     assert np.all(domain.contains(us, vs))
     for u, v in zip(*(np.broadcast_to(x, shape).flat[:64] for x in (us, vs))):
@@ -63,16 +60,16 @@ def test_weights_positive_and_sum_to_measure(domain):
 def test_trapezoid_is_spectrally_exact_for_low_harmonics():
     # int sin(u)^2 du dv over the 2 pi square = 2 pi^2, exact at any n >= 3
     dom = RectDomain(0.0, TWO_PI, 0.0, TWO_PI, periodic_u=True, periodic_v=True)
-    spec = QuadratureSpec(16, 8)
-    got = integrate_scalar(lambda u, v: np.sin(u) ** 2, dom, spec)
+    us, vs, ws = build_nodes(dom, QuadratureSpec(16, 8))
+    got = reduce_sum(np.sin(us) ** 2, ws)
     assert got == pytest.approx(2 * math.pi**2, rel=1e-12)
 
 
 def test_gauss_axis_is_exact_for_polynomials():
     # degree 2n-1 exactness: u^7 over [0, 1] with n=8 gauss nodes
     dom = RectDomain(0.0, 1.0, 0.0, 1.0)
-    spec = QuadratureSpec(8, 8)
-    got = integrate_scalar(lambda u, v: u**7, dom, spec)
+    us, vs, ws = build_nodes(dom, QuadratureSpec(8, 8))
+    got = reduce_sum(us**7, ws)
     assert got == pytest.approx(1.0 / 8.0, rel=1e-14)
 
 
@@ -221,6 +218,19 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def test_reduce_sum_of_a_zero_stride_view_matches_fsum_bit_for_bit():
+    # without weights, an axis of stride 0 is summed once and scaled
+    dom = RectDomain(0.0, 2.0, -1.0, 3.0, periodic_u=True, periodic_v=True)
+    _, _, ws = build_nodes(dom, QuadratureSpec(9, 11))
+    assert ws.strides == (0, 0)
+    rng = np.random.default_rng(5)
+    in_u = rng.standard_normal((9, 1)) * 10.0 ** rng.integers(-12, 13, (9, 1))
+    channel = np.broadcast_to(in_u, (9, 11))
+    assert channel.strides[1] == 0
+    for view in (ws, channel):
+        assert _bits(reduce_sum(view)) == _bits(math.fsum(np.array(view).ravel().tolist()))
+
+
 @pytest.mark.parametrize("periodic_u,periodic_v", [(False, False), (False, True),
                                                    (True, False), (True, True)])
 @pytest.mark.parametrize("zero_stride", ["v", "u", "both", "neither"])
@@ -238,7 +248,7 @@ def test_weighted_sum_matches_fsum_of_the_products_bit_for_bit(periodic_u, perio
     for compact in (values, negative_zero_rows, np.full(shape, -0.0)):
         channel = np.broadcast_to(compact, ws.shape)
         products = (ws * channel).ravel().tolist()
-        assert _bits(weighted_sum(ws, channel)) == _bits(math.fsum(products))
+        assert _bits(reduce_sum(channel, ws)) == _bits(math.fsum(products))
 
 
 @pytest.mark.parametrize("rows", [
@@ -253,4 +263,4 @@ def test_weighted_sum_matches_fsum_of_the_products_bit_for_bit(periodic_u, perio
 def test_weighted_sum_gives_the_value_or_error_of_the_full_sum(rows):
     weights = np.broadcast_to(1.0, (3, 4))
     channel = np.broadcast_to(np.array(rows)[:, None], (3, 4))
-    assert _outcome(weighted_sum, weights, channel) == _outcome(reduce_sum, weights * channel)
+    assert _outcome(reduce_sum, channel, weights) == _outcome(reduce_sum, weights * channel)

@@ -10,9 +10,10 @@ code) into OUTDIR, and copies each file the command left in its working
 directory (grid dumps) as ``NAME.<file>``.  ``dense_grid.cfg`` beside
 this script is the config of the dense grid dump, and
 ``expression_grid.cfg`` that of a grid dump whose metric uses every
-production of the expression grammar.  Two checkouts produce
-byte-identical output exactly when ``diff -r`` of their snapshots is
-empty.  A run takes about 20 s on a 2-core machine, so it stays out
+production of the expression grammar, and ``overflow_integral.cfg``
+that of Chern integrals that leave the float range.  Two checkouts
+produce byte-identical output exactly when ``diff -r`` of their
+snapshots is empty.  A run takes about 20 s on a 2-core machine, so it stays out
 of the test suite.
 """
 
@@ -67,6 +68,9 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
                                     "--resolution", res, "--format", fmt,
                                     "--grid-out", f"grid.{fmt}")))
     cmds += [
+        ("compare_twist_amplitude_1e6",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "twist",
+                "--amplitude", "1e6", "--resolution", "32x32")),
         ("compare_twist_amplitude_1e8",
          CLI + ("compare", "--surface", "torus_revolution", "--mode", "twist",
                 "--amplitude", "1e8", "--resolution", "32x32")),
@@ -147,8 +151,19 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
               CLI + ("report", "--config", dense, "--set", "surface.name=v_alone",
                      "--set", "surface.g11=2 + sin(v)", "--set", "surface.g12=0.1*cos(v)",
                      "--set", "surface.g22=2 + cos(2*v)"))]
+    # finite channels whose Chern integral overflows
+    overflow = str(ROOT / "tools" / "overflow_integral.cfg")
+    cmds += [(f"error_report_overflow_v_max_{v_max}",
+              CLI + ("report", "--config", overflow, "--set", f"surface.v_max={v_max}"))
+             for v_max in ("1e300", "1e287")]
+    cmds.append(("error_report_overflow_inf_minus_inf",
+                 CLI + ("report", "--config", overflow, "--set", "surface.g11=exp(200*sin(u))",
+                        "--set", "surface.g22=exp(cos(v))", "--set", "surface.u_max=1e300",
+                        "--set", "surface.v_max=1e7", "--set", "surface.periodic_u=true",
+                        "--set", "quadrature.n_u=8", "--set", "quadrature.n_v=8")))
     for seed in ("0", "7", "13", "74"):
         cmds.append((f"verify_seed_{seed}", CLI + ("verify", "--seed", seed)))
+    cmds.append(("error_verify_seed_-3", CLI + ("verify", "--seed", "-3")))
     for demo in sorted((ROOT / "demos").glob("*.py")):
         cmds.append((f"demo_{demo.stem}", (sys.executable, str(demo))))
     return cmds
