@@ -104,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--mode", required=True, choices=tuple(zoo.COMPARE_MODES))
     compare.add_argument("--factor", default=None, metavar="EXPR",
                          help="conformal factor expression, e.g. 'exp(0.6*sin(u))'")
-    compare.add_argument("--seed", type=int, default=None,
+    compare.add_argument("--seed", default=None,
                          help="perturbation seed (mode perturb)")
-    compare.add_argument("--amplitude", type=float, default=None,
+    compare.add_argument("--amplitude", default=None,
                          help="perturb or twist amplitude")
     _add_output_flags(compare)
 
@@ -145,7 +145,7 @@ def _config_from_flags(args) -> ExperimentConfig:
     if args.command == "compare":
         keys = zoo.COMPARE_MODES[args.mode][1]
         sections["compare"] = {"mode": args.mode, **{
-            k: str(getattr(args, k)) for k in keys if getattr(args, k) is not None}}
+            k: getattr(args, k) for k in keys if getattr(args, k) is not None}}
     return config_from_sections(sections, builtin=args.surface)
 
 

@@ -12,7 +12,9 @@ guarantee.
 
 Each metric is evaluated once per node set: the comparison columns and
 the grid dump read the curvature samples that ``chern_number`` keeps in
-its results (see ``chern``).
+its results (see ``chern``).  The grid dump is streamed: it formats each
+run of equal values once and writes the file row by row (CSV) or column
+by column (JSON), so no text of the whole grid is held.
 """
 
 from __future__ import annotations
@@ -135,31 +137,70 @@ def _format(values: np.ndarray) -> list[str]:
     return np.repeat(text, np.diff(starts, append=values.size)).tolist()
 
 
+def _json_column(values: np.ndarray) -> list[str]:
+    """The JSON array body of the 2-D ``values`` as pieces: a row shared by
+    every row is joined once and repeated, a row of one value is one run."""
+    if values.strides[0] == 0:
+        row = ", ".join(_format(values[0]))
+        return [row] + [", " + row] * (values.shape[0] - 1)
+    if values.strides[1] == 0:
+        n = values.shape[1]
+        return [", ".join([f"{text}, " * (n - 1) + text for text in _format(values[:, 0])])]
+    return [", ".join(_format(values))]
+
+
+def _json_pieces(u: np.ndarray, v: np.ndarray, k: np.ndarray):
+    """The JSON object of the three columns, one piece at a time."""
+    yield "{\n"
+    for sep, name, values in zip(("", ",\n", ",\n"), _GRID_FIELDS, (u, v, k)):
+        yield f'{sep}  "{name}": ['
+        yield from _json_column(values)
+        yield "]"
+    yield "\n}\n"
+
+
+def _csv_rows(u: np.ndarray, v: np.ndarray, k: np.ndarray):
+    """The CSV header and one text per row of the node grid."""
+    yield ",".join(_GRID_FIELDS) + "\n"
+    shared = v.strides[0] == 0  # one row of v shared by every row
+    if shared and u.strides[1] == k.strides[1] == 0:
+        # a surface of revolution: a row is one u, one K * sqrt(det g)
+        # and the shared v strings, so one join
+        v_text = _format(v[0])
+        for u_text, k_text in zip(_format(u[:, 0]), _format(k[:, 0])):
+            yield f"{u_text}," + f",{k_text}\n{u_text},".join(v_text) + f",{k_text}\n"
+        return
+    u_col, v_col, k_col = _format(u), _format(v[:1] if shared else v), _format(k)
+    n = k.shape[1]
+    fields = [""] * (2 * n)
+    for i in range(k.shape[0]):
+        row = slice(i * n, (i + 1) * n)
+        if i == 0 or not shared:
+            template = "".join(f"%s,{x},%s\n" for x in v_col[row])
+        fields[::2], fields[1::2] = u_col[row], k_col[row]
+        yield template % tuple(fields)
+
+
 def _write_grid(path: str, sample: CurvatureSample) -> None:
     """K * sqrt(det g) on the quadrature nodes of ``sample``, row by row of
     the node grid, as JSON arrays or CSV rows (numeric fields never need
-    CSV quoting).
+    CSV quoting), streamed to ``path`` piece by piece.
 
-    ``_format`` formats each run of equal values once: each u of a
-    rectangle grid and each row of K * sqrt(det g) on a surface of
-    revolution.  A rectangle's v is one row shared by all rows, formatted
-    once.  The CSV is one ``%`` on a template of the v strings, repeated
-    for each row that shares them and fed the (u, K * sqrt(det g)) strings
-    of all nodes, so a rectangle takes no Python-level step per node.
+    Each run of bitwise-equal values is formatted once, and the pieces
+    are written as they are made, so no text of the whole grid is
+    assembled.  The sample's strides pick each path.  In CSV, where u and
+    K * sqrt(det g) do not vary along v and every row shares one row of
+    v (a rectangle chart of a surface of revolution), a row is one
+    ``join`` over the v strings; otherwise each row is one ``%`` on a
+    template of its v strings, fed the (u, K * sqrt(det g)) strings of
+    its nodes.  In JSON, a row shared by every row (v on a rectangle) is
+    joined once and written once per row, a column constant along each
+    row is joined from one run per row, and any other is joined whole.
     """
-    u_col = _format(np.broadcast_to(sample.us, sample.k_area.shape))
-    v_col, k_col = _format(sample.vs), _format(sample.k_area)
-    repeats = sample.k_area.size // sample.vs.size  # rows sharing one row of v, or 1
-    if path.endswith(".json"):
-        cols = (u_col, v_col * repeats, k_col)
-        arrays = (f'  "{name}": [{", ".join(col)}]' for name, col in zip(_GRID_FIELDS, cols))
-        text = "{\n" + ",\n".join(arrays) + "\n}\n"
-    else:
-        fields = [""] * (2 * len(k_col))
-        fields[::2], fields[1::2] = u_col, k_col
-        template = "".join(f"%s,{v},%s\n" for v in v_col) * repeats
-        text = ",".join(_GRID_FIELDS) + "\n" + template % tuple(fields)
-    write_text(path, text)
+    k = sample.k_area
+    u, v = np.broadcast_to(sample.us, k.shape), np.broadcast_to(sample.vs, k.shape)
+    pieces = _json_pieces if path.endswith(".json") else _csv_rows
+    write_text(path, pieces(u, v, k))
 
 
 def _same_file(path: str, other: str) -> bool:
@@ -169,10 +210,11 @@ def _same_file(path: str, other: str) -> bool:
         return False
 
 
-def write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path``; an unwritable path is a ConfigError."""
+def write_text(path: str, text) -> None:
+    """Write ``text``, a string or an iterable of string pieces, to
+    ``path``; an unwritable path is a ConfigError."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines((text,) if isinstance(text, str) else text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"[output] cannot write: {exc}") from None

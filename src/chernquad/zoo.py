@@ -326,13 +326,15 @@ def twisted_surface(base: Surface, amplitude: float = 0.3) -> Surface:
 
 def custom_surface(name: str, domain: ParamDomain, g11: str, g12: str,
                    g22: str) -> Surface:
-    """A surface whose metric components are parsed expressions in u and v."""
-    exprs = [parse(g11), parse(g12), parse(g22)]
+    """A surface whose metric components are parsed expressions in u and v.
+
+    Components with the same text, such as g11 and g22 of a metric in
+    isothermal coordinates, share one parse and one jet per evaluation."""
+    exprs = {text: parse(text) for text in (g11, g12, g22)}
 
     def evaluator(u, v):
-        return MetricJet(eval_jet(exprs[0], u, v),
-                         eval_jet(exprs[1], u, v),
-                         eval_jet(exprs[2], u, v))
+        jet = {text: eval_jet(expr, u, v) for text, expr in exprs.items()}
+        return MetricJet(jet[g11], jet[g12], jet[g22])
 
     n = 64 if isinstance(domain, RectDomain) else 32
     return Surface(name=name, domain=domain, evaluator=evaluator, expected_chern=None,

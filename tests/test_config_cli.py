@@ -291,6 +291,36 @@ def test_a_negative_seed_reads_the_same_from_a_flag_a_file_and_an_override(tmp_p
         assert capsys.readouterr() == ("", message)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("seed", "abc", "[compare] seed: expected an integer, got 'abc'"),
+    ("seed", "7.5", "[compare] seed: expected an integer, got '7.5'"),
+    ("amplitude", "abc", "[compare] amplitude: expected a number, got 'abc'"),
+])
+def test_a_bad_seed_or_amplitude_reads_the_same_from_a_flag_a_file_and_an_override(
+        key, value, message, tmp_path, capsys):
+    base = "[surface]\nkind = torus_revolution\n[compare]\nmode = perturb\n"
+    for argv in (["compare", "--surface", "torus_revolution", "--mode", "perturb",
+                  f"--{key}", value],
+                 ["report", "--config", _write(tmp_path, base + f"{key} = {value}\n")],
+                 ["report", "--config", _write(tmp_path, base, "base.cfg"),
+                  "--set", f"compare.{key}={value}"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"chernquad: error: {message}\n")
+
+
+def test_seed_and_amplitude_flags_give_the_report_their_values_give(tmp_path, capsys):
+    # the flag text goes to config as a file value does (the defaults, seed 1
+    # and amplitude 0.1, give another report)
+    args = ["--surface", "torus_revolution", "--resolution", "16x16"]
+    assert cli.main(["compare", *args, "--mode", "perturb", "--seed", "007",
+                     "--amplitude", "5e-2"]) == 0
+    from_flags = capsys.readouterr().out
+    cfg = _write(tmp_path, "[surface]\nkind = torus_revolution\n[quadrature]\nn_u = 16\n"
+                           "n_v = 16\n[compare]\nmode = perturb\nseed = 7\namplitude = 0.05\n")
+    assert cli.main(["report", "--config", cfg]) == 0
+    assert capsys.readouterr().out == from_flags
+
+
 def test_verify_rejects_a_negative_seed_as_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--seed", "-3"])
@@ -459,25 +489,52 @@ def _signed_zero_runs(sample):
     return dataclasses.replace(sample, k_area=k)
 
 
-@pytest.mark.parametrize("make,n,edit", [
-    (lambda: zoo.torus_revolution(2.0, 1.0), 32, None),  # one run per u-row
-    (lambda: zoo.custom_surface("dense", RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi,
-                                                    periodic_u=True, periodic_v=True),
-                                "2 + sin(u)*cos(v)", "0.1*sin(u + 2*v)", "2 + cos(u - v)"),
-     24, None),
-    (lambda: zoo.flat_torus(1.0, 2.0), 16, _signed_zero_runs),
-    (lambda: zoo.flat_torus(1.0, 2.0), 16, None),  # one run over the whole grid
-    (lambda: zoo.sphere(1.0), 16, None),  # Gauss-Legendre u axis
-    (zoo.poincare_octagon, 8, None),
-], ids=["torus", "dense_expression", "signed_zeros", "flat_torus", "sphere", "octagon"])
+_TORUS_CHART = RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi, periodic_u=True,
+                          periodic_v=True)
+
+
+# u and K * sqrt(det g) constant along v take the one-join CSV path (torus,
+# sphere, flat torus); the others take the template path
+@pytest.mark.parametrize("make,resolution,edit", [
+    (lambda: zoo.torus_revolution(2.0, 1.0), (32, 32), None),  # one run per u-row
+    (lambda: zoo.custom_surface("dense", _TORUS_CHART, "2 + sin(u)*cos(v)",
+                                "0.1*sin(u + 2*v)", "2 + cos(u - v)"), (24, 24), None),
+    (lambda: zoo.flat_torus(1.0, 2.0), (16, 16), _signed_zero_runs),
+    (lambda: zoo.flat_torus(1.0, 2.0), (16, 16), None),  # one run over the whole grid
+    (lambda: zoo.sphere(1.0), (16, 16), None),  # Gauss-Legendre u axis
+    (zoo.poincare_octagon, (8, 8), None),
+    (zoo.torus_revolution, (300, 300), None),  # several row blocks, the last partial
+    (zoo.torus_revolution, (8, 20000), None),  # two column tiles a row
+    (zoo.sphere, (64, 128), None),
+    (zoo.poincare_octagon, (32, 32), None),  # a row of v per sector row
+    # channels that broadcast along u and vary along v
+    (lambda: zoo.custom_surface("v_alone", _TORUS_CHART, "2 + sin(v)", "0.1*cos(v)",
+                                "2 + cos(2*v)"), (96, 80), None),
+], ids=["torus", "dense_expression", "signed_zeros", "flat_torus", "sphere", "octagon",
+        "torus_300x300", "torus_8x20000", "sphere_64x128", "octagon_32x32",
+        "v_alone_96x80"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_grid_writer_matches_a_per_node_formatter(make, n, edit, fmt, tmp_path):
-    sample = chern_number(make(), QuadratureSpec(n, n)).sample
+def test_grid_writer_matches_a_per_node_formatter(make, resolution, edit, fmt, tmp_path):
+    sample = chern_number(make(), QuadratureSpec(*resolution)).sample
     if edit is not None:
         sample = edit(sample)
     path = tmp_path / f"grid.{fmt}"
     experiment._write_grid(str(path), sample)
     assert path.read_bytes() == _per_node_grid(sample, fmt).encode()
+
+
+@pytest.mark.parametrize("text", ["report", ["u,v\n", "1,2\n"]],
+                         ids=["string", "pieces"])
+def test_write_text_reports_an_unwritable_path(text, tmp_path):
+    for path in (tmp_path / "missing" / "g.csv", tmp_path, "g\0.csv"):
+        with pytest.raises(ConfigError, match=r"^\[output\] cannot write: "):
+            experiment.write_text(str(path), text)
+
+
+def test_write_text_writes_pieces_as_one_text(tmp_path):
+    path = tmp_path / "out.txt"
+    experiment.write_text(str(path), (piece for piece in ["a,", "b\n", "", "c\n"]))
+    assert path.read_bytes() == b"a,b\nc\n"
 
 
 def test_cli_report_with_overrides(tmp_path, capsys):

@@ -236,3 +236,14 @@ def test_custom_surface_reference_resolution_follows_the_chart():
         assert surf.name == "custom" and surf.domain is domain
         assert surf.reference_resolution == (n, n)
         assert surf.expected_chern is None and surf.analytic_k is None
+
+
+def test_custom_components_with_one_text_share_one_jet():
+    # isothermal coordinates: g11 and g22 are one expression
+    h = "4/(1 - u^2 - v^2)^2"
+    us, vs, _ = build_nodes(OctagonDomain(), QuadratureSpec(8, 8))
+    g = custom_surface("disk", OctagonDomain(), h, "0", h).evaluator(us, vs)
+    assert g.g11 is g.g22 and g.g12 is not g.g11
+    apart = custom_surface("disk", OctagonDomain(), h, "0", f"({h})").evaluator(us, vs)
+    for name in ("val", "du", "dv", "duu", "duv", "dvv"):
+        assert np.array_equal(getattr(g.g22, name), getattr(apart.g22, name))

@@ -55,7 +55,8 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
                                        "--resolution", "300x300")),
         # 20000-node rows: two column tiles a row, over channels in u alone
         ("chern_torus_8x20000", CLI + ("chern", "--surface", "torus_revolution",
-                                       "--resolution", "8x20000")),
+                                       "--resolution", "8x20000",
+                                       "--grid-out", "grid.json")),
         ("compare_torus_perturb_300x300",
          CLI + ("compare", "--surface", "torus_revolution", "--mode", "perturb",
                 "--resolution", "300x300", "--grid-out", "grid.csv")),
@@ -67,6 +68,11 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
                              CLI + ("compare", "--surface", kind, "--mode", mode, *extra,
                                     "--resolution", res, "--format", fmt,
                                     "--grid-out", f"grid.{fmt}")))
+    for mode, extra in COMPARE_MODES.items():
+        cmds.append((f"compare_torus_revolution_{mode}_256x256_json",
+                     CLI + ("compare", "--surface", "torus_revolution", "--mode", mode,
+                            *extra, "--resolution", "256x256", "--format", "json",
+                            "--grid-out", "grid.json")))
     cmds += [
         ("compare_twist_amplitude_1e6",
          CLI + ("compare", "--surface", "torus_revolution", "--mode", "twist",
@@ -87,6 +93,10 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
          CLI + ("compare", "--surface", "torus_revolution", "--mode", "conformal")),
         ("error_compare_sphere_twist",
          CLI + ("compare", "--surface", "sphere", "--mode", "twist")),
+        # the flags are read by config, as --set compare.seed=abc is
+        *((f"error_compare_{flag}_abc",
+           CLI + ("compare", "--surface", "torus_revolution", "--mode", "perturb",
+                  f"--{flag}", "abc")) for flag in ("seed", "amplitude")),
         ("error_compare_octagon_perturb",
          CLI + ("compare", "--surface", "poincare_octagon", "--mode", "perturb")),
         ("error_chern_unknown_param",
