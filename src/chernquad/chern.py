@@ -12,14 +12,17 @@ the quadrature nodes, and ``chern_number`` keeps it in its result for
 channels (the two-form, K * sqrt(det g), b_u and b_v) and two maxima
 (alpha_max and the identity residual).  The grid streams through the
 curvature kernel, which broadcasts (u, v), in tiles of at most
-BLOCK_NODES nodes: whole rows, or pieces of a row that is longer.
-Temporaries scale with the tile.  Each channel is a read-only view
-shaped like the node grid over storage as compact as the kernel's
-output: a channel in u alone on a rectangle keeps n_u values, one that
-is constant keeps one.  Both integrals are ``quadrature.reduce_sum``, the
-one reduction, which sums each distinct product once and scales the
-exact total by its repeat count, so on a periodic v axis they cost n_u
-products; one that leaves the float range raises NonFiniteValueError.
+BLOCK_NODES nodes: whole rows, or pieces of two rows where a row is
+longer than BLOCK_NODES // 2.  Temporaries scale with the tile.  Each
+channel is a read-only view shaped like the node grid over storage as
+compact as the kernel's output: a channel in u alone on a rectangle
+keeps n_u values, one that is constant keeps one.  The stores are sized
+from the first tile, whose two rows and two columns name the axes each
+channel varies on, so later tiles may be written in any order.  Both
+integrals are ``quadrature.reduce_sum``, the one reduction, which sums
+each distinct product once and scales the exact total by its repeat
+count, so on a periodic v axis they cost n_u products; one that leaves
+the float range raises NonFiniteValueError.
 The tile size changes no bit, as every channel is computed node by
 node, both maxima are maxima and the sums round the exact total once,
 whatever the order, chunking or repetition of its values.
@@ -87,49 +90,23 @@ def _compact(x: np.ndarray) -> np.ndarray:
     return x[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in x.strides)]
 
 
-def _bits(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=float).view(np.int64)
-
-
-def _put(store: np.ndarray | None, values: np.ndarray, index: tuple[slice, slice],
-         shape: tuple[int, int]) -> np.ndarray:
-    """Write ``values``, the compact channel of the tile ``index``, into
-    ``store`` (a new one if None), which keeps one entry along each axis
-    of the grid ``shape`` on which no tile so far varied, and return it.
-    Tiles come in row order.  An axis is widened where ``values`` varies
-    along it, or where the tile starts past its first entry and a bit
-    differs from what earlier tiles stored there, so
-    ``np.broadcast_to(store, shape)`` holds every node written so far."""
-    if store is None:
-        store = np.empty([1 if m == 1 else n for n, m in zip(shape, values.shape)])
-    widen = [s == 1 < m for s, m in zip(store.shape, values.shape)]
-    revisits = [s == 1 < n and part.start > 0
-                for s, n, part in zip(store.shape, shape, index)]
-    if any(revisits):
-        old, new = np.broadcast_arrays(_tile(store, index), values)
-        if not np.array_equal(_bits(old), _bits(new)):
-            widen = [grow or again for grow, again in zip(widen, revisits)]
-    if any(widen):
-        store = np.array(np.broadcast_to(
-            store, [n if grow else s for n, s, grow in zip(shape, store.shape, widen)]))
-    _tile(store, index)[...] = values
-    return store
-
-
 def curvature_sample(surface: Surface, spec: QuadratureSpec) -> CurvatureSample:
     """One curvature pass over the quadrature nodes of the surface's chart,
     in tiles of at most BLOCK_NODES nodes: whole grid rows, or pieces of
-    one row where a row is longer.  Each channel is stored as compact as
-    the kernel computes it (see _put) and returned as a read-only grid
-    view; K * sqrt(det g), the identity residual and the finiteness check
-    are taken on the compact values.  A non-finite two-form or
+    two rows where a row is longer than BLOCK_NODES // 2.  Each channel
+    is stored as compact as the kernel computes it on the first tile,
+    which has two rows and two columns where the grid has them and so
+    names the axes the channel varies on (see zoo.Surface); every tile is
+    written into these stores and each channel is returned as a read-only
+    grid view.  K * sqrt(det g), the identity residual and the finiteness
+    check are taken on the compact values.  A non-finite two-form or
     K * sqrt(det g) raises NonFiniteValueError naming the first such node
     in row order (numpy's own warnings are silenced)."""
     us, vs, ws = build_nodes(surface.domain, spec)
     n_rows, n_cols = ws.shape
-    width = min(n_cols, BLOCK_NODES)
-    height = max(1, BLOCK_NODES // width)
-    stores = [None] * 4  # two-form, K * area, b_u, b_v
+    width = min(n_cols, BLOCK_NODES // 2)
+    height = BLOCK_NODES // width
+    stores = None  # two-form, K * area, b_u, b_v
     alpha_max = max_residual = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, n_rows, height):
@@ -139,8 +116,12 @@ def curvature_sample(surface: Surface, spec: QuadratureSpec) -> CurvatureSample:
                 two_form, k, area, b_u, b_v = map(_compact, (
                     block.two_form_coeff, block.k, block.area_coeff, block.b_u, block.b_v))
                 k_area = k * area
-                stores = [_put(store, values, index, ws.shape)
-                          for store, values in zip(stores, (two_form, k_area, b_u, b_v))]
+                compact = (two_form, k_area, b_u, b_v)
+                if stores is None:  # the first tile names the axes each channel varies on
+                    stores = [np.empty([n if m > 1 else 1 for n, m in zip(ws.shape, x.shape)])
+                              for x in compact]
+                for store, x in zip(stores, compact):
+                    _tile(store, index)[...] = x
                 alpha_max = max(alpha_max, block.alpha_max)
                 max_residual = max(max_residual, identity_residual(two_form, k_area))
     channels = [np.broadcast_to(store, ws.shape) for store in stores]

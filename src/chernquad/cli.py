@@ -137,15 +137,15 @@ def _cmd_list() -> int:
 
 def _config_from_flags(args) -> ExperimentConfig:
     """The config keys the flags stand for, read as ``report`` reads a
-    config; a compare flag the mode does not read is left out."""
+    config."""
     sections = {"quadrature": _resolution(args.resolution) if args.resolution else {},
                 "surface": dict(map(_param, args.param or ())),
                 "output": {"format": args.format, "path": args.out,
                            "grid_path": args.grid_out}}
     if args.command == "compare":
-        keys = zoo.COMPARE_MODES[args.mode][1]
         sections["compare"] = {"mode": args.mode, **{
-            k: getattr(args, k) for k in keys if getattr(args, k) is not None}}
+            k: getattr(args, k) for k in ("factor", "seed", "amplitude")
+            if getattr(args, k) is not None}}
     return config_from_sections(sections, builtin=args.surface)
 
 

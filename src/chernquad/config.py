@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import configparser
 import contextlib
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -176,6 +177,9 @@ def _compare_from(opts, base: Surface) -> Surface:
     if params.get("seed", 0) < 0:
         raise ConfigError(f"[compare] seed: expected a non-negative integer, "
                           f"got {opts['seed']!r}")
+    if not math.isfinite(params.get("amplitude", 0.0)):
+        raise ConfigError(f"[compare] amplitude: expected a finite number, "
+                          f"got {opts['amplitude']!r}")
     if mode not in COMPARE_MODES:
         *head, last = COMPARE_MODES
         raise ConfigError(f"[compare] mode must be {', '.join(head)} or {last}, "

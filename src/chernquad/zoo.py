@@ -86,6 +86,10 @@ class Surface:
     """A named chart with its metric evaluator, plus known invariants.
 
     ``evaluator`` must be a pure function accepting floats or arrays.
+    Whether a channel it returns depends on u or v (is not broadcast
+    along that axis) follows from its code, not from the values of u and
+    v, so ``chern.curvature_sample`` sizes its stores from the first
+    tile; every builtin, derived and expression evaluator meets this.
     ``expected_chern`` and ``analytic_k`` are None when unknown (custom
     surfaces).  ``reference_resolution`` is the (n_u, n_v) at which the
     expected Chern number is reproduced well inside the acceptance band.

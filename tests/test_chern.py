@@ -217,6 +217,38 @@ def test_curvature_sample_is_block_invariant(make, n_u, n_v, block, monkeypatch)
         assert np.array_equal(getattr(blocked.sample, name), getattr(whole.sample, name)), name
 
 
+def _v_alone_surface():
+    dom = RectDomain(0.0, 2 * math.pi, 0.0, 2 * math.pi, periodic_u=True, periodic_v=True)
+    return custom_surface("v_alone", dom, "2 + sin(v)", "0.1*cos(v)", "2 + cos(2*v)")
+
+
+@pytest.mark.parametrize("block", [chern.BLOCK_NODES, 7])
+@pytest.mark.parametrize("make,n_u,n_v,axes", [
+    (lambda: torus_revolution(2.0, 1.0), 64, 64, "u"),
+    (lambda: torus_revolution(2.0, 1.0), 8, 20000, "u"),  # rows split into column tiles
+    (lambda: flat_torus(1.0, 2.0), 32, 36, ""),
+    (_v_alone_surface, 9, 20000, "v"),  # the last row tile holds one row
+    (lambda: perturbed_surface(torus_revolution(2.0, 1.0)), 32, 40, "uv"),
+    (poincare_octagon, 12, 12, "uv"),
+], ids=["torus", "torus_long_rows", "flat_torus", "v_alone", "perturbed", "octagon"])
+def test_each_channel_is_stored_along_exactly_the_axes_it_varies_on(make, n_u, n_v, axes,
+                                                                     block, monkeypatch):
+    surf = make()
+    spec = QuadratureSpec(n_u, n_v)
+    us, vs, ws = build_nodes(surf.domain, spec)
+    whole = curvature_report_grid(surf, us, vs)  # one unblocked pass as the reference
+    monkeypatch.setattr(chern, "BLOCK_NODES", block)
+    sample = curvature_sample(surf, spec)
+    n_rows, n_cols = ws.shape
+    floats = (n_rows if "u" in axes else 1) * (n_cols if "v" in axes else 1)
+    for name, want in (("two_form", whole.two_form_coeff),
+                       ("k_area", whole.k * whole.area_coeff),
+                       ("b_u", whole.b_u), ("b_v", whole.b_v)):
+        got = getattr(sample, name)
+        assert _span(got) == floats * got.itemsize, name
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
 def test_non_finite_error_names_the_same_node_for_any_block_size(monkeypatch):
     # a metric in u alone and one in v alone: channels compact along v, along u
     dom = RectDomain(0.0, 1.0, 0.0, 1.0)

@@ -308,6 +308,27 @@ def test_a_bad_seed_or_amplitude_reads_the_same_from_a_flag_a_file_and_an_overri
         assert capsys.readouterr() == ("", f"chernquad: error: {message}\n")
 
 
+@pytest.mark.parametrize("mode,key,value,message", [
+    ("twist", "seed", "5", "[compare] unknown key 'seed'"),
+    ("perturb", "factor", "2", "[compare] unknown key 'factor'"),
+    ("twist", "amplitude", "inf", "[compare] amplitude: expected a finite number, got 'inf'"),
+    ("twist", "amplitude", "-inf",
+     "[compare] amplitude: expected a finite number, got '-inf'"),
+    ("perturb", "amplitude", "nan",
+     "[compare] amplitude: expected a finite number, got 'nan'"),
+])
+def test_a_key_the_mode_does_not_read_or_a_non_finite_amplitude_reads_the_same_everywhere(
+        mode, key, value, message, tmp_path, capsys):
+    base = f"[surface]\nkind = torus_revolution\n[compare]\nmode = {mode}\n"
+    for argv in (["compare", "--surface", "torus_revolution", "--mode", mode,
+                  f"--{key}={value}"],
+                 ["report", "--config", _write(tmp_path, base + f"{key} = {value}\n")],
+                 ["report", "--config", _write(tmp_path, base, "base.cfg"),
+                  "--set", f"compare.{key}={value}"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"chernquad: error: {message}\n")
+
+
 def test_seed_and_amplitude_flags_give_the_report_their_values_give(tmp_path, capsys):
     # the flag text goes to config as a file value does (the defaults, seed 1
     # and amplitude 0.1, give another report)

@@ -7,8 +7,9 @@ positive definite, that vanish or divide by zero, and degenerate
 rectangles or node counts; each runs ``chernquad report``.  The second
 draws ``chern`` and ``compare`` flags: builtin kinds with parameters
 that are nan, infinite, negative or huge, node counts too small or past
-what numpy can index, compare modes with their factor, seed and
-amplitude, the output format, and ``--out``/``--grid-out`` paths that
+what numpy can index, compare modes with the factor, seed and amplitude
+they read (now and then one they do not read, which must end in a typed
+error), the output format, and ``--out``/``--grid-out`` paths that
 are writable or not.  Each example must print one finite report row, or
 exactly one stderr line ``chernquad: error: ...`` with exit 1 and an
 empty stdout; any exception escaping ``main`` fails the test.
@@ -125,13 +126,15 @@ _FACTORS = (("exp(0.6*sin(u))", "2+cos(v)", "exp(0.3*cos(u+v))"),
             ("sin(u)", "log(u-10)", "exp(800*sin(u))", ""))
 _AMPLITUDES = ((None, "0.1", "0.5", "-0.3"), _VALUES[1] + ("1e8",))
 _SEEDS = ((None, "0", "7"), ("-1", str(2 ** 70)))
+_STRAY_FLAGS = {"factor": "2", "amplitude": "0.1", "seed": "5"}
 # output files, inside the test's temporary directory; "." is the directory
 _PATHS = (("", "out.csv", "out.json"), ("missing/out.csv", "."))
 
 
 @st.composite
 def _argvs(draw):
-    """(argv, --out, --grid-out, --format) for a chern or compare run."""
+    """(argv, --out, --grid-out, --format, stray) for a chern or compare run;
+    stray: a compare flag the mode does not read was drawn."""
     def pick(choices):
         usual, bad = choices
         return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 3 else usual))
@@ -145,28 +148,37 @@ def _argvs(draw):
     resolution = pick(_RESOLUTIONS)
     if resolution:
         argv += ["--resolution", resolution]
+    unread = ()  # the compare flags the mode does not read
     if argv[0] == "compare":
-        argv += ["--mode", draw(st.sampled_from(("twist", "perturb", "conformal"))),
-                 "--factor", pick(_FACTORS)]
-        amplitude, seed = pick(_AMPLITUDES), pick(_SEEDS)
-        if amplitude:  # one word, or argparse takes "-inf" for an option
-            argv.append(f"--amplitude={amplitude}")
-        if seed:
-            argv += ["--seed", seed]
+        mode = draw(st.sampled_from(("twist", "perturb", "conformal")))
+        argv += ["--mode", mode]
+        # every flag is drawn, and those the mode reads are given
+        drawn = {"factor": pick(_FACTORS), "amplitude": pick(_AMPLITUDES),
+                 "seed": pick(_SEEDS)}
+        unread = sorted(set(drawn) - set(zoo.COMPARE_MODES[mode][1]))
+        argv += [f"--{key}={value}"  # one word, or argparse takes "-inf" for an option
+                 for key, value in drawn.items() if key not in unread and value is not None]
     fmt = draw(st.sampled_from(("csv", "json")))
-    return argv + ["--format", fmt], pick(_PATHS), pick(_PATHS), fmt
+    paths = pick(_PATHS), pick(_PATHS)
+    # about one time in four, a flag the mode does not read, which config rejects
+    stray = bool(unread) and draw(st.integers(0, 3)) == 3
+    if stray:
+        key = draw(st.sampled_from(unread))
+        argv.append(f"--{key}={_STRAY_FLAGS[key]}")
+    return argv + ["--format", fmt], *paths, fmt, stray
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_argvs())
 def test_drawn_flags_end_in_a_report_or_a_typed_error(drawn):
-    argv, out_path, grid_path, fmt = drawn
+    argv, out_path, grid_path, fmt, stray = drawn
     with tempfile.TemporaryDirectory() as tmp:
         if out_path:
             argv += ["--out", os.path.join(tmp, out_path)]
         if grid_path:
             argv += ["--grid-out", os.path.join(tmp, grid_path)]
         code, out = _run(argv)
+        assert code == 1 or not stray, argv
         if code == 1:
             return
         if out_path:

@@ -13,8 +13,8 @@ this script is the config of the dense grid dump, and
 production of the expression grammar, and ``overflow_integral.cfg``
 that of Chern integrals that leave the float range.  Two checkouts
 produce byte-identical output exactly when ``diff -r`` of their
-snapshots is empty.  A run takes about 20 s on a 2-core machine, so it stays out
-of the test suite.
+snapshots is empty.  A run writes 272 files and takes about 26 s on a 2-core
+machine, so it stays out of the test suite.
 """
 
 from __future__ import annotations
@@ -60,6 +60,13 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
         ("compare_torus_perturb_300x300",
          CLI + ("compare", "--surface", "torus_revolution", "--mode", "perturb",
                 "--resolution", "300x300", "--grid-out", "grid.csv")),
+        # 20000-node rows in pieces of two rows, the last tile one row: stores
+        # sized from the first tile, over channels in u alone and in u and v
+        ("chern_sphere_9x20000", CLI + ("chern", "--surface", "sphere", "--resolution",
+                                        "9x20000", "--grid-out", "grid.csv")),
+        ("compare_torus_perturb_9x20000",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "perturb",
+                "--resolution", "9x20000")),
     ]
     for kind, fmt in (("torus_revolution", "csv"), ("flat_torus", "json")):
         for mode, extra in COMPARE_MODES.items():
@@ -97,6 +104,12 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
         *((f"error_compare_{flag}_abc",
            CLI + ("compare", "--surface", "torus_revolution", "--mode", "perturb",
                   f"--{flag}", "abc")) for flag in ("seed", "amplitude")),
+        # a flag the mode does not read, as a key the section does not know
+        ("error_compare_twist_seed",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "twist", "--seed", "5")),
+        ("error_compare_twist_amplitude_inf",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "twist",
+                "--amplitude=inf")),
         ("error_compare_octagon_perturb",
          CLI + ("compare", "--surface", "poincare_octagon", "--mode", "perturb")),
         ("error_chern_unknown_param",
