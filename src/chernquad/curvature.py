@@ -12,8 +12,8 @@ K * sqrt(det g) pointwise; integrating it (or K * sqrt(det g)) against
 the chart quadrature and dividing by 2*pi gives the first Chern number.
 
 Every entry point takes a ``zoo.Surface`` and reads only its
-``domain`` and ``evaluator``.  ``curvature_report_grid`` is the
-vectorized kernel.  It takes the two-form and K * sqrt(det g) by two
+``domain`` and its metric jets (``evaluator``).  ``curvature_report_grid``
+is the vectorized kernel.  It takes the two-form and K * sqrt(det g) by two
 independent closed-form routes on plain arrays of jet channels:
 
 * Cartan.  The coframe theta1 = a du + c dv, theta2 = d dv is dual to

@@ -1,4 +1,4 @@
-"""Compile metric-component expressions to jet evaluators.
+"""Compile metric-component expressions to functions of the coordinate jets.
 
 Grammar (whitespace insignificant, ``^`` right-associative)::
 
@@ -17,10 +17,10 @@ is positive at evaluation time.
 to right in one loop.  It reports syntax errors with the byte offset of
 the offending token, among them nesting deeper than ``MAX_DEPTH`` levels
 (parentheses, calls, unary minus and exponents each count as one) and an
-integer exponent beyond ``MAX_POWER`` in magnitude.  ``eval_jet`` reports
-domain errors (division by zero, log/sqrt out of domain, non-integer
-power of a non-positive base) with the offset of the responsible
-operator.
+integer exponent beyond ``MAX_POWER`` in magnitude.  A compiled
+expression reports domain errors (division by zero, log/sqrt out of
+domain, non-integer power of a non-positive base) with the offset of
+the responsible operator; ``eval_jet`` calls one at floats or arrays.
 """
 
 from __future__ import annotations

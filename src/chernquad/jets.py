@@ -166,12 +166,14 @@ def sqrt(x) -> Jet2:
 
 def sinh(x) -> Jet2:
     x = _lift(x)
-    return _chain(x, np.sinh(x.val), np.cosh(x.val), np.sinh(x.val))
+    s, c = np.sinh(x.val), np.cosh(x.val)
+    return _chain(x, s, c, s)
 
 
 def cosh(x) -> Jet2:
     x = _lift(x)
-    return _chain(x, np.cosh(x.val), np.sinh(x.val), np.cosh(x.val))
+    s, c = np.sinh(x.val), np.cosh(x.val)
+    return _chain(x, c, s, c)
 
 
 def partial_jet(j: Jet2, axis: str) -> Jet2:

@@ -2,16 +2,17 @@
 
 A surface (``zoo.Surface``) is presented by a single chart: a parameter
 domain (rectangle with optional periodic axes, or the regular geodesic
-octagon of the Poincare disk) together with a ``MetricEvaluator``, a
-smooth field of symmetric positive-definite 2x2 matrices.  Every
-evaluation returns a :class:`MetricJet`, the metric components as
-:class:`~chernquad.jets.Jet2` values, so downstream curvature formulas
-get first and second metric derivatives that are exact to rounding.  A
-builtin evaluator also puts its exact coframe on the jet, computed from
+octagon of the Poincare disk) together with a ``Metric``, a smooth
+field of symmetric positive-definite 2x2 matrices.  A ``Metric`` maps
+the coordinate jets (u, v) to a :class:`MetricJet`, the metric
+components as :class:`~chernquad.jets.Jet2` values, so downstream
+curvature formulas get first and second metric derivatives exact to
+rounding, and a pullback is the metric at the jets of the map.  A
+builtin metric also puts its exact coframe on the jet, computed from
 the same subexpressions as the metric it factors.
 
-A point is its coordinates (u, v).  Evaluators, ``contains`` and
-``eval_metric_jet`` take floats or numpy arrays that broadcast together,
+A point is its coordinates (u, v).  ``Surface.evaluator``, ``contains``
+and ``eval_metric_jet`` take floats or arrays that broadcast together,
 so one point and a grid of points cost one vectorized pass alike.
 """
 
@@ -255,7 +256,7 @@ class MetricJet:
     and optionally an exact coframe.
 
     The mixed partial is a single jet channel, so the two differentiation
-    orders agree identically for closed-form evaluators.
+    orders agree identically for closed-form metrics.
 
     ``coframe``, when given, holds the jets (a, c, d) of the coframe
     theta1 = a du + c dv, theta2 = d dv with a, d > 0, so that a^2 = g11,
@@ -277,7 +278,7 @@ class MetricJet:
         return MetricTensor(self.g11.val, self.g12.val, self.g22.val)
 
 
-MetricEvaluator = Callable[[Channel, Channel], MetricJet]
+Metric = Callable[[Jet2, Jet2], MetricJet]  # coordinate jets (u, v) -> metric jet
 
 
 def eval_metric_jet(surface: Surface, u: Channel, v: Channel) -> MetricJet:

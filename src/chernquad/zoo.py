@@ -17,7 +17,7 @@ kinds
     2^(-1/4)) in the unit-disk chart with g = 4 / (1 - u^2 - v^2)^2 * I;
     K = -1; hyperbolic area 4*pi; Chern -2.
 
-Each builtin evaluator also puts its coframe theta1 = a du + c dv,
+Each builtin metric also puts its coframe theta1 = a du + c dv,
 theta2 = d dv on the metric jet it returns (see ``MetricJet``), built
 from the same subexpression as the metric: a = R, c = 0, d = R sin u
 for the sphere; a = r, c = 0, d = R + r cos u for the torus; constant
@@ -38,9 +38,9 @@ components, its det and the det squared that the Brioschi formula
 divides by) leave the normal float range.
 
 ``COMPARE_MODES`` is the same table for the second metric of a
-comparison.  Each of its constructors builds an evaluator on its base's
-and keeps the base's chart, expected Chern number and reference
-resolution, but not its closed-form K:
+comparison.  Each of its constructors builds a metric that evaluates
+its base's at the coordinate jets or their image, and keeps the base's
+chart, expected Chern number and reference resolution, but not its K:
 
 ``conformal_surface``
     f * g for a strictly positive factor f, an expression in u and v,
@@ -51,9 +51,9 @@ resolution, but not its closed-form K:
     off-diagonal term, seed-deterministic, validated SPD on a probe grid.
 ``twisted_surface``
     the pullback of g by the twist (u, v) -> (u, v + a sin u), whose
-    Jacobian determinant is 1 for every amplitude a, with jets propagated
-    by the chain rule through second order; composing second-order
-    Taylor data is what makes the pulled-back second derivatives exact.
+    Jacobian determinant is 1 for every amplitude a; g is evaluated at
+    the jets of the image point, so jet arithmetic carries the chain
+    rule through second order.
 
 ``custom_surface`` takes the metric components as expressions.  Derived
 and expression jets carry no coframe.  Parameter defaults of both tables
@@ -75,7 +75,7 @@ from .errors import (DomainMismatchError, MetricScaleError, NonpositiveFactorErr
                      SpdViolationError)
 from .expressions import eval_jet, parse
 from .jets import Jet2
-from .metric import MetricEvaluator, MetricJet, OctagonDomain, ParamDomain, RectDomain
+from .metric import Metric, MetricJet, OctagonDomain, ParamDomain, RectDomain
 from .quadrature import QuadratureSpec, build_nodes
 
 TWO_PI = 2.0 * math.pi
@@ -83,13 +83,14 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class Surface:
-    """A named chart with its metric evaluator, plus known invariants.
+    """A named chart with its metric, plus known invariants.
 
-    ``evaluator`` must be a pure function accepting floats or arrays.
-    Whether a channel it returns depends on u or v (is not broadcast
-    along that axis) follows from its code, not from the values of u and
-    v, so ``chern.curvature_sample`` sizes its stores from the first
-    tile; every builtin, derived and expression evaluator meets this.
+    ``metric`` must be a pure function of the coordinate jets (u, v),
+    which ``evaluator`` alone seeds from floats or arrays.  Whether a
+    channel it returns depends on u or v (is not broadcast along that
+    axis) follows from its code, not from the values of u and v, so
+    ``chern.curvature_sample`` sizes its stores from the first tile;
+    every builtin, derived and expression metric meets this.
     ``expected_chern`` and ``analytic_k`` are None when unknown (custom
     surfaces).  ``reference_resolution`` is the (n_u, n_v) at which the
     expected Chern number is reproduced well inside the acceptance band.
@@ -97,10 +98,14 @@ class Surface:
 
     name: str
     domain: ParamDomain
-    evaluator: MetricEvaluator = field(repr=False)
+    metric: Metric = field(repr=False)
     expected_chern: int | None
     analytic_k: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     reference_resolution: tuple[int, int]
+
+    def evaluator(self, u, v) -> MetricJet:
+        """The metric jet at floats or arrays (u, v) that broadcast together."""
+        return self.metric(jets.var_u(u), jets.var_v(v))
 
 
 def _normal(values) -> bool:
@@ -127,12 +132,12 @@ def sphere(radius: float = 1.0) -> Surface:
     _check_scales(name, ("R^2", r2), ("R^4", r4), ("R^8", r4 * r4))
     domain = RectDomain(0.0, math.pi, 0.0, TWO_PI, periodic_u=False, periodic_v=True)
 
-    def evaluator(u, v):
-        s = jets.sin(jets.var_u(u))
+    def metric(u, v):
+        s = jets.sin(u)
         return MetricJet(Jet2(r2), Jet2(0.0), r2 * s * s,
                          coframe=(Jet2(radius), Jet2(0.0), radius * s))
 
-    return Surface(name=name, domain=domain, evaluator=evaluator, expected_chern=2,
+    return Surface(name=name, domain=domain, metric=metric, expected_chern=2,
                    analytic_k=lambda u, v: np.broadcast_to(1.0 / r2, np.shape(u)),
                    reference_resolution=(64, 128))
 
@@ -149,12 +154,12 @@ def torus_revolution(big_radius: float = 2.0, small_radius: float = 1.0) -> Surf
                   ("r^2 (R-r)^2", det_min), ("r^4 (R+r)^4", det_max * det_max),
                   ("r^4 (R-r)^4", det_min * det_min))
 
-    def evaluator(u, v):
-        ring = R + r * jets.cos(jets.var_u(u))
+    def metric(u, v):
+        ring = R + r * jets.cos(u)
         return MetricJet(Jet2(r * r), Jet2(0.0), ring * ring,
                          coframe=(Jet2(r), Jet2(0.0), ring))
 
-    return Surface(name=name, domain=domain, evaluator=evaluator, expected_chern=0,
+    return Surface(name=name, domain=domain, metric=metric, expected_chern=0,
                    analytic_k=lambda u, v: np.cos(u) / (r * (R + r * np.cos(u))),
                    reference_resolution=(128, 128))
 
@@ -168,11 +173,11 @@ def flat_torus(a: float = 1.0, b: float = 1.0) -> Surface:
                   ("a^4 b^4", det * det))
     domain = RectDomain(0.0, TWO_PI, 0.0, TWO_PI, periodic_u=True, periodic_v=True)
 
-    def evaluator(u, v):
+    def metric(u, v):
         return MetricJet(Jet2(a * a), Jet2(0.0), Jet2(b * b),
                          coframe=(Jet2(a), Jet2(0.0), Jet2(b)))
 
-    return Surface(name=name, domain=domain, evaluator=evaluator, expected_chern=0,
+    return Surface(name=name, domain=domain, metric=metric, expected_chern=0,
                    analytic_k=lambda u, v: np.zeros(np.shape(u)),
                    reference_resolution=(64, 64))
 
@@ -181,14 +186,13 @@ def poincare_octagon() -> Surface:
     # the geodesic octagon is the true fundamental domain, whose
     # hyperbolic area 4*pi carries the Chern number -2
 
-    def evaluator(u, v):
-        su, sv = jets.var_u(u), jets.var_v(v)
-        s = 1.0 - su * su - sv * sv
+    def metric(u, v):
+        s = 1.0 - u * u - v * v
         h = 4.0 / (s * s)
         scale = 2.0 / s
         return MetricJet(h, Jet2(0.0), h, coframe=(scale, Jet2(0.0), scale))
 
-    return Surface(name="poincare_octagon", domain=OctagonDomain(), evaluator=evaluator,
+    return Surface(name="poincare_octagon", domain=OctagonDomain(), metric=metric,
                    expected_chern=-2, analytic_k=lambda u, v: np.full(np.shape(u), -1.0),
                    reference_resolution=(32, 32))
 
@@ -206,17 +210,17 @@ def conformal_surface(base: Surface, factor: str = "") -> Surface:
     to f g11, f g22, f^2 det g and its square, so a factor that drives
     them past the normal floats raises MetricScaleError, naming the
     factor, before any quadrature, as does a factor that is NaN or
-    infinite at a probe node.  A factor that is not positive is reported by the evaluator
-    (NonpositiveFactorError).
+    infinite at a probe node.  A factor that is not positive is reported
+    by the metric (NonpositiveFactorError).
     """
     if not factor:
         raise ValueError("conformal mode requires factor")
     expr = parse(factor)
     name = f"{base.name}|conformal({factor})"
 
-    def evaluator(u, v):
-        g = base.evaluator(u, v)
-        f = eval_jet(expr, u, v)
+    def metric(u, v):
+        g = base.metric(u, v)
+        f = expr(u, v)
         if np.any(np.asarray(f.val) <= 0.0):
             raise NonpositiveFactorError("conformal factor must be strictly positive")
         return MetricJet(f * g.g11, f * g.g12, f * g.g22)
@@ -237,7 +241,7 @@ def conformal_surface(base: Surface, factor: str = "") -> Surface:
         if np.all(f > 0.0) and all(_normal(s) for s in base_scales):
             _check_scales(name, *((label, x) for label, s in scaled
                                   for x in (np.min(s), np.max(s))))
-    return replace(base, name=name, evaluator=evaluator, analytic_k=None)
+    return replace(base, name=name, metric=metric, analytic_k=None)
 
 
 def _trig_sum(terms, u: Jet2, v: Jet2) -> Jet2:
@@ -276,30 +280,23 @@ def perturbed_surface(base: Surface, seed: int = 1, amplitude: float = 0.1) -> S
     chi_terms = _draw_trig_terms(rng, 2)
     a = float(amplitude)
 
-    def evaluator(u, v):
-        g = base.evaluator(u, v)
-        su, sv = jets.var_u(u), jets.var_v(v)
-        scale = jets.exp(a * _trig_sum(psi_terms, su, sv))
-        off = a * 0.5 * _trig_sum(chi_terms, su, sv) * jets.sqrt(g.g11 * g.g22)
+    def metric(u, v):
+        g = base.metric(u, v)
+        scale = jets.exp(a * _trig_sum(psi_terms, u, v))
+        off = a * 0.5 * _trig_sum(chi_terms, u, v) * jets.sqrt(g.g11 * g.g22)
         return MetricJet(scale * g.g11, scale * g.g12 + off, scale * g.g22)
 
+    surface = replace(base, name=f"{base.name}|perturbed(seed={seed},amp={amplitude:g})",
+                      metric=metric, analytic_k=None)
+    us, vs, _ = build_nodes(dom, PROBE_GRID)
     try:
         with np.errstate(all="ignore"):
-            evaluator(*build_nodes(dom, PROBE_GRID)[:2]).value  # noqa: B018 - the SPD check
+            surface.evaluator(us, vs).value  # noqa: B018 - the SPD check
     except SpdViolationError as exc:
         raise SpdViolationError(
             f"perturbation (seed {seed}, amplitude {amplitude}) breaks positive "
             f"definiteness on the probe grid: {exc}") from exc
-    return replace(base, name=f"{base.name}|perturbed(seed={seed},amp={amplitude:g})",
-                   evaluator=evaluator, analytic_k=None)
-
-
-def _compose_scalar(h: Jet2, dp: Jet2, dq: Jet2) -> Jet2:
-    # h holds the Taylor data of a scalar at the image point; dp, dq are
-    # the centered component jets of the map.  Evaluating the order-2
-    # Taylor polynomial in jet arithmetic is the order-2 chain rule.
-    return (h.val + h.du * dp + h.dv * dq
-            + 0.5 * h.duu * dp * dp + h.duv * dp * dq + 0.5 * h.dvv * dq * dq)
+    return surface
 
 
 def twisted_surface(base: Surface, amplitude: float = 0.3) -> Surface:
@@ -309,22 +306,17 @@ def twisted_surface(base: Surface, amplitude: float = 0.3) -> Surface:
     Jacobian has columns (1, s) and (0, 1) with s = a cos u, so its
     determinant is 1 for every amplitude and the pullback
     (D phi)^T g(phi(p)) (D phi) is
-    (g11 + 2 s g12 + s^2 g22, g12 + s g22, g22) at the image point.
+    (g11 + 2 s g12 + s^2 g22, g12 + s g22, g22) with g evaluated at the
+    jets of the image point.
     """
     a = float(amplitude)
 
-    def evaluator(u, v):
-        su, sv = jets.var_u(u), jets.var_v(v)
-        q = sv + a * jets.sin(su)
-        g = base.evaluator(su.val, q.val)
-        dp, dq = su - su.val, q - q.val
-        h11 = _compose_scalar(g.g11, dp, dq)
-        h12 = _compose_scalar(g.g12, dp, dq)
-        h22 = _compose_scalar(g.g22, dp, dq)
-        s = a * jets.cos(su)
-        return MetricJet(h11 + 2.0 * s * h12 + s * s * h22, h12 + s * h22, h22)
+    def metric(u, v):
+        g = base.metric(u, v + a * jets.sin(u))
+        s = a * jets.cos(u)
+        return MetricJet(g.g11 + 2.0 * s * g.g12 + s * s * g.g22, g.g12 + s * g.g22, g.g22)
 
-    return replace(base, name=f"{base.name}|twist({amplitude:g})", evaluator=evaluator,
+    return replace(base, name=f"{base.name}|twist({amplitude:g})", metric=metric,
                    analytic_k=None)
 
 
@@ -336,12 +328,12 @@ def custom_surface(name: str, domain: ParamDomain, g11: str, g12: str,
     isothermal coordinates, share one parse and one jet per evaluation."""
     exprs = {text: parse(text) for text in (g11, g12, g22)}
 
-    def evaluator(u, v):
-        jet = {text: eval_jet(expr, u, v) for text, expr in exprs.items()}
+    def metric(u, v):
+        jet = {text: expr(u, v) for text, expr in exprs.items()}
         return MetricJet(jet[g11], jet[g12], jet[g22])
 
     n = 64 if isinstance(domain, RectDomain) else 32
-    return Surface(name=name, domain=domain, evaluator=evaluator, expected_chern=None,
+    return Surface(name=name, domain=domain, metric=metric, expected_chern=None,
                    analytic_k=None, reference_resolution=(n, n))
 
 

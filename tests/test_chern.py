@@ -222,19 +222,27 @@ def _v_alone_surface():
     return custom_surface("v_alone", dom, "2 + sin(v)", "0.1*cos(v)", "2 + cos(2*v)")
 
 
+# per block size, a row length that splits rows into column tiles
+LONG_ROWS = {chern.BLOCK_NODES: 20000, 7: 40}
+
+
 @pytest.mark.parametrize("block", [chern.BLOCK_NODES, 7])
 @pytest.mark.parametrize("make,n_u,n_v,axes", [
     (lambda: torus_revolution(2.0, 1.0), 64, 64, "u"),
-    (lambda: torus_revolution(2.0, 1.0), 8, 20000, "u"),  # rows split into column tiles
+    (lambda: torus_revolution(2.0, 1.0), 8, None, "u"),  # rows split into column tiles
     (lambda: flat_torus(1.0, 2.0), 32, 36, ""),
-    (_v_alone_surface, 9, 20000, "v"),  # the last row tile holds one row
+    (_v_alone_surface, 9, None, "v"),  # long rows, the last row tile holds one row
     (lambda: perturbed_surface(torus_revolution(2.0, 1.0)), 32, 40, "uv"),
     (poincare_octagon, 12, 12, "uv"),
-], ids=["torus", "torus_long_rows", "flat_torus", "v_alone", "perturbed", "octagon"])
+    # the twist pulls a metric in u alone back to one in u alone
+    (lambda: twisted_surface(torus_revolution(2.0, 1.0), 0.3), 32, 40, "u"),
+    (lambda: twisted_surface(flat_torus(1.0, 2.0), 0.3), 32, 40, "u"),
+], ids=["torus", "torus_long_rows", "flat_torus", "v_alone", "perturbed", "octagon",
+        "twisted_torus", "twisted_flat_torus"])
 def test_each_channel_is_stored_along_exactly_the_axes_it_varies_on(make, n_u, n_v, axes,
                                                                      block, monkeypatch):
     surf = make()
-    spec = QuadratureSpec(n_u, n_v)
+    spec = QuadratureSpec(n_u, n_v or LONG_ROWS[block])
     us, vs, ws = build_nodes(surf.domain, spec)
     whole = curvature_report_grid(surf, us, vs)  # one unblocked pass as the reference
     monkeypatch.setattr(chern, "BLOCK_NODES", block)
@@ -310,15 +318,15 @@ n_v = {n}
 
 def test_torus_sample_evaluates_the_metric_once_per_u():
     # the u axis is a column, and the torus metric depends on u alone, so the
-    # evaluator sees 64 values of u, not 64 x 64 nodes
+    # metric sees 64 values of u, not 64 x 64 nodes
     torus = torus_revolution(2.0, 1.0)
     shapes = []
 
-    def evaluator(u, v):
-        shapes.append(np.shape(u))
-        return torus.evaluator(u, v)
+    def metric(u, v):
+        shapes.append(np.shape(u.val))
+        return torus.metric(u, v)
 
-    sample = curvature_sample(dataclasses.replace(torus, evaluator=evaluator),
+    sample = curvature_sample(dataclasses.replace(torus, metric=metric),
                               QuadratureSpec(64, 64))
     assert shapes and all(shape[1:] == (1,) for shape in shapes)
     assert sum(math.prod(shape) for shape in shapes) <= 64

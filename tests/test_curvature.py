@@ -157,8 +157,8 @@ def test_builtin_coframe_reproduces_its_metric(make):
             assert np.all(np.abs(x - y) <= 1e-13 * (1.0 + np.abs(y))), channel
     # theta2 = d dv, so the exact and the Cholesky coframes share e1 = du/a
     exact = curvature_report_grid(surf, us, vs)
-    twin = dataclasses.replace(surf, evaluator=lambda u, v: dataclasses.replace(
-        surf.evaluator(u, v), coframe=None))
+    twin = dataclasses.replace(surf, metric=lambda u, v: dataclasses.replace(
+        surf.metric(u, v), coframe=None))
     cholesky = curvature_report_grid(twin, us, vs)
     assert np.max(np.abs(exact.b_u - cholesky.b_u)) <= 1e-13
     assert np.max(np.abs(exact.b_v - cholesky.b_v)) <= 1e-13

@@ -5,12 +5,15 @@ metrics from ``verify._random_expression``, widened to the inputs the
 curvature kernel must survive: components that overflow, that are not
 positive definite, that vanish or divide by zero, and degenerate
 rectangles or node counts; each runs ``chernquad report``.  The second
-draws ``chern`` and ``compare`` flags: builtin kinds with parameters
-that are nan, infinite, negative or huge, node counts too small or past
-what numpy can index, compare modes with the factor, seed and amplitude
-they read (now and then one they do not read, which must end in a typed
-error), the output format, and ``--out``/``--grid-out`` paths that
-are writable or not.  Each example must print one finite report row, or
+draws ``chern`` and ``compare`` flags: builtin kinds with their
+parameters, node counts, compare modes with the factor, seed and
+amplitude they read, the output format and ``--out``/``--grid-out``
+paths.  About one example in four puts one bad value in one of them: a
+parameter that is nan, infinite, negative or huge, a node count too
+small or past what numpy can index, a chart that cannot be compared, a
+path that is not writable, a compare flag the mode does not read (which
+must end in a typed error), and so on; most other examples reach a
+report.  Each example must print one finite report row, or
 exactly one stderr line ``chernquad: error: ...`` with exit 1 and an
 empty stdout; any exception escaping ``main`` fails the test.
 """
@@ -115,9 +118,11 @@ def test_drawn_metrics_end_in_a_report_or_a_typed_error(text):
         assert _assert_finite_row(out) == "drawn"
 
 
-# (usual, bad) choices per flag; bad ones are drawn about one time in four.
-# Bad node counts are too small or past what numpy can index, never merely
-# large, which would allocate for real before failing.
+# (usual, bad) choices per flag.  About one example in four takes a bad
+# value, in one flag drawn once per example, so that the others reach the
+# report path of every mode.  Bad node counts are too small or past what
+# numpy can index, never merely large, which would allocate for real
+# before failing.
 _VALUES = (("0.5", "1", "3"), ("nan", "inf", "-inf", "-1", "0", "1e200"))
 _RESOLUTIONS = ((None, "8x8", "16x12", "32x16"),
                 ("4x16", "8x0", "99999999999999999999x8", "4611686018427387904x8",
@@ -127,25 +132,35 @@ _FACTORS = (("exp(0.6*sin(u))", "2+cos(v)", "exp(0.3*cos(u+v))"),
 _AMPLITUDES = ((None, "0.1", "0.5", "-0.3"), _VALUES[1] + ("1e8",))
 _SEEDS = ((None, "0", "7"), ("-1", str(2 ** 70)))
 _STRAY_FLAGS = {"factor": "2", "amplitude": "0.1", "seed": "5"}
-# output files, inside the test's temporary directory; "." is the directory
-_PATHS = (("", "out.csv", "out.json"), ("missing/out.csv", "."))
+# output files, inside the test's temporary directory; "." is the directory,
+# and a grid dump to out.csv names the same file as --out whenever that is out.csv
+_OUT_PATHS = (("", "out.csv", "out.json"), ("missing/out.csv", "."))
+_GRID_PATHS = (("", "grid.csv", "grid.json"), ("missing/grid.csv", ".", "out.csv"))
+# a comparison needs a fully periodic chart
+_KINDS = (("torus_revolution", "flat_torus"), ("sphere", "poincare_octagon"))
+# where the one bad value goes; "stray" is a compare flag the mode does not read
+_BAD = ("kind", "param", "resolution", "factor", "amplitude", "seed", "out", "grid_out",
+        "stray")
 
 
 @st.composite
 def _argvs(draw):
     """(argv, --out, --grid-out, --format, stray) for a chern or compare run;
     stray: a compare flag the mode does not read was drawn."""
-    def pick(choices):
-        usual, bad = choices
-        return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 3 else usual))
+    bad = draw(st.sampled_from(_BAD)) if draw(st.integers(0, 3)) == 3 else None
 
-    kind = draw(st.sampled_from(("torus_revolution", "flat_torus", "sphere",
-                                 "poincare_octagon")))
-    argv = [draw(st.sampled_from(("chern", "compare"))), "--surface", kind]
+    def pick(flag, choices):
+        usual, bad_values = choices
+        return draw(st.sampled_from(bad_values if flag == bad else usual))
+
+    command = draw(st.sampled_from(("chern", "compare")))
+    kind = (draw(st.sampled_from(_KINDS[0] + _KINDS[1])) if command == "chern"
+            else pick("kind", _KINDS))
+    argv = [command, "--surface", kind]
     for key in zoo.BUILTIN_KINDS[kind][1]:
         if draw(st.booleans()):
-            argv += ["--param", f"{key}={pick(_VALUES)}"]
-    resolution = pick(_RESOLUTIONS)
+            argv += ["--param", f"{key}={pick('param', _VALUES)}"]
+    resolution = pick("resolution", _RESOLUTIONS)
     if resolution:
         argv += ["--resolution", resolution]
     unread = ()  # the compare flags the mode does not read
@@ -153,15 +168,14 @@ def _argvs(draw):
         mode = draw(st.sampled_from(("twist", "perturb", "conformal")))
         argv += ["--mode", mode]
         # every flag is drawn, and those the mode reads are given
-        drawn = {"factor": pick(_FACTORS), "amplitude": pick(_AMPLITUDES),
-                 "seed": pick(_SEEDS)}
+        drawn = {"factor": pick("factor", _FACTORS),
+                 "amplitude": pick("amplitude", _AMPLITUDES), "seed": pick("seed", _SEEDS)}
         unread = sorted(set(drawn) - set(zoo.COMPARE_MODES[mode][1]))
         argv += [f"--{key}={value}"  # one word, or argparse takes "-inf" for an option
                  for key, value in drawn.items() if key not in unread and value is not None]
     fmt = draw(st.sampled_from(("csv", "json")))
-    paths = pick(_PATHS), pick(_PATHS)
-    # about one time in four, a flag the mode does not read, which config rejects
-    stray = bool(unread) and draw(st.integers(0, 3)) == 3
+    paths = pick("out", _OUT_PATHS), pick("grid_out", _GRID_PATHS)
+    stray = bool(unread) and bad == "stray"  # config rejects it
     if stray:
         key = draw(st.sampled_from(unread))
         argv.append(f"--{key}={_STRAY_FLAGS[key]}")

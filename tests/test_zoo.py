@@ -204,7 +204,7 @@ def test_expected_chern_metadata(surf, chern):
 
 def test_surface_fields():
     assert [f.name for f in dataclasses.fields(Surface)] == [
-        "name", "domain", "evaluator", "expected_chern", "analytic_k",
+        "name", "domain", "metric", "expected_chern", "analytic_k",
         "reference_resolution"]
 
 

@@ -13,7 +13,7 @@ this script is the config of the dense grid dump, and
 production of the expression grammar, and ``overflow_integral.cfg``
 that of Chern integrals that leave the float range.  Two checkouts
 produce byte-identical output exactly when ``diff -r`` of their
-snapshots is empty.  A run writes 272 files and takes about 26 s on a 2-core
+snapshots is empty.  A run writes 278 files and takes about 22 s on a 2-core
 machine, so it stays out of the test suite.
 """
 
@@ -81,6 +81,12 @@ def commands() -> list[tuple[str, tuple[str, ...]]]:
                             *extra, "--resolution", "256x256", "--format", "json",
                             "--grid-out", "grid.json")))
     cmds += [
+        # a twist of a metric in u alone is stored along u alone
+        ("compare_flat_torus_twist",
+         CLI + ("compare", "--surface", "flat_torus", "--mode", "twist")),
+        ("compare_torus_twist_9x20000",
+         CLI + ("compare", "--surface", "torus_revolution", "--mode", "twist",
+                "--resolution", "9x20000")),
         ("compare_twist_amplitude_1e6",
          CLI + ("compare", "--surface", "torus_revolution", "--mode", "twist",
                 "--amplitude", "1e6", "--resolution", "32x32")),
