@@ -85,8 +85,9 @@ TWO_PI = 2.0 * math.pi
 class Surface:
     """A named chart with its metric, plus known invariants.
 
-    ``metric`` must be a pure function of the coordinate jets (u, v),
-    which ``evaluator`` alone seeds from floats or arrays.  Whether a
+    ``metric`` must be a pure function of the coordinate jets (u, v);
+    ``evaluator`` seeds them from floats or arrays, the one place in this
+    module where a surface's coordinates become jets.  Whether a
     channel it returns depends on u or v (is not broadcast along that
     axis) follows from its code, not from the values of u and v, so
     ``chern.curvature_sample`` sizes its stores from the first tile;

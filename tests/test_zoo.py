@@ -226,7 +226,7 @@ def test_derived_surfaces_keep_the_base_chart_and_invariants(make, mode, params,
     assert derived.expected_chern == base.expected_chern
     assert derived.reference_resolution == base.reference_resolution
     assert derived.analytic_k is None
-    assert derived.evaluator is not base.evaluator
+    assert derived.metric is not base.metric
 
 
 def test_custom_surface_reference_resolution_follows_the_chart():
